@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke fuzz
+.PHONY: check build vet test race e2ebench-test bench bench-e2e bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke fuzz
 
-check: vet build race bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke
+check: vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -18,18 +18,29 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The end-to-end benchmark (e2ebench/) is its own module; vet it and run
+# its offline unit tests (request-list purity, statistics, accounting).
+e2ebench-test:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
 # Performance numbers behind BENCH_perf.json: observability overhead
-# (nil-tracer guard on the interpreter hot path), wasmvm dispatch
-# (superinstruction fusion, the register-form optimizing tier, and the AOT
-# superblock tier), instantiation (cold vs snapshot clone vs reset), the
-# memory checksum, and the parallel harness grid (compile cache on/off,
-# instance pools fresh and steady-state).
+# (nil-tracer guard on the interpreter hot path), wasmvm optimizing-tier
+# dispatch (AOT superblocks vs the stack loop), instantiation (cold vs
+# snapshot clone vs reset), the memory checksum, and the parallel harness
+# grid (compile cache on/off, instance pools fresh and steady-state).
 bench:
 	$(GO) test -bench 'Interp|RegistryCounter' -benchtime 5x -run xxx ./internal/obsv/
-	$(GO) test -bench 'Dispatch|RegTier|AOTTier' -benchtime 30x -run xxx ./internal/wasmvm/
+	$(GO) test -bench AOTTier -benchtime 30x -run xxx ./internal/wasmvm/
 	$(GO) test -bench SnapshotRestore -benchtime 100x -run xxx ./internal/wasmvm/
 	$(GO) test -bench MemChecksum -benchtime 20x -run xxx ./internal/compiler/
 	$(GO) test -bench RunCellsMultiProfile -benchtime 5x -run xxx ./internal/harness/
+
+# The end-to-end benchmark on its two workloads: the Table 2 paper
+# experiment and a closed loop of never-seen serve requests. Prints every
+# end-to-end metric; reports only, not part of check (see e2ebench/README.md).
+bench-e2e:
+	bash e2ebench/run.sh --workload table2 --seconds 45
+	bash e2ebench/run.sh --workload serve-cold --seconds 45
 
 # One-iteration sweep of every benchmark so a broken -bench path fails CI
 # without waiting for steady-state numbers (baselines live in BENCH_perf.json).
@@ -37,9 +48,10 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # Differential smoke: 200 generated programs from fixed seeds plus every
-# committed corpus regression, across the full backend matrix (including the
-# AOT superblock configs). Deterministic; any divergence fails CI. (The
-# -race gate above reruns a reduced range.)
+# committed corpus regression, across the full backend matrix (every tier
+# mode on the stack loop and on AOT superblocks, plus pooled runs).
+# Deterministic; any divergence fails CI. (The -race gate above reruns a
+# reduced range.)
 difftest-smoke:
 	$(GO) test ./internal/difftest -run 'TestSmoke|TestCorpus|TestKernelOptInvariance' -count=1
 

@@ -4,11 +4,13 @@ set -eux
 go vet ./...
 go build ./...
 go test -race ./...
+# The end-to-end benchmark module: vet plus its offline unit tests.
+(cd e2ebench && go vet ./... && go test ./...)
 # Bench smoke: every benchmark must still run for one iteration.
 go test -run=NONE -bench=. -benchtime=1x ./...
 # Differential smoke: 200 fixed-seed generated programs + the regression
-# corpus through the cross-backend oracle, without -race (full matrix,
-# including the AOT superblock configs).
+# corpus through the cross-backend oracle, without -race (full matrix:
+# every tier mode on the stack loop and on AOT superblocks, plus pooled).
 go test ./internal/difftest -run 'TestSmoke|TestCorpus|TestKernelOptInvariance' -count=1
 # Fault drill: fixed-seed fault plan covering every injection point, with
 # retry/degrade/quarantine accounting checked; deterministic and race-clean.

@@ -68,7 +68,7 @@ func main() {
 	resume := flag.String("resume", "", "with -metrics: checkpoint file; completed cells are restored from it and new successes appended, so an interrupted run picks up where it left off")
 	retries := flag.Int("retries", 0, "with -metrics: re-attempt failed cells up to N times")
 	retryBackoff := flag.Duration("retry-backoff", 0, "with -metrics: base delay before retries (exponential with seeded jitter)")
-	degrade := flag.Bool("degrade", false, "with -metrics: step retries down the degradation ladder (regtier, fusion, opt level)")
+	degrade := flag.Bool("degrade", false, "with -metrics: step retries down the degradation ladder (wasm: noaot, O0; js: nojit, O0)")
 	deadline := flag.Duration("deadline", 0, "with -metrics: wall-clock budget per cell attempt (0 = none)")
 	stepLimit := flag.Uint64("step-limit", 0, "with -metrics: dynamic instruction budget per measurement (0 = profile default)")
 	quarantine := flag.Int("quarantine", 0, "with -metrics: skip a benchmark's remaining cells after N consecutive failures (0 = never)")

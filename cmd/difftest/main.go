@@ -10,7 +10,7 @@
 //	difftest -seed 212                       # replay one seed
 //	difftest -duration 30s                   # run until the clock, not a count
 //	difftest -opt O0,O2,O3 -backends x86,js  # narrow the matrix
-//	difftest -full                           # all 12 wasmvm configurations
+//	difftest -full                           # all 9 wasmvm configurations
 //	difftest -minimize -corpus-dir internal/difftest/corpus
 package main
 
@@ -33,7 +33,7 @@ func main() {
 	optList := flag.String("opt", "", "comma-separated opt levels (default O0,O3)")
 	backends := flag.String("backends", "", "comma-separated backend families: wasm,js,x86 (default all)")
 	toolchains := flag.String("toolchains", "", "comma-separated toolchains: cheerp,emscripten (default cheerp)")
-	full := flag.Bool("full", false, "run the full 12-config wasmvm mode x fusion x regtier matrix")
+	full := flag.Bool("full", false, "run the full 9-config wasmvm matrix: tier mode x {stack, aot}, plus pooled aot")
 	noCrossLevel := flag.Bool("no-xlevel", false, "skip the cross-level invariance check")
 	floatMode := flag.String("floats", "both", "float generation: both, on, off")
 	minimize := flag.Bool("minimize", false, "on divergence: shrink the program and write a corpus regression")

@@ -11,13 +11,10 @@
 //	wasmrun -profile prog.wasm         # per-function virtual-cycle profile
 //	wasmrun -trace-out t.json prog.wasm  # Chrome trace_event JSON
 //	wasmrun -telemetry-snapshot - prog.wasm  # metrics snapshot to stdout
-//	wasmrun -no-fuse prog.wasm         # disable the superinstruction tier
+//	wasmrun -no-aot prog.wasm          # optimizing tier on the stack loop
 //	                                   # (identical metrics, slower dispatch)
-//	wasmrun -no-regtier prog.wasm      # disable register-form optimized dispatch
-//	wasmrun -no-aot prog.wasm          # disable AOT superblock dispatch
 //	wasmrun -tierup-threshold 50 prog.wasm  # hotness before tier-up (like
 //	                                        # tuning V8's --wasm-tiering-budget)
-//	wasmrun -aot-threshold 500 prog.wasm    # hotness before superblock compile
 //	wasmrun -snapshot prog.wasm        # run on a snapshot-recycled instance
 //	                                   # (identical metrics, instant startup)
 package main
@@ -42,11 +39,8 @@ func main() {
 	modeFlag := flag.String("mode", "both", "compiler tiers: both, basic, opt")
 	entry := flag.String("entry", "main", "exported function to call")
 	profileFlag := flag.Bool("profile", false, "print a per-function virtual-cycle profile")
-	noFuse := flag.Bool("no-fuse", false, "disable interpreter superinstruction fusion (virtual metrics are identical; dispatch is slower)")
-	noRegTier := flag.Bool("no-regtier", false, "disable the register-form optimizing tier (virtual metrics are identical; tiered dispatch is slower)")
-	noAOT := flag.Bool("no-aot", false, "disable the AOT superblock tier (virtual metrics are identical; hot dispatch is slower)")
+	noAOT := flag.Bool("no-aot", false, "run the optimizing tier on the stack loop instead of AOT superblocks (virtual metrics are identical; hot dispatch is slower)")
 	tierUpThreshold := flag.Uint64("tierup-threshold", 0, "hotness (calls + loop back-edges) before tier-up; 0 keeps the browser profile's default")
-	aotThreshold := flag.Uint64("aot-threshold", 0, "hotness before AOT superblock compilation of a tiered function; 0 keeps the browser profile's default")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
 	foldedOut := flag.String("folded-out", "", "write folded stacks (flamegraph.pl / speedscope input)")
 	teleSnap := flag.String("telemetry-snapshot", "", "dump a telemetry metrics snapshot after the run ('-' = text to stdout; a path ending in .json gets JSON)")
@@ -98,14 +92,9 @@ func main() {
 	if *profileFlag {
 		cfg.Profile = true
 	}
-	cfg.DisableFusion = *noFuse
-	cfg.DisableRegTier = *noRegTier
 	cfg.DisableAOTTier = *noAOT
 	if *tierUpThreshold != 0 {
 		cfg.TierUpThreshold = *tierUpThreshold
-	}
-	if *aotThreshold != 0 {
-		cfg.AOTThreshold = *aotThreshold
 	}
 	var reg *telemetry.Registry
 	if *teleSnap != "" {
@@ -170,8 +159,8 @@ func main() {
 		float64(vm.PeakMemoryBytes())/1024)
 	fmt.Printf("instructions: %d (tier-ups: %d, memory.grow: %d)\n",
 		st.Steps, st.TierUps, st.GrowOps)
-	fmt.Printf("tier cycles: basic=%.0f opt=%.0f aot=%.0f (register bodies: %d, aot bodies: %d)\n",
-		st.BasicCycles, st.OptCycles, st.AOTCycles, vm.RegTranslated(), vm.AOTTranslated())
+	fmt.Printf("tier cycles: basic=%.0f opt=%.0f aot=%.0f (aot bodies: %d)\n",
+		st.BasicCycles, st.OptCycles, st.AOTCycles, vm.AOTTranslated())
 	ops := st.ArithOps()
 	fmt.Printf("arith ops: ADD=%d MUL=%d DIV=%d REM=%d SHIFT=%d AND=%d OR=%d\n",
 		ops["ADD"], ops["MUL"], ops["DIV"], ops["REM"], ops["SHIFT"], ops["AND"], ops["OR"])

@@ -267,10 +267,10 @@ type Measurement struct {
 // lets the harness's degradation ladder and fault plans ride through the
 // same code path the zero-fault sweep uses.
 type MeasureOptions struct {
-	// DisableRegTier / DisableFusion step the Wasm VM down its dispatch
-	// optimizations (results and metrics are unchanged by construction).
-	DisableRegTier bool
-	DisableFusion  bool
+	// DisableAOTTier runs the Wasm VM's optimizing tier on the stack loop
+	// instead of AOT superblocks (results and metrics are unchanged by
+	// construction).
+	DisableAOTTier bool
 	// DisableJIT pins the JS engine to the interpreter tier.
 	DisableJIT bool
 	// StepLimit bounds dynamic instructions/steps for the run (a virtual-
@@ -307,11 +307,8 @@ func (p *Profile) MeasureWasmWith(art *compiler.Artifact, opts MeasureOptions) (
 }
 
 func (p *Profile) measureWasmCfg(art *compiler.Artifact, cfg wasmvm.Config, opts MeasureOptions) (*Measurement, error) {
-	if opts.DisableRegTier {
-		cfg.DisableRegTier = true
-	}
-	if opts.DisableFusion {
-		cfg.DisableFusion = true
+	if opts.DisableAOTTier {
+		cfg.DisableAOTTier = true
 	}
 	if opts.StepLimit != 0 {
 		cfg.StepLimit = opts.StepLimit

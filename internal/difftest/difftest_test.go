@@ -41,7 +41,7 @@ func TestSmoke(t *testing.T) {
 // TestCorpus replays every committed corpus program — minimized regressions
 // for fixed divergences plus generator seed programs — across the backend
 // matrix with zero tolerance. Without -race the wasm side runs the full
-// 18-config mode×fusion×regtier×aot matrix.
+// 9-config tier mode × {stack, aot} matrix plus pooled runs.
 func TestCorpus(t *testing.T) {
 	entries := Corpus()
 	if len(entries) == 0 {

@@ -1,7 +1,7 @@
 // Package difftest is the cross-backend differential fuzzing subsystem:
 // a seeded, deterministic random MiniC program generator, an oracle that
 // compiles each program through internal/compiler and runs it on every
-// backend (the wasmvm mode×fusion×regtier matrix, jsvm across JIT tiers,
+// backend (the wasmvm tier mode × dispatcher matrix, jsvm across JIT tiers,
 // x86vm), a greedy test-case minimizer, and a committed regression corpus.
 //
 // The paper's methodology (§3) rests on the premise that the Wasm, JS, and

@@ -16,7 +16,7 @@ import (
 // Outcome is one backend execution, reduced to the observable state the
 // oracle compares.
 type Outcome struct {
-	Backend string // e.g. "wasm/both+fuse+reg", "js/jit", "x86"
+	Backend string // e.g. "wasm/both+aot", "js/jit", "x86"
 	Family  string // "wasm", "js", "x86"
 	Err     error
 	Exit    int32
@@ -61,8 +61,9 @@ type Oracle struct {
 	Levels []ir.OptLevel
 	// Toolchains to compile with; nil = {Cheerp}.
 	Toolchains []compiler.Toolchain
-	// FullWasmMatrix runs all 18 wasmvm mode×fusion×regtier×aot configs
-	// instead of the 5-config smoke subset.
+	// FullWasmMatrix runs all 9 wasmvm configs — tier mode × {stack,
+	// aot} plus a pooled aot run per mode — instead of the 5-config smoke
+	// subset.
 	FullWasmMatrix bool
 	// Families filters backend families ("wasm", "js", "x86"); nil = all.
 	Families []string
@@ -93,29 +94,25 @@ type wasmVariant struct {
 	pooled bool
 }
 
-// wasmVariants builds the wasmvm config matrix. The tier-up and AOT
-// thresholds are lowered to 64 so generated hot loops actually cross them
-// (OSR + call tier-up), and both optimizing dispatchers — register tier
-// and AOT superblocks — get exercised.
+// wasmVariants builds the wasmvm config matrix: each tier mode on the
+// stack loop alone (DisableAOTTier) and with AOT superblocks serving the
+// optimizing tier. The tier-up threshold is lowered to 64 so generated hot
+// loops actually cross it (OSR + call tier-up).
 func wasmVariants(full bool) []wasmVariant {
-	mk := func(mode wasmvm.TierMode, fuse, reg, aot bool) wasmvm.Config {
+	mk := func(mode wasmvm.TierMode, aot bool) wasmvm.Config {
 		cfg := wasmvm.DefaultConfig()
 		cfg.Mode = mode
 		cfg.TierUpThreshold = 64
-		cfg.DisableFusion = !fuse
-		cfg.DisableRegTier = !reg
 		cfg.DisableAOTTier = !aot
-		cfg.AOTThreshold = 64
 		return cfg
 	}
 	if !full {
 		return []wasmVariant{
-			{name: "both+fuse+reg", cfg: mk(wasmvm.TierBoth, true, true, false)},
-			{name: "both+fuse+reg+aot", cfg: mk(wasmvm.TierBoth, true, true, true)},
-			{name: "both+fuse+reg+aot", cfg: mk(wasmvm.TierBoth, true, true, true), pooled: true},
-			{name: "both-plain", cfg: mk(wasmvm.TierBoth, false, false, false)},
-			{name: "basic", cfg: mk(wasmvm.TierBasicOnly, true, false, false)},
-			{name: "opt+reg", cfg: mk(wasmvm.TierOptOnly, true, true, false)},
+			{name: "both+aot", cfg: mk(wasmvm.TierBoth, true)},
+			{name: "both+aot", cfg: mk(wasmvm.TierBoth, true), pooled: true},
+			{name: "both+stack", cfg: mk(wasmvm.TierBoth, false)},
+			{name: "basic+stack", cfg: mk(wasmvm.TierBasicOnly, false)},
+			{name: "opt+aot", cfg: mk(wasmvm.TierOptOnly, true)},
 		}
 	}
 	modes := []struct {
@@ -124,32 +121,11 @@ func wasmVariants(full bool) []wasmVariant {
 	}{{"both", wasmvm.TierBoth}, {"basic", wasmvm.TierBasicOnly}, {"opt", wasmvm.TierOptOnly}}
 	var out []wasmVariant
 	for _, md := range modes {
-		for _, fuse := range []bool{true, false} {
-			for _, reg := range []bool{true, false} {
-				n := md.n
-				if fuse {
-					n += "+fuse"
-				} else {
-					n += "-nofuse"
-				}
-				if reg {
-					n += "+reg"
-				} else {
-					n += "-noreg"
-				}
-				out = append(out, wasmVariant{name: n, cfg: mk(md.m, fuse, reg, false)})
-				if reg {
-					// The AOT tier stacks on the register tier only, so
-					// only reg-enabled configs have an +aot variant.
-					out = append(out, wasmVariant{name: n + "+aot", cfg: mk(md.m, fuse, reg, true)})
-					if fuse {
-						// And the deepest config of each mode additionally
-						// runs pooled, covering snapshot clone + recycle.
-						out = append(out, wasmVariant{name: n + "+aot", cfg: mk(md.m, fuse, reg, true), pooled: true})
-					}
-				}
-			}
-		}
+		out = append(out,
+			wasmVariant{name: md.n + "+stack", cfg: mk(md.m, false)},
+			wasmVariant{name: md.n + "+aot", cfg: mk(md.m, true)},
+			// Pooled, covering snapshot clone + recycle.
+			wasmVariant{name: md.n + "+aot", cfg: mk(md.m, true), pooled: true})
 	}
 	return out
 }
@@ -344,7 +320,7 @@ func referenceOutcome(outs []Outcome) *Outcome {
 //     while another succeeds is a divergence too.
 //   - Within the wasm family (same artifact, different VM configs):
 //     additionally identical dynamic step counts and final linear-memory
-//     checksums — fusion, the register tier, and tier modes must never
+//     checksums — the AOT tier, snapshot pools, and tier modes must never
 //     change execution, only cycle accounting and dispatch speed.
 func compareOutcomes(name string, lv ir.OptLevel, tc compiler.Toolchain, outs []Outcome) []Divergence {
 	var divs []Divergence

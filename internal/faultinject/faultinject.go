@@ -35,13 +35,9 @@ const (
 	// it acts as a hard page cap (the mobile per-tab memory kill analogue,
 	// PAPER.md §memory); with Prob/Count it fails individual grows.
 	WasmGrowDeny Point = "wasm.grow-deny"
-	// WasmRegTranslate fails the register-tier translation of a function,
-	// forcing the stack-tier fallback (dispatch speed only — metrics are
-	// unaffected by construction).
-	WasmRegTranslate Point = "wasm.reg-translate"
-	// WasmAOTTranslate fails the AOT superblock compilation of a hot
-	// function, forcing the register-tier fallback (the first rung of the
-	// AOT→register→stack bail ladder; dispatch speed only — metrics are
+	// WasmAOTTranslate fails the optimizing-tier (register form + AOT
+	// superblock) translation of a function, so the stack loop serves it
+	// under the optimizing cost table (dispatch speed only — metrics are
 	// unaffected by construction).
 	WasmAOTTranslate Point = "wasm.aot-translate"
 	// WasmStall blocks the calling goroutine for Rule.Stall wall-clock time
@@ -83,7 +79,7 @@ const (
 // this; serve.* points are drilled by the internal/serve fault tests
 // rather than the harness sweep, which has no admission path).
 var AllPoints = []Point{
-	WasmGrowDeny, WasmRegTranslate, WasmAOTTranslate, WasmStall,
+	WasmGrowDeny, WasmAOTTranslate, WasmStall,
 	WasmSnapshotRestore,
 	JSJITCompile, JSHeapOOM,
 	CompilerPass, CompilerCache, HarnessPanic,

@@ -34,8 +34,7 @@ func TestFaultSmoke(t *testing.T) {
 			cell("atax", benchsuite.S, "js"),       // js.jit-compile (hot at S)
 			cell("bicg", benchsuite.XS, "js"),      // js.heap-oom → retry
 			cell("gemm", benchsuite.S, "wasm"),     // wasm.grow-deny (gemm/S grows)
-			cell("3mm", benchsuite.S, "wasm"),      // wasm.reg-translate → stack fallback
-			cell("2mm", benchsuite.S, "wasm"),      // wasm.aot-translate → register fallback
+			cell("2mm", benchsuite.S, "wasm"),      // wasm.aot-translate → stack fallback
 			cell("mvt", benchsuite.XS, "wasm"),     // compiler.pass → retry+degrade
 			cell("trmm", benchsuite.XS, "wasm"),    // compiler.cache → retry
 			cell("gesummv", benchsuite.XS, "wasm"), // harness.worker-panic → retry
@@ -49,9 +48,8 @@ func TestFaultSmoke(t *testing.T) {
 		{Point: faultinject.JSJITCompile, Count: 1, Match: "atax"},
 		{Point: faultinject.JSHeapOOM, Count: 1, Match: "bicg"},
 		{Point: faultinject.WasmGrowDeny, Count: 1, Match: "gemm"},
-		{Point: faultinject.WasmRegTranslate, Count: 1, Match: "3mm"},
-		// First rung of the bail ladder: the denied AOT compile falls back to
-		// the register body, so the cell still succeeds and its metrics are
+		// The denied optimizing-tier translation leaves the function on the
+		// stack loop, so the cell still succeeds and its metrics are
 		// untouched — only the fault counter records the firing.
 		{Point: faultinject.WasmAOTTranslate, Count: 1, Match: "2mm"},
 		{Point: faultinject.CompilerPass, Count: 1, Match: "mvt"},

@@ -3,7 +3,7 @@ package harness
 // This file is the harness's resilience layer: per-cell budgets (virtual
 // step limit + wall-clock deadline), panic recovery in workers, bounded
 // retry with seeded exponential backoff, a graceful-degradation ladder
-// (regtier → fusion → opt level progressively disabled, mirroring real
+// (AOT dispatch → opt level progressively disabled, mirroring real
 // engines tiering down), per-benchmark quarantine, and the fault-plan
 // plumbing that lets internal/faultinject exercise all of it
 // deterministically. The paper's methodology needs sweeps that survive
@@ -40,15 +40,16 @@ var (
 )
 
 // degradeRungs is the graceful-degradation ladder for a cell language, in
-// the order attempts descend it. The wasm rungs only change dispatch
-// machinery (register tier, fusion), so a degraded result is identical to
-// the full-configuration result by construction; the final O0 rung trades
+// the order attempts descend it. The wasm "noaot" rung only changes
+// dispatch machinery (the stack loop serves the optimizing tier instead of
+// AOT superblocks), so a degraded result is identical to the
+// full-configuration result by construction; the final O0 rung trades
 // optimization for survival and is visibly recorded in the metrics.
 func degradeRungs(lang string) []string {
 	if lang == "js" {
 		return []string{"nojit", "O0"}
 	}
-	return []string{"noreg", "noreg+nofuse", "O0"}
+	return []string{"noaot", "O0"}
 }
 
 // backoffDelay is the seeded exponential backoff before retry attempt
@@ -128,10 +129,8 @@ func runAttempt(c Cell, cache *ArtifactCache, opt RunOptions, rung string, plan 
 	cc := c
 	mo := browser.MeasureOptions{StepLimit: opt.StepLimit, Faults: plan}
 	switch rung {
-	case "noreg":
-		mo.DisableRegTier = true
-	case "noreg+nofuse":
-		mo.DisableRegTier, mo.DisableFusion = true, true
+	case "noaot":
+		mo.DisableAOTTier = true
 	case "nojit":
 		mo.DisableJIT = true
 	case "O0":
@@ -139,7 +138,7 @@ func runAttempt(c Cell, cache *ArtifactCache, opt RunOptions, rung string, plan 
 		if cc.Lang == "js" {
 			mo.DisableJIT = true
 		} else {
-			mo.DisableRegTier, mo.DisableFusion = true, true
+			mo.DisableAOTTier = true
 		}
 	}
 
@@ -170,8 +169,8 @@ func runAttempt(c Cell, cache *ArtifactCache, opt RunOptions, rung string, plan 
 	} else {
 		// Pooled instantiation is keyed by the degraded cell's fingerprint:
 		// an O0 rung compiles a different artifact and therefore uses a
-		// different pool, while the dispatch-only rungs (noreg, nofuse)
-		// share the artifact but land in their own config-shape buckets.
+		// different pool, while the dispatch-only noaot rung shares the
+		// artifact but lands in its own config-shape bucket.
 		mo.VMPool = opt.vmPools.poolFor(cc.Fingerprint(), art)
 		m, err = cc.Profile.MeasureWasmWith(art, mo)
 	}

@@ -136,24 +136,24 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	}
 }
 
-// TestDegradeLadder: two consecutive injected failures walk a wasm cell
-// down to the noreg+nofuse rung, which by construction still yields the
-// full-configuration measurement.
+// TestDegradeLadder: one injected failure walks a wasm cell down to the
+// noaot rung, which by construction still yields the full-configuration
+// measurement.
 func TestDegradeLadder(t *testing.T) {
 	c := resCell(t, "atax", benchsuite.XS, "wasm")
 	want := keyOf(t, RunCell(c))
 
-	plan := faultinject.NewPlan(13, faultinject.Rule{Point: faultinject.CompilerPass, Count: 2})
+	plan := faultinject.NewPlan(13, faultinject.Rule{Point: faultinject.CompilerPass, Count: 1})
 	res, m := RunCellsWith([]Cell{c}, RunOptions{
 		Workers: 1, Retries: 3, DegradeOnRetry: true, Faults: plan,
 	})
 	if got := keyOf(t, res[0]); got != want {
 		t.Errorf("degraded measurement differs: %+v vs %+v", got, want)
 	}
-	if m.Cells[0].Attempts != 3 || m.Cells[0].Degraded != "noreg+nofuse" {
+	if m.Cells[0].Attempts != 2 || m.Cells[0].Degraded != "noaot" {
 		t.Errorf("cell metric: %+v", m.Cells[0])
 	}
-	if m.Degraded != 1 || m.Retries != 2 {
+	if m.Degraded != 1 || m.Retries != 1 {
 		t.Errorf("counters: %+v", m)
 	}
 }

@@ -159,7 +159,7 @@ type RunOptions struct {
 	// deterministic jitter seeded from the fault plan. 0 retries instantly.
 	RetryBackoff time.Duration
 	// DegradeOnRetry steps retries down the degradation ladder
-	// (wasm: noreg → noreg+nofuse → O0; js: nojit → O0) instead of
+	// (wasm: noaot → O0; js: nojit → O0) instead of
 	// repeating the identical configuration.
 	DegradeOnRetry bool
 	// QuarantineAfter skips further cells of a benchmark after that many

@@ -5,10 +5,10 @@ package harness
 // compiled artifact under many browser profiles, so the artifact's post-init
 // snapshot — like its compiled module — can be shared across the worker
 // pool. One InstancePool per artifact fingerprint serves all six profiles:
-// the snapshot is fusion-keyed (profiles agree on fusion), while each
-// profile's cost-table shape gets its own recycled free list. Cells that
-// differ only in profile then skip module validation, lowering, fusion, and
-// data-segment init entirely, and steady-state sweeps reuse reset instances.
+// the snapshot is config-independent, while each profile's cost-table shape
+// gets its own recycled free list. Cells that differ only in profile then
+// skip module validation, lowering, and data-segment init entirely, and
+// steady-state sweeps reuse reset instances.
 
 import (
 	"sync"

@@ -41,7 +41,7 @@ type CellMetric struct {
 	// succeeded; retries and degradation rungs each add one).
 	Attempts int
 	// Degraded names the degradation-ladder rung that finally produced the
-	// cell's result ("noreg", "noreg+nofuse", "nojit", "O0"); "" when the
+	// cell's result ("noaot", "nojit", "O0"); "" when the
 	// cell ran at full configuration.
 	Degraded string
 	// Quarantined reports the cell was skipped because its benchmark

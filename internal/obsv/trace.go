@@ -62,7 +62,7 @@ const (
 	KindRetry
 	// KindDegrade marks the harness re-running a cell one rung down the
 	// graceful-degradation ladder. Name is the cell label; Track carries
-	// the rung ("noreg", "noreg+nofuse", "nojit", "O0").
+	// the rung ("noaot", "nojit", "O0").
 	KindDegrade
 	// KindQuarantine marks a benchmark being quarantined after N
 	// consecutive failures. Name is the cell label; A is the consecutive
@@ -74,11 +74,11 @@ const (
 	// or before the first for a flight recorder (which keeps the
 	// *newest*). Name describes the loss; A is the number of events lost.
 	KindTruncation
-	// KindAOTCompile marks a hot function's register body being AOT-compiled
-	// into superblocks of pre-bound closures (wasmvm third tier). Name is
-	// the function; A is the superblock count, B the register-form length.
-	// The compile charges no virtual cycles (like fusion and register
-	// translation, the AOT tier is invisible to the virtual clock).
+	// KindAOTCompile marks an optimizing-tier function's register body
+	// being AOT-compiled into superblocks of pre-bound closures (the wasmvm
+	// optimizing tier's dispatcher). Name is the function; A is the
+	// superblock count, B the register-form length. The compile charges no
+	// virtual cycles (the AOT tier is invisible to the virtual clock).
 	KindAOTCompile
 	numKinds
 )

@@ -282,9 +282,11 @@ func (s *Server) admit(req *Request, cell harness.Cell) (*job, *Response) {
 		enq:  time.Now(),
 		done: make(chan *Response, 1),
 	}
+	// Count the job before a worker can see it: a worker that finished it
+	// before a late Add would drive the counter negative.
+	s.jobs.Add(1)
 	select {
 	case s.queue <- j:
-		s.jobs.Add(1)
 		s.mu.Unlock()
 		if s.inst != nil {
 			s.inst.Admitted.Inc()
@@ -292,6 +294,7 @@ func (s *Server) admit(req *Request, cell harness.Cell) (*job, *Response) {
 		}
 		return j, nil
 	default:
+		s.jobs.Done()
 		s.mu.Unlock()
 		cancel()
 		if s.inst != nil {

@@ -371,6 +371,46 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestAdmitCountsJobBeforeWorker: a job must be counted in the drain
+// WaitGroup before a worker can claim it. A worker that finishes a job
+// first (here every job fast-fails on an open breaker) would otherwise
+// drive the counter negative and panic the server.
+func TestAdmitCountsJobBeforeWorker(t *testing.T) {
+	plan := faultinject.NewPlan(13, faultinject.Rule{
+		Point: faultinject.CompilerPass, Count: 1, Match: "doitgen",
+	})
+	s := NewServer(Config{
+		Workers: 4, QueueBound: 1024, BreakerFailures: 1, BreakerCooldown: time.Hour,
+		DisableCache: true, Faults: plan,
+	})
+	defer drain(t, s, 10*time.Second)
+	req := &Request{Bench: "doitgen", Size: "XS"}
+	if resp := s.Submit(req); resp.Status != StatusFailed {
+		t.Fatalf("tripping request: want %s, got %+v", StatusFailed, resp)
+	}
+
+	const clients, perClient = 8, 2000
+	var wg sync.WaitGroup
+	bad := make(chan *Response, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				if resp := s.Submit(req); resp.Status != StatusBreakerOpen && resp.Status != StatusShed {
+					bad <- resp
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(bad)
+	for resp := range bad {
+		t.Errorf("want %s or %s, got %+v", StatusBreakerOpen, StatusShed, resp)
+	}
+}
+
 // TestLoadgenDeterministicSchedule: two RunLoad calls with one seed
 // submit the identical cell sequence (the arrival schedule is a pure
 // function of the seed), proven indirectly: all requests land and the

@@ -178,8 +178,6 @@ type VMInstruments struct {
 	TierUps       *Counter
 	MemGrowOps    *Counter
 	MemGrowPages  *Counter
-	FusedPairs    *Counter
-	RegTranslated *Counter
 	AOTCycles     *Counter
 	AOTTranslated *Counter
 	Superblocks   *Counter
@@ -199,8 +197,6 @@ func NewVMInstruments(r *Registry) *VMInstruments {
 		TierUps:       r.Counter("wasm_tierups_total", "functions promoted to the optimizing tier (§4.4.2)"),
 		MemGrowOps:    r.Counter("wasm_mem_grow_ops_total", "memory.grow instructions executed (§4.2.2)"),
 		MemGrowPages:  r.Counter("wasm_mem_grow_pages_total", "64 KiB pages granted by successful memory.grow"),
-		FusedPairs:    r.Counter("wasm_fused_pairs_total", "superinstruction pairs formed at module load"),
-		RegTranslated: r.Counter("wasm_reg_translations_total", "function bodies translated to register form"),
 		AOTCycles:     r.Counter(Label("wasm_tier_cycles_total", "tier", "aot"), "virtual cycles charged while the AOT superblock dispatcher ran (sub-split of tier=\"opt\")"),
 		AOTTranslated: r.Counter("wasm_aot_translations_total", "hot function bodies AOT-compiled into superblock closures"),
 		Superblocks:   r.Counter("wasm_aot_superblocks_total", "superblocks built across all AOT compilations"),

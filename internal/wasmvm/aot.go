@@ -5,43 +5,44 @@ import (
 	"wasmbench/internal/obsv"
 )
 
-// This file implements the third execution tier: an ahead-of-time
-// translator that compiles a hot function's register-form body
-// (regalloc.go) into "superblocks" — basic blocks whose instructions are
-// pre-bound Go closures chained by direct captured references — so
-// execution pays one indirect call per block edge instead of one switch
-// iteration per instruction (runAOT, aotexec.go).
+// This file implements the optimizing tier's dispatcher form: a
+// translator that compiles a function's register-form body (regalloc.go)
+// into "superblocks" — basic blocks whose instructions are pre-bound Go
+// closures chained by direct captured references — so execution pays one
+// indirect call per block edge instead of one switch iteration per
+// instruction (runAOT, aotexec.go). Every function in the optimizing tier
+// runs here: from its first call under TierOptOnly, and from its tier-up
+// (by call or by loop back-edge OSR) under TierBoth.
 //
 // The translation starts from the register form, so it inherits the 1:1
-// slot→register mapping and the fused superinstruction forms. The body is
-// partitioned at branch targets: every target, every fall-through after a
-// conditional branch or call, and pc 0 starts a block. Within a block each
-// op becomes a closure that captures its operand registers, constants, and
-// cost, performs its effect, and tail-calls the next closure; the block
+// slot→register mapping and the pair forms. The body is partitioned at
+// branch targets: every target, every fall-through after a conditional
+// branch or call, and pc 0 starts a block. Within a block each op becomes
+// a closure that captures its operand registers, constants, and cost,
+// performs its effect, and tail-calls the next closure; the block
 // terminator returns the successor block index (branch targets are
 // resolved to block indexes at translation time, so control flow is
 // block→block integer edges).
 //
-// Determinism contract (same as the register tier): cycles (including
-// float-addition order), steps, per-class tallies, profiles, and traces
-// must be byte-identical to the stack and register dispatchers. Cycles are
-// added in instruction order inside the closures. Integer accounting
-// (steps, class tallies) is commutative, so the driver hoists it: each
-// block's totals are precomputed and added once at block entry. Two cases
-// need care:
+// Determinism contract: cycles (including float-addition order), steps,
+// per-class tallies, profiles, and traces must be byte-identical to the
+// stack dispatcher under the optimizing cost table. Cycles are added in
+// instruction order inside the closures. Integer accounting (steps, class
+// tallies) is commutative, so the driver hoists it: each block's totals
+// are precomputed and added once at block entry. Two cases need care:
 //
 //   - Traps. A trapping closure fires mid-block after the whole block was
 //     pre-counted, so it hands the driver a rollback — the aggregate of
 //     every op strictly after it in the block — to subtract before the
 //     flush. The trapping op's own charges stay, matching the
-//     charge-before-evaluate order of runStack/runReg.
+//     charge-before-evaluate order of runStack.
 //   - Calls. A call must flush and reload the VM-global counters around
 //     the callee, so rCall terminates its block and the driver performs
 //     the call between blocks.
 //
 // Conservative-bail discipline: anything unexpected (dead slots reached,
-// unknown kinds) bails the whole translation and the register tier keeps
-// serving the function; the register tier in turn bails to the stack loop.
+// unknown kinds) bails the whole translation and the stack loop serves
+// the function under the optimizing cost table instead.
 
 // aotFn is one compiled closure. It threads the running cycle count and
 // returns either the next block index (>= 0) or a sentinel.
@@ -90,30 +91,39 @@ type aotBlock struct {
 	call    *aotCall // non-nil iff the block terminator is a call
 }
 
-// aotBody returns cf's superblock form, translating it on first use. A nil
-// result means translation bailed (the register tier keeps serving the
-// function; only dispatch speed is affected, never metrics). Translation
-// charges no virtual cycles: like fusion and register translation, the AOT
-// tier is invisible to the virtual clock.
+// aotBody returns cf's superblock form, translating it (register form
+// first, then superblocks) on first use. A nil result means the AOT tier is
+// off or translation bailed: the stack loop serves the function under the
+// optimizing cost table — only dispatch speed is affected, never metrics.
+// Translation charges no virtual cycles: tier-up (or TierOptOnly
+// instantiation) already charged the modeled optimizing compile, so this
+// host-side work is invisible to the virtual clock.
 func (vm *VM) aotBody(cf *compiledFunc) []aotBlock {
+	if !vm.aotEnabled {
+		return nil
+	}
 	if !cf.aotTried {
 		cf.aotTried = true
 		if vm.faults != nil && vm.faults.Fire(faultinject.WasmAOTTranslate, cf.name) {
-			// Injected translation failure: aotBlocks stays nil, so the
-			// register tier serves the function permanently — the same
-			// fallback as a natural conservative bail, identical metrics.
-			// A body retained across a snapshot Reset is dropped too, so
-			// the denial behaves exactly as on a cold instance.
+			// Injected translation failure: the stack loop serves the
+			// function permanently — the same fallback as a natural
+			// conservative bail, with identical metrics. Superblocks
+			// retained across a snapshot Reset are dropped too, so the
+			// denial behaves exactly as on a cold instance.
 			vm.emitFault(faultinject.WasmAOTTranslate, vm.cycles)
 			cf.aotBlocks, cf.aotEntry = nil, nil
 			return nil
 		}
-		// Superblocks retained across a snapshot Reset skip re-translation
-		// (their closures captured this instance's globals and memory,
-		// which Reset restored in place), but the counters and the compile
-		// trace event below replay at the identical virtual timestamp a
-		// cold instance would emit them.
-		if cf.aotBlocks == nil {
+		// Bodies retained across a snapshot Reset (superblocks) or seeded
+		// from a pool's warm-body store (register form) skip
+		// re-translation — retained closures captured this instance's
+		// globals and memory, which Reset restored in place — but the
+		// counters and the compile trace event below replay at the
+		// identical virtual timestamp a cold instance would emit them.
+		if cf.regCode == nil {
+			cf.regCode = translateReg(vm.module, cf, &vm.cfg.OptCost)
+		}
+		if cf.aotBlocks == nil && cf.regCode != nil {
 			cf.aotBlocks, cf.aotEntry = translateAOT(vm, cf)
 		}
 		if cf.aotBlocks != nil {
@@ -131,14 +141,6 @@ func (vm *VM) aotBody(cf *compiledFunc) []aotBlock {
 		}
 	}
 	return cf.aotBlocks
-}
-
-// aotReady reports whether cf should run on the AOT tier: the tier is
-// enabled, the function is hot enough, and translation succeeded. Callers
-// check this only after regBody succeeded (the AOT form is built from the
-// register form).
-func (vm *VM) aotReady(cf *compiledFunc) bool {
-	return vm.aotEnabled && cf.hotness >= vm.cfg.AOTThreshold && vm.aotBody(cf) != nil
 }
 
 // translateAOT partitions cf's register body into superblocks and binds
@@ -372,7 +374,7 @@ type aotMicroMove struct {
 }
 
 // decomposeMoves flattens a run of move-like ops into micro-moves (rMove2
-// contributes two, one per fused component, each with its own charge).
+// contributes two, one per pair component, each with its own charge).
 func decomposeMoves(code []rop, pcs []int) []aotMicroMove {
 	var ms []aotMicroMove
 	for _, pc := range pcs {
@@ -777,8 +779,8 @@ func (b *aotBuilder) mkOp(in *rop, next aotFn, rb *aotAgg) aotFn {
 			return next(vm, fr, cy)
 		}
 
-	// Fused forms: both components' cycles are added in the order the
-	// register loop charges them.
+	// Pair forms: both components' cycles are added in the order the
+	// stack loop charges them.
 	case rMove2:
 		cost2 := in.cost2
 		fn = func(vm *VM, fr []uint64, cy float64) (float64, int32) {

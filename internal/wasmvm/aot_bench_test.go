@@ -2,19 +2,17 @@ package wasmvm
 
 import "testing"
 
-// BenchmarkAOTTier measures wall-clock dispatch on the hot sum loop under
-// the AOT superblock dispatcher against the register tier and the fused
-// stack interpreter. The warm-up call crosses both thresholds (OSR +
-// superblock compile), so every timed iteration runs one indirect call per
-// superblock instead of one switch per instruction; virtual cycles are
-// identical across variants, only host time differs.
+// BenchmarkAOTTier measures wall-clock dispatch on the hot sum loop in the
+// optimizing tier: AOT superblocks against the stack loop (what serves the
+// tier when AOT is off or bails). The warm-up call tiers up and, on the AOT
+// side, OSRs into superblocks, so every timed iteration runs one indirect
+// call per superblock instead of one switch per instruction; virtual
+// cycles are identical across variants, only host time differs.
 func BenchmarkAOTTier(b *testing.B) {
-	run := func(b *testing.B, disableAOT, disableReg bool) {
+	run := func(b *testing.B, disableAOT bool) {
 		cfg := DefaultConfig()
 		cfg.TierUpThreshold = 100
-		cfg.AOTThreshold = 100
 		cfg.DisableAOTTier = disableAOT
-		cfg.DisableRegTier = disableReg
 		vm, err := New(buildModule(), 0, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -26,7 +24,7 @@ func BenchmarkAOTTier(b *testing.B) {
 		if _, err := vm.Call("sum", I32(n)); err != nil {
 			b.Fatal(err)
 		}
-		if !disableAOT && !disableReg && vm.AOTTranslated() == 0 {
+		if !disableAOT && vm.AOTTranslated() == 0 {
 			b.Fatal("warm-up did not engage the AOT tier")
 		}
 		b.ResetTimer()
@@ -37,7 +35,6 @@ func BenchmarkAOTTier(b *testing.B) {
 		}
 		b.ReportMetric(float64(vm.Stats().Steps)/float64(b.N), "steps/op")
 	}
-	b.Run("aot", func(b *testing.B) { run(b, false, false) })
-	b.Run("reg", func(b *testing.B) { run(b, true, false) })
-	b.Run("stack-fused", func(b *testing.B) { run(b, true, true) })
+	b.Run("aot", func(b *testing.B) { run(b, false) })
+	b.Run("stack", func(b *testing.B) { run(b, true) })
 }

@@ -10,11 +10,12 @@ import (
 )
 
 // runAOTPair instantiates the module twice — AOT tier enabled and disabled
-// (both with the register tier on) — applies call, and returns both VMs for
-// comparison. The caller's cfg sets the thresholds; the pair differs only
-// in DisableAOTTier, so any divergence is the superblock dispatcher's
-// fault.
-func runAOTPair(t *testing.T, m *wasm.Module, cfg Config, call func(vm *VM) ([]uint64, error)) (aot, reg *VM, ares, rres []uint64, aerr, rerr error) {
+// — applies call, and returns both VMs for comparison. The caller's cfg
+// sets the tier mode and threshold; the pair differs only in
+// DisableAOTTier, so any divergence between AOT superblocks and the stack
+// loop is the superblock dispatcher's fault. With unpaired set, the AOT
+// side compiles the 1:1 register form instead of the paired one.
+func runAOTPair(t *testing.T, m *wasm.Module, cfg Config, unpaired bool, call func(vm *VM) ([]uint64, error)) (aot, stack *VM, ares, sres []uint64, aerr, serr error) {
 	t.Helper()
 	mk := func(disable bool) (*VM, []uint64, error) {
 		c := cfg
@@ -26,11 +27,14 @@ func runAOTPair(t *testing.T, m *wasm.Module, cfg Config, call func(vm *VM) ([]u
 		if err := vm.Instantiate(); err != nil {
 			t.Fatalf("Instantiate: %v", err)
 		}
+		if unpaired && !disable {
+			seedUnpaired(vm)
+		}
 		res, err := call(vm)
 		return vm, res, err
 	}
 	aot, ares, aerr = mk(false)
-	reg, rres, rerr = mk(true)
+	stack, sres, serr = mk(true)
 	return
 }
 
@@ -50,7 +54,6 @@ func stripAOTCompile(events []obsv.Event) []obsv.Event {
 func TestAOTTierTranslates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TierUpThreshold = 100
-	cfg.AOTThreshold = 100
 	vm := newVM(t, cfg)
 	call1(t, vm, "sum", I32(200000))
 	if vm.AOTTranslated() == 0 {
@@ -70,43 +73,30 @@ func TestAOTTierTranslates(t *testing.T) {
 		t.Errorf("DisableAOTTier left %d AOT bodies", vm2.AOTTranslated())
 	}
 
-	// The AOT form is built from the register form; without the register
-	// tier there is nothing to compile.
+	// StepLimit keeps the optimizing tier on the stack loop.
 	cfg = DefaultConfig()
 	cfg.TierUpThreshold = 100
-	cfg.AOTThreshold = 100
-	cfg.DisableRegTier = true
+	cfg.StepLimit = 1 << 40
 	vm3 := newVM(t, cfg)
 	call1(t, vm3, "sum", I32(200000))
 	if vm3.AOTTranslated() != 0 {
-		t.Errorf("DisableRegTier should pin the AOT tier off, got %d bodies", vm3.AOTTranslated())
-	}
-
-	// StepLimit disables the register tier and the AOT tier with it.
-	cfg = DefaultConfig()
-	cfg.TierUpThreshold = 100
-	cfg.AOTThreshold = 100
-	cfg.StepLimit = 1 << 40
-	vm4 := newVM(t, cfg)
-	call1(t, vm4, "sum", I32(200000))
-	if vm4.AOTTranslated() != 0 {
-		t.Errorf("StepLimit should disable the AOT tier, got %d bodies", vm4.AOTTranslated())
+		t.Errorf("StepLimit should disable the AOT tier, got %d bodies", vm3.AOTTranslated())
 	}
 }
 
 // TestAOTEquivalenceMatrix sweeps every exported function of the shared
-// test module across tier modes and fusion settings, comparing the AOT
-// superblock dispatcher against the plain register tier on results,
-// cycles, and the full Stats struct. AOTCycles — the deliberate
-// dispatcher-visible sub-split — is the one field assertEquivalent
-// excludes.
+// test module across tier modes and register-form shapes (paired "fused"
+// and 1:1 "unfused"), comparing the AOT superblock dispatcher against the
+// stack loop on results, cycles, and the full Stats struct. AOTCycles —
+// the deliberate dispatcher-visible sub-split — is the one field
+// assertEquivalent excludes.
 func TestAOTEquivalenceMatrix(t *testing.T) {
 	calls := []struct {
 		name string
 		args []uint64
 	}{
 		{"add", []uint64{I32(2), I32(40)}},
-		{"sum", []uint64{I32(200000)}}, // crosses both thresholds mid-loop
+		{"sum", []uint64{I32(200000)}}, // crosses the tier-up threshold mid-loop
 		{"fib", []uint64{I32(15)}},
 		{"hypot", []uint64{F64(3), F64(4)}},
 		{"memtest", []uint64{I32(1024)}},
@@ -117,38 +107,35 @@ func TestAOTEquivalenceMatrix(t *testing.T) {
 		name string
 		mode TierMode
 	}{{"both", TierBoth}, {"basic", TierBasicOnly}, {"opt", TierOptOnly}} {
-		for _, fuse := range []struct {
-			name    string
-			disable bool
+		for _, form := range []struct {
+			name     string
+			unpaired bool
 		}{{"fused", false}, {"unfused", true}} {
 			for _, c := range calls {
-				t.Run(mode.name+"/"+fuse.name+"/"+c.name, func(t *testing.T) {
+				t.Run(mode.name+"/"+form.name+"/"+c.name, func(t *testing.T) {
 					cfg := DefaultConfig()
 					cfg.Mode = mode.mode
 					cfg.TierUpThreshold = 100
-					cfg.AOTThreshold = 100
-					cfg.DisableFusion = fuse.disable
-					aot, reg, ares, rres, aerr, rerr := runAOTPair(t, buildModule(), cfg,
+					aot, stack, ares, sres, aerr, serr := runAOTPair(t, buildModule(), cfg, form.unpaired,
 						func(vm *VM) ([]uint64, error) { return vm.Call(c.name, c.args...) })
-					assertEquivalent(t, aot, reg, ares, rres, aerr, rerr)
-					// Engagement boundary: hotness grows on calls and on the
-					// *stack* body's back-edges, so the single-call sum loop
-					// reaches the AOT threshold via OSR only in tiering mode,
-					// while the deeply recursive fib crosses it on calls alone
-					// in any register-enabled mode.
-					if mode.mode == TierBoth && c.name == "sum" && aot.AOTTranslated() == 0 {
-						t.Error("hot sum loop should OSR into AOT superblocks")
-					}
-					if mode.mode != TierBasicOnly && c.name == "fib" && aot.AOTTranslated() == 0 {
-						t.Error("hot recursive fib should run AOT superblocks")
-					}
-					if mode.mode == TierBasicOnly && aot.AOTTranslated() != 0 {
+					assertEquivalent(t, aot, stack, ares, sres, aerr, serr)
+					// Engagement: opt-only runs every call on superblocks;
+					// in tiering mode the single-call sum loop gets there by
+					// OSR and the deeply recursive fib by call hotness.
+					switch {
+					case mode.mode == TierOptOnly && aot.AOTTranslated() == 0:
+						t.Error("opt-only mode should run AOT superblocks from the first call")
+					case mode.mode == TierOptOnly && aot.Stats().AOTCycles != aot.Stats().OptCycles:
+						t.Errorf("opt-only AOTCycles %v != OptCycles %v", aot.Stats().AOTCycles, aot.Stats().OptCycles)
+					case mode.mode == TierBoth && (c.name == "sum" || c.name == "fib") && aot.AOTTranslated() == 0:
+						t.Errorf("hot %s should tier up into AOT superblocks", c.name)
+					case mode.mode == TierBasicOnly && aot.AOTTranslated() != 0:
 						t.Error("basic-only mode must never AOT-compile")
 					}
 					if s := aot.Stats(); s.AOTCycles > s.OptCycles {
 						t.Errorf("AOTCycles %v exceeds OptCycles %v", s.AOTCycles, s.OptCycles)
 					}
-					if s := reg.Stats(); s.AOTCycles != 0 {
+					if s := stack.Stats(); s.AOTCycles != 0 {
 						t.Errorf("AOT-disabled VM charged AOTCycles %v", s.AOTCycles)
 					}
 				})
@@ -157,45 +144,44 @@ func TestAOTEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestAOTEquivalenceStack closes the ladder: the AOT-enabled VM against
-// the plain stack interpreter (runRegPair toggles DisableRegTier, which
-// pins AOT off with it). Cycles, steps, tallies — everything but the
-// AOTCycles sub-split — must survive the two-tier jump.
+// TestAOTEquivalenceStack runs two workloads back to back — a tiering loop
+// and hot recursion — on the AOT-enabled VM and on the plain stack loop.
+// Cycles, steps, tallies — everything but the AOTCycles sub-split — must
+// survive the dispatcher switch.
 func TestAOTEquivalenceStack(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TierUpThreshold = 100
-	cfg.AOTThreshold = 100
-	reg, stack, rres, sres, rerr, serr := runRegPair(t, buildModule(), cfg,
+	aot, stack, ares, sres, aerr, serr := runAOTPair(t, buildModule(), cfg, false,
 		func(vm *VM) ([]uint64, error) {
 			if _, err := vm.Call("sum", I32(200000)); err != nil {
 				return nil, err
 			}
 			return vm.Call("fib", I32(14))
 		})
-	assertEquivalent(t, reg, stack, rres, sres, rerr, serr)
-	if reg.AOTTranslated() == 0 {
-		t.Fatal("AOT tier never engaged on the register side")
+	assertEquivalent(t, aot, stack, ares, sres, aerr, serr)
+	if aot.AOTTranslated() == 0 {
+		t.Fatal("AOT tier never engaged")
 	}
 	if stack.AOTTranslated() != 0 {
-		t.Fatal("stack interpreter side must not AOT-compile")
+		t.Fatal("stack side must not AOT-compile")
 	}
 }
 
 // TestAOTEquivalenceOSR pins on-stack replacement into superblocks: one
-// call crosses both thresholds mid-loop and must resume in the AOT body at
-// the same pc, and a second call starts in superblock form directly.
+// call crosses the tier-up threshold mid-loop and must resume in the AOT
+// body at the same pc, and a second call starts in superblock form
+// directly.
 func TestAOTEquivalenceOSR(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TierUpThreshold = 500
-	cfg.AOTThreshold = 500
-	aot, reg, ares, rres, aerr, rerr := runAOTPair(t, buildModule(), cfg,
+	aot, stack, ares, sres, aerr, serr := runAOTPair(t, buildModule(), cfg, false,
 		func(vm *VM) ([]uint64, error) {
 			if _, err := vm.Call("sum", I32(100000)); err != nil {
 				return nil, err
 			}
 			return vm.Call("sum", I32(1000))
 		})
-	assertEquivalent(t, aot, reg, ares, rres, aerr, rerr)
+	assertEquivalent(t, aot, stack, ares, sres, aerr, serr)
 	if aot.Stats().TierUps != 1 {
 		t.Fatalf("expected exactly one tier-up, got %d", aot.Stats().TierUps)
 	}
@@ -211,15 +197,14 @@ func TestAOTEquivalenceOSR(t *testing.T) {
 }
 
 // TestAOTEquivalenceTraces runs a profiled, traced, tiering workload with
-// the AOT tier on and off. Apart from the KindAOTCompile markers (present
-// only on the AOT side, by design), the two event streams — call
-// enter/exit, tier-up, memory.grow, every virtual timestamp — must be
-// identical.
+// the AOT tier on and off (stack loop). Apart from the KindAOTCompile
+// markers (present only on the AOT side, by design), the two event
+// streams — call enter/exit, tier-up, memory.grow, every virtual
+// timestamp — must be identical.
 func TestAOTEquivalenceTraces(t *testing.T) {
 	mk := func(disable bool) (*VM, *obsv.Collector) {
 		cfg := DefaultConfig()
 		cfg.TierUpThreshold = 100
-		cfg.AOTThreshold = 100
 		cfg.DisableAOTTier = disable
 		coll := &obsv.Collector{}
 		cfg.Tracer = coll
@@ -242,53 +227,52 @@ func TestAOTEquivalenceTraces(t *testing.T) {
 		return vm, coll
 	}
 	aot, acoll := mk(false)
-	reg, rcoll := mk(true)
-	if aot.Cycles() != reg.Cycles() {
-		t.Errorf("cycles differ: aot=%v reg=%v", aot.Cycles(), reg.Cycles())
+	stack, scoll := mk(true)
+	if aot.Cycles() != stack.Cycles() {
+		t.Errorf("cycles differ: aot=%v stack=%v", aot.Cycles(), stack.Cycles())
 	}
 	if aot.AOTTranslated() == 0 {
 		t.Fatal("trace test should exercise the AOT tier")
 	}
-	ae, re := stripAOTCompile(acoll.Events()), rcoll.Events()
+	ae, se := stripAOTCompile(acoll.Events()), scoll.Events()
 	if n := len(acoll.Events()) - len(ae); n != aot.AOTTranslated() {
 		t.Errorf("%d KindAOTCompile events for %d translations", n, aot.AOTTranslated())
 	}
-	if len(ae) != len(re) {
-		t.Fatalf("trace lengths differ after stripping aot-compile: aot=%d reg=%d", len(ae), len(re))
+	if len(ae) != len(se) {
+		t.Fatalf("trace lengths differ after stripping aot-compile: aot=%d stack=%d", len(ae), len(se))
 	}
 	for i := range ae {
-		if ae[i] != re[i] {
-			t.Fatalf("trace event %d differs:\n  aot: %+v\n  reg: %+v", i, ae[i], re[i])
+		if ae[i] != se[i] {
+			t.Fatalf("trace event %d differs:\n  aot:   %+v\n  stack: %+v", i, ae[i], se[i])
 		}
 	}
 }
 
 // TestAOTEquivalenceProfiles compares per-function profiles (calls, self
-// and total cycles, class mix) between the AOT and register dispatchers.
+// and total cycles, class mix) between the AOT and stack dispatchers.
 func TestAOTEquivalenceProfiles(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Profile = true
 	cfg.TierUpThreshold = 100
-	cfg.AOTThreshold = 100
-	aot, reg, ares, rres, aerr, rerr := runAOTPair(t, buildModule(), cfg,
+	aot, stack, ares, sres, aerr, serr := runAOTPair(t, buildModule(), cfg, false,
 		func(vm *VM) ([]uint64, error) {
 			if _, err := vm.Call("fib", I32(14)); err != nil {
 				return nil, err
 			}
 			return vm.Call("sum", I32(50000))
 		})
-	assertEquivalent(t, aot, reg, ares, rres, aerr, rerr)
+	assertEquivalent(t, aot, stack, ares, sres, aerr, serr)
 	if aot.AOTTranslated() == 0 {
 		t.Fatal("profile test should exercise the AOT tier")
 	}
-	ap, rp := aot.Profile(), reg.Profile()
+	ap, rp := aot.Profile(), stack.Profile()
 	if len(ap) != len(rp) {
 		t.Fatalf("profile lengths differ: %d vs %d", len(ap), len(rp))
 	}
 	for i := range ap {
 		if ap[i].Name != rp[i].Name || ap[i].SelfCycles != rp[i].SelfCycles ||
 			ap[i].TotalCycles != rp[i].TotalCycles || ap[i].Calls != rp[i].Calls {
-			t.Errorf("profile %d differs:\n  aot: %+v\n  reg: %+v", i, ap[i], rp[i])
+			t.Errorf("profile %d differs:\n  aot:   %+v\n  stack: %+v", i, ap[i], rp[i])
 		}
 		if len(ap[i].Classes) != len(rp[i].Classes) {
 			t.Fatalf("profile %d class mix length differs", i)
@@ -302,16 +286,16 @@ func TestAOTEquivalenceProfiles(t *testing.T) {
 	}
 }
 
-// TestAOTTrapEquivalence drives superblocks into traps — fused
-// const+div-by-zero and fused get+load out of bounds — with the AOT
-// threshold at zero so the superblock form executes from the very first
-// call. The partial charges at the trap point (including the suffix
-// rollback of the hoisted block accounting) must match the register tier
-// exactly.
+// TestAOTTrapEquivalence drives superblocks into traps — const+div-by-zero
+// and get+load out of bounds, as pairs ("fused") and as standalone ops
+// ("unfused") — in opt-only mode so the superblock form executes from the
+// very first call. The partial charges at the trap point (including the
+// suffix rollback of the hoisted block accounting) must match the stack
+// loop exactly.
 func TestAOTTrapEquivalence(t *testing.T) {
-	for _, fuse := range []struct {
-		name    string
-		disable bool
+	for _, form := range []struct {
+		name     string
+		unpaired bool
 	}{{"fused", false}, {"unfused", true}} {
 		for _, c := range []struct {
 			name string
@@ -321,15 +305,13 @@ func TestAOTTrapEquivalence(t *testing.T) {
 			{"divz", I32(7), ErrDivByZero},
 			{"oob", I32(1 << 30), nil}, // OOB trap type, checked by message equality
 		} {
-			t.Run(fuse.name+"/"+c.name, func(t *testing.T) {
+			t.Run(form.name+"/"+c.name, func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Mode = TierOptOnly
-				cfg.AOTThreshold = 0
-				cfg.DisableFusion = fuse.disable
-				aot, reg, ares, rres, aerr, rerr := runAOTPair(t, trapModule(), cfg,
+				aot, stack, ares, sres, aerr, serr := runAOTPair(t, trapModule(), cfg, form.unpaired,
 					func(vm *VM) ([]uint64, error) { return vm.Call(c.name, c.arg) })
-				if aerr == nil || rerr == nil {
-					t.Fatalf("expected traps, got aot=%v reg=%v", aerr, rerr)
+				if aerr == nil || serr == nil {
+					t.Fatalf("expected traps, got aot=%v stack=%v", aerr, serr)
 				}
 				if c.want != nil && !errors.Is(aerr, c.want) {
 					t.Fatalf("aot trap = %v, want %v", aerr, c.want)
@@ -337,42 +319,24 @@ func TestAOTTrapEquivalence(t *testing.T) {
 				if aot.AOTTranslated() == 0 {
 					t.Fatal("trap test should execute AOT superblocks")
 				}
-				assertEquivalent(t, aot, reg, ares, rres, aerr, rerr)
+				assertEquivalent(t, aot, stack, ares, sres, aerr, serr)
 			})
 		}
 	}
 }
 
-// TestAOTBranchIntoPair re-runs the fusion landing-pad module through the
-// superblock translator: a branch into the second slot of a fused pair
-// makes that slot a leader, so the pair's components get standalone
-// closures in the target block (overlapping the fused block that falls
-// through them).
+// TestAOTBranchIntoPair re-runs the pair landing-pad module through the
+// superblock translator: a branch into the second slot of a pair makes
+// that slot a leader, so the pair's components get standalone closures in
+// the target block (overlapping the paired block that falls through
+// them).
 func TestAOTBranchIntoPair(t *testing.T) {
-	m := &wasm.Module{}
-	ti := m.AddType(wasm.FuncType{Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32}})
-	m.Funcs = append(m.Funcs, wasm.Function{Type: ti, Name: "landing",
-		Locals: []wasm.ValType{wasm.I32},
-		Body: []wasm.Instr{
-			{Op: wasm.OpI32Const, Val: 5}, {Op: wasm.OpLocalSet, A: 1},
-			{Op: wasm.OpBlock, BlockType: wasm.BlockNone},
-			{Op: wasm.OpLocalGet, A: 0},
-			{Op: wasm.OpBrIf, A: 0},
-			{Op: wasm.OpI32Const, Val: 100}, {Op: wasm.OpLocalSet, A: 1},
-			{Op: wasm.OpEnd},
-			{Op: wasm.OpLocalGet, A: 0},
-			{Op: wasm.OpLocalGet, A: 1},
-			{Op: wasm.OpI32Add},
-			{Op: wasm.OpEnd},
-		}})
-	m.Exports = append(m.Exports, wasm.Export{Name: "landing", Kind: wasm.ExportFunc, Idx: 0})
 	for _, x := range []int32{0, 3} {
 		cfg := DefaultConfig()
 		cfg.Mode = TierOptOnly
-		cfg.AOTThreshold = 0
-		aot, reg, ares, rres, aerr, rerr := runAOTPair(t, m, cfg,
+		aot, stack, ares, sres, aerr, serr := runAOTPair(t, landingModule(), cfg, false,
 			func(vm *VM) ([]uint64, error) { return vm.Call("landing", I32(x)) })
-		assertEquivalent(t, aot, reg, ares, rres, aerr, rerr)
+		assertEquivalent(t, aot, stack, ares, sres, aerr, serr)
 		if aot.AOTTranslated() == 0 {
 			t.Fatal("landing module should run AOT superblocks")
 		}
@@ -386,21 +350,28 @@ func TestAOTBranchIntoPair(t *testing.T) {
 	}
 }
 
-// TestAOTCycleSubSplit checks the accounting shape: AOTCycles is a
-// sub-split of OptCycles (never of BasicCycles), the overall
-// basic/opt split is untouched by the AOT tier, and disabling AOT zeroes
-// only AOTCycles.
+// TestAOTCycleSubSplit checks the accounting shape: basic-only runs
+// charge only BasicCycles, opt-only runs only OptCycles (all of it on AOT
+// superblocks), a tiering run splits across both, and AOTCycles is a
+// sub-split of OptCycles (never of BasicCycles) that disabling the AOT
+// tier zeroes without touching the basic/opt split.
 func TestAOTCycleSubSplit(t *testing.T) {
-	run := func(disableAOT bool) Stats {
+	run := func(mode TierMode, disableAOT bool) Stats {
 		cfg := DefaultConfig()
+		cfg.Mode = mode
 		cfg.TierUpThreshold = 100
-		cfg.AOTThreshold = 100
 		cfg.DisableAOTTier = disableAOT
 		vm := newVM(t, cfg)
 		call1(t, vm, "sum", I32(50000))
 		return vm.Stats()
 	}
-	aot := run(false)
+	if basic := run(TierBasicOnly, false); basic.OptCycles != 0 || basic.BasicCycles == 0 || basic.AOTCycles != 0 {
+		t.Errorf("basic-only split wrong: %+v", basic)
+	}
+	if opt := run(TierOptOnly, false); opt.BasicCycles != 0 || opt.OptCycles == 0 || opt.AOTCycles != opt.OptCycles {
+		t.Errorf("opt-only split wrong: %+v", opt)
+	}
+	aot := run(TierBoth, false)
 	if aot.BasicCycles == 0 || aot.OptCycles == 0 {
 		t.Errorf("tiering run should split across tiers: %+v", aot)
 	}
@@ -410,24 +381,23 @@ func TestAOTCycleSubSplit(t *testing.T) {
 	if aot.AOTCycles > aot.OptCycles {
 		t.Errorf("AOTCycles %v exceeds OptCycles %v", aot.AOTCycles, aot.OptCycles)
 	}
-	reg := run(true)
-	if reg.AOTCycles != 0 {
-		t.Errorf("AOT disabled but AOTCycles = %v", reg.AOTCycles)
+	stack := run(TierBoth, true)
+	if stack.AOTCycles != 0 {
+		t.Errorf("AOT disabled but AOTCycles = %v", stack.AOTCycles)
 	}
-	if reg.BasicCycles != aot.BasicCycles || reg.OptCycles != aot.OptCycles {
-		t.Errorf("basic/opt split changed by the AOT tier:\n  aot: %+v\n  reg: %+v", aot, reg)
+	if stack.BasicCycles != aot.BasicCycles || stack.OptCycles != aot.OptCycles {
+		t.Errorf("basic/opt split changed by the AOT tier:\n  aot:   %+v\n  stack: %+v", aot, stack)
 	}
 }
 
-// TestAOTTranslateFaultBail pins the first rung of the bail ladder: an
-// injected wasm.aot-translate failure silently falls back to the register
-// body — identical results and metrics, zero AOT translations, one fault
-// counted.
+// TestAOTTranslateFaultBail pins the bail path: an injected
+// wasm.aot-translate failure silently leaves the optimizing tier on the
+// stack loop — identical results and metrics, zero AOT translations and
+// AOT cycles, one fault counted.
 func TestAOTTranslateFaultBail(t *testing.T) {
 	run := func(plan *faultinject.Plan) *VM {
 		cfg := DefaultConfig()
 		cfg.TierUpThreshold = 100
-		cfg.AOTThreshold = 100
 		cfg.Faults = plan
 		vm := newVM(t, cfg)
 		call1(t, vm, "sum", I32(200000))
@@ -445,8 +415,8 @@ func TestAOTTranslateFaultBail(t *testing.T) {
 	if faulted.AOTTranslated() != 0 {
 		t.Errorf("denied translation still produced %d AOT bodies", faulted.AOTTranslated())
 	}
-	if faulted.RegTranslated() == 0 {
-		t.Error("register fallback missing after AOT bail")
+	if s := faulted.Stats(); s.AOTCycles != 0 || s.OptCycles == 0 {
+		t.Errorf("stack fallback should charge the optimizing tier without AOT: %+v", s)
 	}
 	if clean.AOTTranslated() == 0 {
 		t.Fatal("clean run should AOT-compile")

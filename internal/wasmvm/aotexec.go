@@ -1,23 +1,28 @@
 package wasmvm
 
+import "errors"
+
+// errAOTEntry reports an AOT entry at a pc that starts no superblock — an
+// internal invariant violation (entries are pc 0 and OSR branch targets,
+// which translateAOT always makes leaders), not a wasm trap.
+var errAOTEntry = errors.New("wasmvm: internal: AOT entry at a non-leader pc")
+
 // runAOT executes a frame on the AOT tier: superblocks of pre-bound
 // closure chains (aot.go) driven by a block-index loop. It is entered
 // either at pc 0 from exec, or mid-function at a branch target after a
-// loop back-edge tier-up (OSR), exactly like runReg — the live operand
-// stack transfers into the register file first.
+// loop back-edge tier-up (OSR), in which case the live operand-stack slots
+// transfer into their registers first.
 //
-// Accounting mirrors runReg's flush discipline: cycles accumulate in
+// Accounting mirrors runStack's flush discipline: cycles accumulate in
 // instruction order inside the closures; steps and class tallies are
 // hoisted per block and added at block entry (integer addition is
 // order-independent); everything flushes at call boundaries, traps, and
-// frame exit. The flushed delta feeds both OptCycles (the AOT tier is a
-// sub-mode of the optimizing tier) and its AOTCycles sub-split.
+// frame exit. The flushed delta feeds both OptCycles (the AOT tier is the
+// optimizing tier's dispatcher) and its AOTCycles sub-split.
 func (vm *VM) runAOT(fi int, cf *compiledFunc, localBase, stackBase, pc int) ([]uint64, error) {
 	entry := cf.aotEntry
 	if pc >= len(entry) || entry[pc] < 0 {
-		// Not a superblock leader (cannot happen for OSR entries, which are
-		// branch targets): the register tier serves this activation.
-		return vm.runReg(fi, cf, localBase, stackBase, pc)
+		return nil, errAOTEntry
 	}
 	bi := entry[pc]
 
@@ -38,9 +43,9 @@ func (vm *VM) runAOT(fi int, cf *compiledFunc, localBase, stackBase, pc int) ([]
 	cycles := vm.cycles
 	tierBase := cycles
 	counts := &vm.tally
-	// Per-function class counts only feed tier-up profiles; when not
-	// profiling the register dispatcher's writes land in scratchClass and
-	// are never read, so the AOT driver skips them outright.
+	// Per-function class counts only feed profiles; when not profiling the
+	// stack loop's writes land in scratchClass and are never read, so the
+	// AOT driver skips them outright.
 	profiling := vm.profiling
 	fclass := &vm.scratchClass
 	if profiling {
@@ -92,8 +97,7 @@ func (vm *VM) runAOT(fi int, cf *compiledFunc, localBase, stackBase, pc int) ([]
 		case aotTrap:
 			// The whole block was pre-counted at entry; subtract the suffix
 			// that never executed (the trapping op's own charges stay,
-			// matching the charge-before-evaluate order of the other
-			// dispatchers).
+			// matching the charge-before-evaluate order of runStack).
 			rb := vm.aotRb
 			vm.aotRb = nil
 			steps -= rb.steps

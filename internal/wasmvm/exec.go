@@ -75,7 +75,7 @@ func (vm *VM) maybeTierUp(cf *compiledFunc) *CostTable {
 // addTierCycles attributes a span of instruction-charged cycles to the tier
 // whose cost table was active. Spans are flushed only at tier transitions,
 // call boundaries, and frame exit, so the float additions group identically
-// in every dispatch mode (register/stack, fused/unfused).
+// in both dispatchers (stack and AOT).
 func (vm *VM) addTierCycles(costs *CostTable, delta float64) {
 	if costs == &vm.cfg.OptCost {
 		vm.stats.OptCycles += delta
@@ -86,8 +86,9 @@ func (vm *VM) addTierCycles(costs *CostTable, delta float64) {
 
 // exec runs a defined function: argument checks, frame setup in the shared
 // arenas, profiling hooks, and tier selection. The per-instruction work
-// happens in runStack (basic tier) or runReg (register-form optimizing
-// tier).
+// happens in runAOT (the optimizing tier, once its superblocks exist) or
+// runStack (the basic tier, and the optimizing tier whenever the AOT tier
+// is off or its translation bailed).
 func (vm *VM) exec(fi int, args []uint64) ([]uint64, error) {
 	cf := &vm.funcs[fi]
 	if len(args) != len(cf.typ.Params) {
@@ -140,18 +141,16 @@ func (vm *VM) exec(fi int, args []uint64) ([]uint64, error) {
 	stackBase := len(vm.stack)
 	defer func() { vm.stack = vm.stack[:stackBase] }()
 
-	if cf.tier == TierOptOnly && vm.regEnabled && vm.regBody(cf) != nil {
-		if vm.aotReady(cf) {
-			return vm.runAOT(fi, cf, localBase, stackBase, 0)
-		}
-		return vm.runReg(fi, cf, localBase, stackBase, 0)
+	if cf.tier == TierOptOnly && vm.aotBody(cf) != nil {
+		return vm.runAOT(fi, cf, localBase, stackBase, 0)
 	}
 	return vm.runStack(fi, cf, localBase, stackBase, costs)
 }
 
 // runStack executes a frame with the classic operand-stack dispatch loop.
-// It serves the basic tier and every configuration where the register tier
-// is unavailable (disabled, step-limited, or translation bailed).
+// It serves the basic tier, and the optimizing tier wherever the AOT tier
+// is unavailable (disabled, step-limited, or translation bailed). It is
+// also the reference implementation every other dispatcher must match.
 func (vm *VM) runStack(fi int, cf *compiledFunc, localBase, stackBase int, costs *CostTable) ([]uint64, error) {
 	locals := vm.locals[localBase : localBase+cf.nLocals]
 	code := cf.code
@@ -172,6 +171,7 @@ func (vm *VM) runStack(fi int, cf *compiledFunc, localBase, stackBase int, costs
 		fclass = &vm.profs[fi].classCounts
 	}
 
+	var t *branchTarget // the taken branch's target, set before goto taken
 	pc := 0
 	for pc < len(code) {
 		in := &code[pc]
@@ -186,100 +186,6 @@ func (vm *VM) runStack(fi int, cf *compiledFunc, localBase, stackBase int, costs
 			return nil, ErrStepLimit
 		}
 		switch in.op {
-		// Superinstructions (fuse.go). Each arm first charges its second
-		// component exactly as the loop header would have, then performs
-		// both effects and skips the partner slot. Fusion is disabled under
-		// a step limit, so no budget check is needed for the extra step.
-		case opFusedGetGet:
-			cycles += costs[in.class2]
-			counts[in.class2]++
-			fclass[in.class2]++
-			steps++
-			vm.stack = append(vm.stack, locals[in.a], locals[in.b2])
-			pc += 2
-			continue
-
-		case opFusedConst32Bin:
-			cycles += costs[in.class2]
-			counts[in.class2]++
-			fclass[in.class2]++
-			steps++
-			vm.stack = append(vm.stack, uint64(uint32(in.val)))
-			if err := vm.execNumeric(in.op2); err != nil {
-				vm.stats.Steps = steps
-				vm.cycles = cycles
-				vm.addTierCycles(costs, cycles-tierBase)
-				return nil, err
-			}
-			pc += 2
-			continue
-
-		case opFusedConst64Bin:
-			cycles += costs[in.class2]
-			counts[in.class2]++
-			fclass[in.class2]++
-			steps++
-			vm.stack = append(vm.stack, uint64(in.val))
-			if err := vm.execNumeric(in.op2); err != nil {
-				vm.stats.Steps = steps
-				vm.cycles = cycles
-				vm.addTierCycles(costs, cycles-tierBase)
-				return nil, err
-			}
-			pc += 2
-			continue
-
-		case opFusedGetLoad:
-			cycles += costs[in.class2]
-			counts[in.class2]++
-			fclass[in.class2]++
-			steps++
-			vm.stack = append(vm.stack, locals[in.a])
-			if err := vm.execMem(in.op2, in.b2, mem); err != nil {
-				vm.stats.Steps = steps
-				vm.cycles = cycles
-				vm.addTierCycles(costs, cycles-tierBase)
-				return nil, err
-			}
-			pc += 2
-			continue
-
-		case opFusedCmpBrIf:
-			cycles += costs[in.class2]
-			counts[in.class2]++
-			fclass[in.class2]++
-			steps++
-			_ = vm.execNumeric(in.op2) // comparisons cannot trap
-			c := vm.stack[len(vm.stack)-1]
-			vm.stack = vm.stack[:len(vm.stack)-1]
-			if uint32(c) != 0 {
-				// The br_if component sits at pc+1: same backward-edge
-				// hotness bookkeeping as the unfused opcode.
-				if in.jump.pc <= int32(pc+1) {
-					cf.hotness++
-					if vm.tierPending(cf) {
-						vm.cycles = cycles
-						vm.addTierCycles(costs, cycles-tierBase)
-						costs = vm.maybeTierUp(cf)
-						cycles = vm.cycles
-						tierBase = cycles
-						if vm.regEnabled && vm.regBody(cf) != nil {
-							pc = vm.branch(stackBase, in.jump)
-							vm.stats.Steps = steps
-							vm.cycles = cycles
-							copy(vm.locals[localBase:localBase+cf.nLocals], locals)
-							if vm.aotReady(cf) {
-								return vm.runAOT(fi, cf, localBase, stackBase, pc)
-							}
-							return vm.runReg(fi, cf, localBase, stackBase, pc)
-						}
-					}
-				}
-				pc = vm.branch(stackBase, in.jump)
-				continue
-			}
-			pc += 2
-			continue
 		case wasm.OpBlock, wasm.OpLoop, wasm.OpEnd, wasm.OpNop:
 			// structural: no effect
 
@@ -302,88 +208,25 @@ func (vm *VM) runStack(fi int, cf *compiledFunc, localBase, stackBase int, costs
 			continue
 
 		case wasm.OpBr:
-			if in.jump.pc <= int32(pc) {
-				cf.hotness++
-				if vm.tierPending(cf) {
-					vm.cycles = cycles
-					vm.addTierCycles(costs, cycles-tierBase)
-					costs = vm.maybeTierUp(cf)
-					cycles = vm.cycles
-					tierBase = cycles
-					if vm.regEnabled && vm.regBody(cf) != nil {
-						// OSR: land the branch in the stack world, then
-						// resume in the register (or AOT) body at the same pc.
-						pc = vm.branch(stackBase, in.jump)
-						vm.stats.Steps = steps
-						vm.cycles = cycles
-						copy(vm.locals[localBase:localBase+cf.nLocals], locals)
-						if vm.aotReady(cf) {
-							return vm.runAOT(fi, cf, localBase, stackBase, pc)
-						}
-						return vm.runReg(fi, cf, localBase, stackBase, pc)
-					}
-				}
-			}
-			pc = vm.branch(stackBase, in.jump)
-			continue
+			t = &in.jump
+			goto taken
 
 		case wasm.OpBrIf:
 			c := vm.stack[len(vm.stack)-1]
 			vm.stack = vm.stack[:len(vm.stack)-1]
 			if uint32(c) != 0 {
-				if in.jump.pc <= int32(pc) {
-					cf.hotness++
-					if vm.tierPending(cf) {
-						vm.cycles = cycles
-						vm.addTierCycles(costs, cycles-tierBase)
-						costs = vm.maybeTierUp(cf)
-						cycles = vm.cycles
-						tierBase = cycles
-						if vm.regEnabled && vm.regBody(cf) != nil {
-							pc = vm.branch(stackBase, in.jump)
-							vm.stats.Steps = steps
-							vm.cycles = cycles
-							copy(vm.locals[localBase:localBase+cf.nLocals], locals)
-							if vm.aotReady(cf) {
-								return vm.runAOT(fi, cf, localBase, stackBase, pc)
-							}
-							return vm.runReg(fi, cf, localBase, stackBase, pc)
-						}
-					}
-				}
-				pc = vm.branch(stackBase, in.jump)
-				continue
+				t = &in.jump
+				goto taken
 			}
 
 		case wasm.OpBrTable:
 			c := uint32(vm.stack[len(vm.stack)-1])
 			vm.stack = vm.stack[:len(vm.stack)-1]
-			t := in.targets[len(in.targets)-1]
+			t = &in.targets[len(in.targets)-1]
 			if int(c) < len(in.targets)-1 {
-				t = in.targets[c]
+				t = &in.targets[c]
 			}
-			if t.pc <= int32(pc) {
-				cf.hotness++
-				if vm.tierPending(cf) {
-					vm.cycles = cycles
-					vm.addTierCycles(costs, cycles-tierBase)
-					costs = vm.maybeTierUp(cf)
-					cycles = vm.cycles
-					tierBase = cycles
-					if vm.regEnabled && vm.regBody(cf) != nil {
-						pc = vm.branch(stackBase, t)
-						vm.stats.Steps = steps
-						vm.cycles = cycles
-						copy(vm.locals[localBase:localBase+cf.nLocals], locals)
-						if vm.aotReady(cf) {
-							return vm.runAOT(fi, cf, localBase, stackBase, pc)
-						}
-						return vm.runReg(fi, cf, localBase, stackBase, pc)
-					}
-				}
-			}
-			pc = vm.branch(stackBase, t)
-			continue
+			goto taken
 
 		case wasm.OpReturn:
 			pc = vm.branch(stackBase, in.jump)
@@ -481,6 +324,32 @@ func (vm *VM) runStack(fi int, cf *compiledFunc, localBase, stackBase int, costs
 			}
 		}
 		pc++
+		continue
+
+	taken:
+		// A taken br, br_if, or br_table. A backward edge is a loop
+		// iteration: it counts toward hotness, and the edge that crosses
+		// the tier-up threshold promotes the function. Once promoted, the
+		// frame moves to the AOT body at the branch target (OSR), which is
+		// always a superblock leader; if translation bailed, the stack loop
+		// carries on under the optimizing cost table.
+		if t.pc <= int32(pc) {
+			cf.hotness++
+			if vm.tierPending(cf) {
+				vm.cycles = cycles
+				vm.addTierCycles(costs, cycles-tierBase)
+				costs = vm.maybeTierUp(cf)
+				cycles = vm.cycles
+				tierBase = cycles
+				if vm.aotBody(cf) != nil {
+					pc = vm.branch(stackBase, *t)
+					vm.stats.Steps = steps
+					copy(vm.locals[localBase:localBase+cf.nLocals], locals)
+					return vm.runAOT(fi, cf, localBase, stackBase, pc)
+				}
+			}
+		}
+		pc = vm.branch(stackBase, *t)
 	}
 	vm.stats.Steps = steps
 	vm.cycles = cycles

@@ -7,19 +7,32 @@ import (
 	"wasmbench/internal/wasm"
 )
 
-// runBoth instantiates the module twice — fused and unfused — applies call,
-// and returns both VMs for comparison.
+// seedUnpaired installs each function's 1:1 register form (translateSlots,
+// no pair overlays) as its register body before the first call, the same
+// way a pool seeds warm bodies: aotBody then builds superblocks from it
+// instead of translating the paired form.
+func seedUnpaired(vm *VM) {
+	for i := range vm.funcs {
+		cf := &vm.funcs[i]
+		cf.regCode = translateSlots(vm.module, cf, &vm.cfg.OptCost)
+	}
+}
+
+// runBoth instantiates the module twice — optimizing tier on the paired
+// register form (fused) and on the 1:1 form (plain) — applies call, and
+// returns both VMs for comparison. The tier mode comes in via cfg.
 func runBoth(t *testing.T, m *wasm.Module, cfg Config, call func(vm *VM) ([]uint64, error)) (fused, plain *VM, fres, pres []uint64, ferr, perr error) {
 	t.Helper()
-	mk := func(disable bool) (*VM, []uint64, error) {
-		c := cfg
-		c.DisableFusion = disable
-		vm, err := New(m, 0, c)
+	mk := func(unpaired bool) (*VM, []uint64, error) {
+		vm, err := New(m, 0, cfg)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
 		if err := vm.Instantiate(); err != nil {
 			t.Fatalf("Instantiate: %v", err)
+		}
+		if unpaired {
+			seedUnpaired(vm)
 		}
 		res, err := call(vm)
 		return vm, res, err
@@ -29,59 +42,80 @@ func runBoth(t *testing.T, m *wasm.Module, cfg Config, call func(vm *VM) ([]uint
 	return
 }
 
-// assertEquivalent checks the full determinism contract: same results, same
-// virtual cycles, same step counts and per-class instruction mix.
-func assertEquivalent(t *testing.T, fused, plain *VM, fres, pres []uint64, ferr, perr error) {
+// assertEquivalent checks the full determinism contract between two runs
+// of the same workload: same results, same virtual cycles, same step
+// counts and per-class instruction mix.
+func assertEquivalent(t *testing.T, a, b *VM, ares, bres []uint64, aerr, berr error) {
 	t.Helper()
-	if (ferr == nil) != (perr == nil) || (ferr != nil && ferr.Error() != perr.Error()) {
-		t.Fatalf("errors differ: fused=%v plain=%v", ferr, perr)
+	if (aerr == nil) != (berr == nil) || (aerr != nil && aerr.Error() != berr.Error()) {
+		t.Fatalf("errors differ: %v vs %v", aerr, berr)
 	}
-	if len(fres) != len(pres) {
-		t.Fatalf("result arity differs: %v vs %v", fres, pres)
+	if len(ares) != len(bres) {
+		t.Fatalf("result arity differs: %v vs %v", ares, bres)
 	}
-	for i := range fres {
-		if fres[i] != pres[i] {
-			t.Fatalf("result %d differs: %#x vs %#x", i, fres[i], pres[i])
+	for i := range ares {
+		if ares[i] != bres[i] {
+			t.Fatalf("result %d differs: %#x vs %#x", i, ares[i], bres[i])
 		}
 	}
-	if fused.Cycles() != plain.Cycles() {
-		t.Errorf("cycles differ: fused=%v plain=%v", fused.Cycles(), plain.Cycles())
+	if a.Cycles() != b.Cycles() {
+		t.Errorf("cycles differ: %v vs %v", a.Cycles(), b.Cycles())
 	}
-	fs, ps := fused.Stats(), plain.Stats()
+	as, bs := a.Stats(), b.Stats()
 	// AOTCycles is the one dispatcher-visible field: it sub-splits OptCycles
-	// by which optimizing dispatcher ran, so a pair that differs only in
-	// whether the AOT tier engaged legitimately disagrees on it.
-	fs.AOTCycles, ps.AOTCycles = 0, 0
-	if fs != ps {
-		t.Errorf("stats differ:\n  fused: %+v\n  plain: %+v", fs, ps)
+	// by whether AOT superblocks or the stack loop served the optimizing
+	// tier, so a pair that differs only in that legitimately disagrees.
+	as.AOTCycles, bs.AOTCycles = 0, 0
+	if as != bs {
+		t.Errorf("stats differ:\n  %+v\n  %+v", as, bs)
 	}
 }
 
+// pairCount counts the pair forms in a register body.
+func pairCount(code []rop) int {
+	n := 0
+	for i := range code {
+		if code[i].kind >= rMove2 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFusionFormsPairs: translateReg overlays pair forms on the test
+// module, the 1:1 form has none, and under a step limit nothing is
+// translated at all (the stack loop keeps the exact trip instruction).
 func TestFusionFormsPairs(t *testing.T) {
-	vm, err := New(buildModule(), 0, DefaultConfig())
+	m := buildModule()
+	vm, err := New(m, 0, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vm.FusedPairs() == 0 {
-		t.Fatal("expected superinstructions in the test module")
+	pairs := 0
+	for i := range vm.funcs {
+		cf := &vm.funcs[i]
+		pairs += pairCount(translateReg(m, cf, &vm.cfg.OptCost))
+		if n := pairCount(translateSlots(m, cf, &vm.cfg.OptCost)); n != 0 {
+			t.Errorf("%s: 1:1 form has %d pair forms", cf.name, n)
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("expected pair forms in the test module")
 	}
 	cfg := DefaultConfig()
-	cfg.DisableFusion = true
-	vm2, _ := New(buildModule(), 0, cfg)
-	if vm2.FusedPairs() != 0 {
-		t.Errorf("DisableFusion left %d pairs", vm2.FusedPairs())
-	}
-	cfg = DefaultConfig()
-	cfg.StepLimit = 1000
-	vm3, _ := New(buildModule(), 0, cfg)
-	if vm3.FusedPairs() != 0 {
-		t.Errorf("StepLimit should disable fusion, got %d pairs", vm3.FusedPairs())
+	cfg.Mode = TierOptOnly
+	cfg.StepLimit = 1 << 40
+	vm2 := newVM(t, cfg)
+	call1(t, vm2, "sum", I32(1000))
+	if vm2.AOTTranslated() != 0 {
+		t.Errorf("StepLimit should keep the optimizing tier on the stack loop, got %d AOT bodies", vm2.AOTTranslated())
 	}
 }
 
 // TestFusionEquivalence sweeps every exported function of the shared test
-// module: get+get pairs (add/hypot), const+binop and cmp+br_if (sum's
-// loop), get+load (memtest), calls (fib), br_table (switcher).
+// module in opt-only mode, so the register form runs from the first call:
+// get+get pairs (add/hypot), const+binop and cmp+br_if (sum's loop),
+// get+load (memtest), calls (fib), br_table (switcher).
 func TestFusionEquivalence(t *testing.T) {
 	calls := []struct {
 		name string
@@ -97,29 +131,34 @@ func TestFusionEquivalence(t *testing.T) {
 	}
 	for _, c := range calls {
 		t.Run(c.name, func(t *testing.T) {
-			fused, plain, fres, pres, ferr, perr := runBoth(t, buildModule(), DefaultConfig(),
+			cfg := DefaultConfig()
+			cfg.Mode = TierOptOnly
+			fused, plain, fres, pres, ferr, perr := runBoth(t, buildModule(), cfg,
 				func(vm *VM) ([]uint64, error) { return vm.Call(c.name, c.args...) })
 			assertEquivalent(t, fused, plain, fres, pres, ferr, perr)
+			if fused.AOTTranslated() == 0 || plain.AOTTranslated() == 0 {
+				t.Error("opt-only calls should run AOT superblocks")
+			}
 		})
 	}
 }
 
 // TestFusionEquivalenceTiered drives sum far past the tier-up threshold so
-// the fused cmp+br_if backward edge must replicate hotness accounting and
-// the mid-loop cost-table swap exactly.
+// the loop moves into the register form by OSR mid-call, landing at the
+// same branch target in the paired and the 1:1 body.
 func TestFusionEquivalenceTiered(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TierUpThreshold = 100
 	fused, plain, fres, pres, ferr, perr := runBoth(t, buildModule(), cfg,
 		func(vm *VM) ([]uint64, error) { return vm.Call("sum", I32(200000)) })
 	assertEquivalent(t, fused, plain, fres, pres, ferr, perr)
-	if fused.Stats().TierUps == 0 {
-		t.Fatal("test should exercise a tier-up")
+	if fused.Stats().TierUps == 0 || fused.AOTTranslated() == 0 {
+		t.Fatal("test should exercise a tier-up into AOT superblocks")
 	}
 }
 
 // TestFusionEquivalenceProfiles compares the per-function class attribution
-// under profiling, where fused arms write to the real profile array.
+// under profiling, where each pair attributes both of its components.
 func TestFusionEquivalenceProfiles(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Profile = true
@@ -147,9 +186,9 @@ func TestFusionEquivalenceProfiles(t *testing.T) {
 	}
 }
 
-// trapModule builds functions whose fused pairs trap mid-superinstruction:
+// trapModule builds functions whose pairs trap on their second component:
 // const+div-by-zero and get+load out of bounds. The partially-executed
-// charge must match the unfused interpreter exactly.
+// charge must match the unpaired execution exactly.
 func trapModule() *wasm.Module {
 	m := &wasm.Module{}
 	ti := m.AddType(wasm.FuncType{Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32}})
@@ -161,7 +200,7 @@ func trapModule() *wasm.Module {
 		{Op: wasm.OpI32DivS},
 		{Op: wasm.OpEnd},
 	}})
-	// oob(addr) = load far past memory via a fused local.get+i32.load
+	// oob(addr) = load far past memory via a local.get+i32.load pair
 	m.Funcs = append(m.Funcs, wasm.Function{Type: ti, Name: "oob", Body: []wasm.Instr{
 		{Op: wasm.OpLocalGet, A: 0},
 		{Op: wasm.OpI32Load, A: 2, B: 0},
@@ -183,7 +222,9 @@ func TestFusionTrapEquivalence(t *testing.T) {
 		{"oob", I32(1 << 30), nil}, // OOB trap type checked below
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			fused, plain, fres, pres, ferr, perr := runBoth(t, trapModule(), DefaultConfig(),
+			cfg := DefaultConfig()
+			cfg.Mode = TierOptOnly
+			fused, plain, fres, pres, ferr, perr := runBoth(t, trapModule(), cfg,
 				func(vm *VM) ([]uint64, error) { return vm.Call(c.name, c.arg) })
 			if ferr == nil || perr == nil {
 				t.Fatalf("expected traps, got fused=%v plain=%v", ferr, perr)
@@ -197,8 +238,9 @@ func TestFusionTrapEquivalence(t *testing.T) {
 }
 
 // TestFusionBranchIntoPair branches directly to the second instruction of a
-// fused pair; that slot keeps its original opcode, so the landing executes
-// it exactly as unfused code would.
+// pair (opt-only, so the register form runs); that slot keeps its
+// standalone form, so the landing executes it exactly as unpaired code
+// would.
 func TestFusionBranchIntoPair(t *testing.T) {
 	m := &wasm.Module{}
 	ti := m.AddType(wasm.FuncType{Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32}})
@@ -222,8 +264,10 @@ func TestFusionBranchIntoPair(t *testing.T) {
 			{Op: wasm.OpEnd},
 		}})
 	m.Exports = append(m.Exports, wasm.Export{Name: "landing", Kind: wasm.ExportFunc, Idx: 0})
+	cfg := DefaultConfig()
+	cfg.Mode = TierOptOnly
 	for _, x := range []int32{0, 3} {
-		fused, plain, fres, pres, ferr, perr := runBoth(t, m, DefaultConfig(),
+		fused, plain, fres, pres, ferr, perr := runBoth(t, m, cfg,
 			func(vm *VM) ([]uint64, error) { return vm.Call("landing", I32(x)) })
 		assertEquivalent(t, fused, plain, fres, pres, ferr, perr)
 		want := x + 5
@@ -236,8 +280,9 @@ func TestFusionBranchIntoPair(t *testing.T) {
 	}
 }
 
-// TestFusionStepLimitUnchanged: with a step limit the fusion pass is off,
-// so the budget trips at the identical instruction as before.
+// TestFusionStepLimitUnchanged: with a step limit the optimizing tier
+// stays on the stack loop, where pairs do not exist, so the budget trips
+// at the identical instruction as before.
 func TestFusionStepLimitUnchanged(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StepLimit = 1000

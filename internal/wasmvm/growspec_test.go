@@ -8,8 +8,8 @@ import (
 )
 
 // growSpecModule builds a module for memory.grow spec tests: a one-shot
-// grow, a hot grow loop (so the register tier OSRs into it and executes
-// grow from a register body), and store/load probes to verify failed grows
+// grow, a hot grow loop (so the optimizing tier OSRs into it and executes
+// grow from a superblock), and store/load probes to verify failed grows
 // leave memory untouched.
 func growSpecModule() *wasm.Module {
 	m := &wasm.Module{}
@@ -59,24 +59,19 @@ func growSpecModule() *wasm.Module {
 }
 
 // growTierConfigs returns the execution tiers the spec tests sweep: the
-// plain stack interpreter, the superinstruction-fused interpreter, the
-// register tier, and the AOT superblock tier (hot thresholds lowered so
-// the grow loop tiers all the way up). The AOT config keeps the register
-// tier enabled — AOT stacks on it — but drops the AOT threshold to the
-// tier-up point so the loop OSRs straight into superblock dispatch.
+// basic tier on the stack loop, the optimizing tier on the stack loop
+// (what serves it when the AOT tier is off or bails), and the optimizing
+// tier on AOT superblocks (hot thresholds lowered so the grow loop tiers
+// up by OSR).
 func growTierConfigs() map[string]Config {
 	stack := DefaultConfig()
-	stack.DisableRegTier = true
-	stack.DisableFusion = true
-	fused := DefaultConfig()
-	fused.DisableRegTier = true
-	reg := DefaultConfig()
-	reg.TierUpThreshold = 50
-	reg.DisableAOTTier = true
+	stack.DisableAOTTier = true
+	stackOpt := DefaultConfig()
+	stackOpt.TierUpThreshold = 50
+	stackOpt.DisableAOTTier = true
 	aot := DefaultConfig()
 	aot.TierUpThreshold = 50
-	aot.AOTThreshold = 50
-	return map[string]Config{"stack": stack, "fused": fused, "register": reg, "aot": aot}
+	return map[string]Config{"stack": stack, "stack-opt": stackOpt, "aot": aot}
 }
 
 // TestFailedGrowSpecAcrossTiers verifies the Wasm spec semantics of a
@@ -113,15 +108,12 @@ func TestFailedGrowSpecAcrossTiers(t *testing.T) {
 			if r := AsI32(call1(t, vm, "grow", I32(1))); r != -1 {
 				t.Errorf("grow at cap = %d, want -1", r)
 			}
-			if name == "register" && vm.RegTranslated() == 0 {
-				t.Error("register tier never engaged; loop ran interpreted")
-			}
-			if name == "register" && vm.Stats().OptCycles == 0 {
-				t.Error("no cycles charged in the optimized tier")
+			if name == "stack-opt" && (vm.Stats().OptCycles == 0 || vm.AOTTranslated() != 0) {
+				t.Error("optimizing tier should run on the stack loop")
 			}
 			if name == "aot" {
 				if vm.AOTTranslated() == 0 {
-					t.Error("AOT tier never engaged; loop ran on the register body")
+					t.Error("AOT tier never engaged; loop ran on the stack loop")
 				}
 				if vm.Stats().AOTCycles == 0 {
 					t.Error("no cycles charged under the AOT dispatcher")
@@ -213,8 +205,8 @@ func TestSnapshotGrowSpecAcrossTiers(t *testing.T) {
 				t.Errorf("recycled round (%d,%d,%#x,%v) != cold (%d,%d,%#x,%v)",
 					f, p, pr, cy, cFails, cPages, cProbe, cCycles)
 			}
-			if name == "register" && clone.RegTranslated() == 0 {
-				t.Error("register tier never engaged on the recycled instance")
+			if name == "stack-opt" && clone.Stats().OptCycles == 0 {
+				t.Error("optimizing tier never engaged on the recycled instance")
 			}
 			if name == "aot" && clone.AOTTranslated() == 0 {
 				t.Error("AOT tier never engaged on the recycled instance")

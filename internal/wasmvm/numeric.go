@@ -9,9 +9,10 @@ import (
 )
 
 // Pure opcode evaluators shared by the stack interpreter (exec.go) and the
-// register tier (regexec.go). Keeping the value semantics in one place is
-// what lets the two dispatch loops stay byte-identical on every metric:
-// they differ only in where operands live, never in what an opcode does.
+// AOT superblock closures (aot.go). Keeping the value semantics in one
+// place is what lets the two dispatchers stay byte-identical on every
+// metric: they differ only in where operands live, never in what an opcode
+// does.
 
 func b2i(b bool) uint64 {
 	if b {

@@ -13,10 +13,10 @@ package wasmvm
 // exact virtual state a cold New()+Instantiate() would produce, so virtual
 // metrics are byte-identical between pooled and cold runs.
 //
-// Snapshots are keyed by effective fusion — the one config axis baked into
-// the shared lowered code — so a pool holds at most two snapshot buckets.
-// Free instances and warm register-tier bodies are keyed by the full
-// configShape, because register bodies bake OptCost at translation time.
+// A pool holds one snapshot: the lowered code it shares is
+// config-independent. Free instances and warm register-form bodies are
+// keyed by the full configShape, because register bodies bake OptCost at
+// translation time.
 
 import (
 	"context"
@@ -45,10 +45,7 @@ type configShape struct {
 	maxPages             uint32
 	stepLimit            uint64
 	callDepthLimit       int
-	disableFusion        bool
-	disableRegTier       bool
 	disableAOTTier       bool
-	aotThreshold         uint64
 }
 
 func shapeOf(cfg Config) configShape {
@@ -66,10 +63,7 @@ func shapeOf(cfg Config) configShape {
 		maxPages:             cfg.MaxPages,
 		stepLimit:            cfg.StepLimit,
 		callDepthLimit:       cfg.CallDepthLimit,
-		disableFusion:        cfg.DisableFusion,
-		disableRegTier:       cfg.DisableRegTier,
 		disableAOTTier:       cfg.DisableAOTTier,
-		aotThreshold:         cfg.AOTThreshold,
 	}
 	// Mirror the defaults New/NewVM/NewMemory resolve, so Config{} and its
 	// resolved form land in the same bucket.
@@ -113,20 +107,20 @@ type PoolOptions struct {
 // instances for one module. Checkouts via Get, returns via Put; instances
 // are recycled with Reset rather than discarded. Safe for concurrent use.
 type InstancePool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	module *wasm.Module
+	mu      sync.Mutex
+	cond    *sync.Cond
+	module  *wasm.Module
 	binSize int
-	opts   PoolOptions
+	opts    PoolOptions
 
-	snaps map[bool]*Snapshot // keyed by effective fusion
+	snap  *Snapshot // captured by the first checkout
 	free  map[configShape][]*VM
 	warm  map[configShape][]warmBody // donated register bodies, by func index
 	live  int
 	stats PoolStats
 }
 
-// warmBody is a donated register-tier translation: the immutable rop body
+// warmBody is a donated register-form translation: the immutable rop body
 // plus the frame-size metadata translateReg derives with it (the register
 // frame is locals + maxStack; adopting one without the other under-sizes
 // every frame).
@@ -136,9 +130,9 @@ type warmBody struct {
 }
 
 // NewInstancePool creates a pool for the given module. The snapshot is
-// captured lazily on the first checkout of each fusion bucket — the capture
-// instance itself is returned as that checkout's result, so no instantiation
-// work is ever thrown away.
+// captured lazily on the first checkout — the capture instance itself is
+// returned as that checkout's result, so no instantiation work is ever
+// thrown away.
 func NewInstancePool(m *wasm.Module, binarySize int, opts PoolOptions) *InstancePool {
 	if opts.MaxInstances <= 0 {
 		opts.MaxInstances = 1
@@ -147,7 +141,6 @@ func NewInstancePool(m *wasm.Module, binarySize int, opts PoolOptions) *Instance
 		module:  m,
 		binSize: binarySize,
 		opts:    opts,
-		snaps:   make(map[bool]*Snapshot),
 		free:    make(map[configShape][]*VM),
 		warm:    make(map[configShape][]warmBody),
 	}
@@ -226,8 +219,8 @@ func (p *InstancePool) get(ctx context.Context, cfg Config) (vm *VM, recycled bo
 }
 
 // makeLocked serves a miss while p.mu is held: it reserves a live slot,
-// then either captures the fusion bucket's snapshot (returning the capture
-// instance itself) or clones from the existing snapshot outside the lock.
+// then either captures the pool's snapshot (returning the capture instance
+// itself) or clones from the existing snapshot outside the lock.
 func (p *InstancePool) makeLocked(cfg Config, shape configShape) (*VM, bool, error) {
 	p.live++
 	p.stats.Misses++
@@ -235,12 +228,12 @@ func (p *InstancePool) makeLocked(cfg Config, shape configShape) (*VM, bool, err
 		pi.Misses.Inc()
 		pi.Live.Set(float64(p.live))
 	})
-	snap := p.snaps[fusionEffective(cfg)]
+	snap := p.snap
 	if snap == nil {
-		// First checkout of this fusion bucket: instantiate cold, capture,
-		// and hand the capture instance out as the result. Capture under the
-		// lock is deliberate — it happens at most twice per pool lifetime,
-		// and it keeps concurrent first checkouts from racing to capture.
+		// First checkout: instantiate cold, capture, and hand the capture
+		// instance out as the result. Capture under the lock is deliberate —
+		// it happens once per pool lifetime, and it keeps concurrent first
+		// checkouts from racing to capture.
 		vm, err := p.coldVM(cfg)
 		if err != nil {
 			p.releaseLocked()
@@ -252,7 +245,7 @@ func (p *InstancePool) makeLocked(cfg Config, shape configShape) (*VM, bool, err
 			p.mu.Unlock()
 			return nil, false, err
 		}
-		p.snaps[fusionEffective(cfg)] = vm.snap
+		p.snap = vm.snap
 		vm.pool = p
 		p.mu.Unlock()
 		return vm, false, nil
@@ -261,8 +254,8 @@ func (p *InstancePool) makeLocked(cfg Config, shape configShape) (*VM, bool, err
 	p.mu.Unlock()
 	vm, err := snap.NewVM(cfg)
 	if err != nil {
-		// Unreachable for capacity or fusion reasons (the snapshot bucket is
-		// keyed by effective fusion); release the reserved slot regardless.
+		// Unreachable for capacity reasons; release the reserved slot
+		// regardless.
 		p.mu.Lock()
 		p.releaseLocked()
 		p.mu.Unlock()
@@ -272,7 +265,7 @@ func (p *InstancePool) makeLocked(cfg Config, shape configShape) (*VM, bool, err
 		// Adopt donated register bodies. Entries are written once under the
 		// pool lock and immutable afterwards, and the slice header was read
 		// under the lock above, so this read is race-free. Adopted bodies
-		// only skip translateReg — regBody still replays its fault check,
+		// only skip translateReg — aotBody still replays its fault check,
 		// counters, and instruments as if it had translated.
 		p.mu.Lock()
 		for i := range warm {

@@ -1,22 +1,27 @@
 package wasmvm
 
 import (
-	"errors"
+	"reflect"
 	"testing"
 
-	"wasmbench/internal/obsv"
+	"wasmbench/internal/faultinject"
 	"wasmbench/internal/wasm"
 )
 
-// runRegPair instantiates the module twice — register tier enabled and
-// disabled — applies call, and returns both VMs for comparison. Any other
-// config variation (fusion, tier mode, profiling, tracing) comes in via
-// cfg so the matrix tests can sweep them.
-func runRegPair(t *testing.T, m *wasm.Module, cfg Config, call func(vm *VM) ([]uint64, error)) (reg, stack *VM, rres, sres []uint64, rerr, serr error) {
+// runRegPair instantiates the module twice — once with the optimizing
+// tier's register translation allowed (AOT superblocks over the paired
+// register form, or the 1:1 form with unpaired set) and once with every
+// translation denied at wasm.aot-translate, so the stack loop serves the
+// optimizing tier through the bail path under OptCost — applies call, and
+// returns both VMs plus the denial plan.
+func runRegPair(t *testing.T, m *wasm.Module, cfg Config, unpaired bool, call func(vm *VM) ([]uint64, error)) (reg, denied *VM, rres, dres []uint64, rerr, derr error, plan *faultinject.Plan) {
 	t.Helper()
-	mk := func(disable bool) (*VM, []uint64, error) {
+	plan = faultinject.NewPlan(7, faultinject.Rule{Point: faultinject.WasmAOTTranslate, Prob: 1})
+	mk := func(deny bool) (*VM, []uint64, error) {
 		c := cfg
-		c.DisableRegTier = disable
+		if deny {
+			c.Faults = plan
+		}
 		vm, err := New(m, 0, c)
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -24,240 +29,20 @@ func runRegPair(t *testing.T, m *wasm.Module, cfg Config, call func(vm *VM) ([]u
 		if err := vm.Instantiate(); err != nil {
 			t.Fatalf("Instantiate: %v", err)
 		}
+		if unpaired && !deny {
+			seedUnpaired(vm)
+		}
 		res, err := call(vm)
 		return vm, res, err
 	}
 	reg, rres, rerr = mk(false)
-	stack, sres, serr = mk(true)
+	denied, dres, derr = mk(true)
 	return
 }
 
-// assertTracesEqual compares two collectors event by event: kinds, virtual
-// timestamps, names, and payloads must all match.
-func assertTracesEqual(t *testing.T, reg, stack *obsv.Collector) {
-	t.Helper()
-	re, se := reg.Events(), stack.Events()
-	if len(re) != len(se) {
-		t.Fatalf("trace lengths differ: reg=%d stack=%d", len(re), len(se))
-	}
-	for i := range re {
-		if re[i] != se[i] {
-			t.Fatalf("trace event %d differs:\n  reg:   %+v\n  stack: %+v", i, re[i], se[i])
-		}
-	}
-}
-
-func TestRegTierTranslates(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TierUpThreshold = 100
-	vm := newVM(t, cfg)
-	call1(t, vm, "sum", I32(200000))
-	if vm.RegTranslated() == 0 {
-		t.Fatal("hot loop should have produced a register body")
-	}
-
-	cfg.DisableRegTier = true
-	vm2 := newVM(t, cfg)
-	call1(t, vm2, "sum", I32(200000))
-	if vm2.RegTranslated() != 0 {
-		t.Errorf("DisableRegTier left %d register bodies", vm2.RegTranslated())
-	}
-
-	cfg = DefaultConfig()
-	cfg.TierUpThreshold = 100
-	cfg.StepLimit = 1 << 40
-	vm3 := newVM(t, cfg)
-	call1(t, vm3, "sum", I32(200000))
-	if vm3.RegTranslated() != 0 {
-		t.Errorf("StepLimit should disable the register tier, got %d bodies", vm3.RegTranslated())
-	}
-}
-
-// TestRegEquivalenceMatrix sweeps every exported function of the shared
-// test module across tier modes and fusion settings, comparing the
-// register-tier VM against the stack interpreter on results, cycles, and
-// the full Stats struct (steps, class tallies, tier-ups, per-tier split).
-func TestRegEquivalenceMatrix(t *testing.T) {
-	calls := []struct {
-		name string
-		args []uint64
-	}{
-		{"add", []uint64{I32(2), I32(40)}},
-		{"sum", []uint64{I32(200000)}}, // crosses the tier-up threshold mid-loop
-		{"fib", []uint64{I32(15)}},
-		{"hypot", []uint64{F64(3), F64(4)}},
-		{"memtest", []uint64{I32(1024)}},
-		{"grow", []uint64{I32(2)}},
-		{"switcher", []uint64{I32(1)}},
-	}
-	for _, mode := range []struct {
-		name string
-		mode TierMode
-	}{{"both", TierBoth}, {"basic", TierBasicOnly}, {"opt", TierOptOnly}} {
-		for _, fuse := range []struct {
-			name    string
-			disable bool
-		}{{"fused", false}, {"unfused", true}} {
-			for _, c := range calls {
-				t.Run(mode.name+"/"+fuse.name+"/"+c.name, func(t *testing.T) {
-					cfg := DefaultConfig()
-					cfg.Mode = mode.mode
-					cfg.TierUpThreshold = 100
-					cfg.DisableFusion = fuse.disable
-					reg, stack, rres, sres, rerr, serr := runRegPair(t, buildModule(), cfg,
-						func(vm *VM) ([]uint64, error) { return vm.Call(c.name, c.args...) })
-					assertEquivalent(t, reg, stack, rres, sres, rerr, serr)
-					if mode.mode == TierOptOnly && reg.RegTranslated() == 0 {
-						t.Error("opt-only mode should run register bodies")
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestRegEquivalenceOSR pins the on-stack-replacement path: a single call
-// whose loop crosses the threshold mid-execution must switch to the
-// register body at the back-edge and still match the stack interpreter
-// bit for bit — including a second call that now starts in register form.
-func TestRegEquivalenceOSR(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TierUpThreshold = 500
-	reg, stack, rres, sres, rerr, serr := runRegPair(t, buildModule(), cfg,
-		func(vm *VM) ([]uint64, error) {
-			if _, err := vm.Call("sum", I32(100000)); err != nil {
-				return nil, err
-			}
-			return vm.Call("sum", I32(1000))
-		})
-	assertEquivalent(t, reg, stack, rres, sres, rerr, serr)
-	if reg.Stats().TierUps != 1 {
-		t.Fatalf("expected exactly one tier-up, got %d", reg.Stats().TierUps)
-	}
-	if reg.RegTranslated() != 1 {
-		t.Fatalf("expected one register body, got %d", reg.RegTranslated())
-	}
-	if AsI64(rres[0]) != 499500 {
-		t.Errorf("post-OSR result wrong: %d", AsI64(rres[0]))
-	}
-}
-
-// TestRegEquivalenceTraces runs a profiled, traced, tiering workload on
-// both dispatchers and requires the full event streams — call enter/exit,
-// tier-up, memory.grow, every virtual timestamp — to be identical.
-func TestRegEquivalenceTraces(t *testing.T) {
-	mk := func(disable bool) (*VM, *obsv.Collector) {
-		cfg := DefaultConfig()
-		cfg.TierUpThreshold = 100
-		cfg.DisableRegTier = disable
-		coll := &obsv.Collector{}
-		cfg.Tracer = coll
-		vm, err := New(buildModule(), 0, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vm.Instantiate(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := vm.Call("sum", I32(50000)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := vm.Call("fib", I32(12)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := vm.Call("grow", I32(2)); err != nil {
-			t.Fatal(err)
-		}
-		return vm, coll
-	}
-	reg, rcoll := mk(false)
-	stack, scoll := mk(true)
-	if reg.Cycles() != stack.Cycles() {
-		t.Errorf("cycles differ: reg=%v stack=%v", reg.Cycles(), stack.Cycles())
-	}
-	if reg.RegTranslated() == 0 {
-		t.Fatal("trace test should exercise the register tier")
-	}
-	assertTracesEqual(t, rcoll, scoll)
-}
-
-// TestRegEquivalenceProfiles compares per-function profiles (calls, self
-// and total cycles, class mix) across dispatchers under tiering.
-func TestRegEquivalenceProfiles(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Profile = true
-	cfg.TierUpThreshold = 100
-	reg, stack, rres, sres, rerr, serr := runRegPair(t, buildModule(), cfg,
-		func(vm *VM) ([]uint64, error) {
-			if _, err := vm.Call("fib", I32(14)); err != nil {
-				return nil, err
-			}
-			return vm.Call("sum", I32(50000))
-		})
-	assertEquivalent(t, reg, stack, rres, sres, rerr, serr)
-	rp, sp := reg.Profile(), stack.Profile()
-	if len(rp) != len(sp) {
-		t.Fatalf("profile lengths differ: %d vs %d", len(rp), len(sp))
-	}
-	for i := range rp {
-		if rp[i].Name != sp[i].Name || rp[i].SelfCycles != sp[i].SelfCycles ||
-			rp[i].TotalCycles != sp[i].TotalCycles || rp[i].Calls != sp[i].Calls {
-			t.Errorf("profile %d differs:\n  reg:   %+v\n  stack: %+v", i, rp[i], sp[i])
-		}
-		if len(rp[i].Classes) != len(sp[i].Classes) {
-			t.Fatalf("profile %d class mix length differs", i)
-		}
-		for j := range rp[i].Classes {
-			if rp[i].Classes[j] != sp[i].Classes[j] {
-				t.Errorf("profile %d class %d differs: %+v vs %+v",
-					i, j, rp[i].Classes[j], sp[i].Classes[j])
-			}
-		}
-	}
-}
-
-// TestRegTrapEquivalence drives the register body into traps — fused
-// const+div-by-zero and fused get+load out of bounds — in opt-only mode so
-// the register forms execute from the first instruction. The partial
-// charges at the trap point must match the stack interpreter exactly.
-func TestRegTrapEquivalence(t *testing.T) {
-	for _, fuse := range []struct {
-		name    string
-		disable bool
-	}{{"fused", false}, {"unfused", true}} {
-		for _, c := range []struct {
-			name string
-			arg  uint64
-			want error
-		}{
-			{"divz", I32(7), ErrDivByZero},
-			{"oob", I32(1 << 30), nil}, // OOB trap type, checked by message equality
-		} {
-			t.Run(fuse.name+"/"+c.name, func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.Mode = TierOptOnly
-				cfg.DisableFusion = fuse.disable
-				reg, stack, rres, sres, rerr, serr := runRegPair(t, trapModule(), cfg,
-					func(vm *VM) ([]uint64, error) { return vm.Call(c.name, c.arg) })
-				if rerr == nil || serr == nil {
-					t.Fatalf("expected traps, got reg=%v stack=%v", rerr, serr)
-				}
-				if c.want != nil && !errors.Is(rerr, c.want) {
-					t.Fatalf("reg trap = %v, want %v", rerr, c.want)
-				}
-				if reg.RegTranslated() == 0 {
-					t.Fatal("trap test should execute register bodies")
-				}
-				assertEquivalent(t, reg, stack, rres, sres, rerr, serr)
-			})
-		}
-	}
-}
-
-// TestRegBranchIntoPair re-runs the fusion landing-pad module in opt-only
-// mode: a branch into the second slot of a fused pair must execute that
-// slot's standalone register form.
-func TestRegBranchIntoPair(t *testing.T) {
+// landingModule holds a block whose br_if lands on a local.get that the
+// register translation pairs with the local.get after it.
+func landingModule() *wasm.Module {
 	m := &wasm.Module{}
 	ti := m.AddType(wasm.FuncType{Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32}})
 	m.Funcs = append(m.Funcs, wasm.Function{Type: ti, Name: "landing",
@@ -275,12 +60,104 @@ func TestRegBranchIntoPair(t *testing.T) {
 			{Op: wasm.OpEnd},
 		}})
 	m.Exports = append(m.Exports, wasm.Export{Name: "landing", Kind: wasm.ExportFunc, Idx: 0})
+	return m
+}
+
+// TestRegEquivalenceMatrix sweeps every exported function of the shared
+// test module across tier modes and register-form shapes (paired "fused"
+// and 1:1 "unfused"). The optimizing tier run on the register form must
+// measure exactly what it measures when the register translation is
+// denied and the stack loop serves it instead: results, cycles, and the
+// full Stats struct bar the AOTCycles sub-split. The denial fires once per
+// function that reaches the optimizing tier, and never in basic-only mode.
+func TestRegEquivalenceMatrix(t *testing.T) {
+	calls := []struct {
+		name string
+		args []uint64
+	}{
+		{"add", []uint64{I32(2), I32(40)}},
+		{"sum", []uint64{I32(200000)}}, // crosses the tier-up threshold mid-loop
+		{"fib", []uint64{I32(15)}},
+		{"hypot", []uint64{F64(3), F64(4)}},
+		{"memtest", []uint64{I32(1024)}},
+		{"grow", []uint64{I32(2)}},
+		{"switcher", []uint64{I32(1)}},
+	}
+	for _, mode := range []struct {
+		name string
+		mode TierMode
+	}{{"both", TierBoth}, {"basic", TierBasicOnly}, {"opt", TierOptOnly}} {
+		for _, form := range []struct {
+			name     string
+			unpaired bool
+		}{{"fused", false}, {"unfused", true}} {
+			for _, c := range calls {
+				t.Run(mode.name+"/"+form.name+"/"+c.name, func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Mode = mode.mode
+					cfg.TierUpThreshold = 100
+					reg, denied, rres, dres, rerr, derr, plan := runRegPair(t, buildModule(), cfg, form.unpaired,
+						func(vm *VM) ([]uint64, error) { return vm.Call(c.name, c.args...) })
+					assertEquivalent(t, reg, denied, rres, dres, rerr, derr)
+					if n := denied.AOTTranslated(); n != 0 {
+						t.Errorf("denied translation still produced %d AOT bodies", n)
+					}
+					if s := denied.Stats(); s.AOTCycles != 0 {
+						t.Errorf("denied VM charged AOTCycles %v", s.AOTCycles)
+					}
+					fired := plan.Counts()[faultinject.WasmAOTTranslate]
+					if fired != reg.AOTTranslated() {
+						t.Errorf("denial fired %d times for %d register translations", fired, reg.AOTTranslated())
+					}
+					if mode.mode == TierOptOnly && fired == 0 {
+						t.Error("opt-only mode should translate (and here deny) from the first call")
+					}
+					if mode.mode == TierBasicOnly && fired != 0 {
+						t.Errorf("basic-only mode attempted %d optimizing translations", fired)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRegBranchIntoPair pins the in-place partner slot: every pair form
+// translateReg overlays leaves its partner slot equal to the 1:1 form, so
+// a branch landing on the partner would execute that slot alone. The
+// landing module's br_if lands on the head of a get+get pair, and the
+// opt-only run must compute and measure what the stack loop does with the
+// translation denied.
+func TestRegBranchIntoPair(t *testing.T) {
+	for _, m := range []*wasm.Module{buildModule(), landingModule()} {
+		vm, err := New(m, 0, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vm.funcs {
+			cf := &vm.funcs[i]
+			paired := translateReg(m, cf, &vm.cfg.OptCost)
+			plain := translateSlots(m, cf, &vm.cfg.OptCost)
+			for pc := 0; pc+1 < len(paired); pc++ {
+				if paired[pc].kind < rMove2 {
+					continue
+				}
+				if !reflect.DeepEqual(paired[pc+1], plain[pc+1]) {
+					t.Errorf("%s: partner slot %d of pair at %d differs from its 1:1 form:\n  %+v\n  %+v",
+						cf.name, pc+1, pc, paired[pc+1], plain[pc+1])
+				}
+				pc++
+			}
+		}
+	}
 	for _, x := range []int32{0, 3} {
 		cfg := DefaultConfig()
 		cfg.Mode = TierOptOnly
-		reg, stack, rres, sres, rerr, serr := runRegPair(t, m, cfg,
+		reg, denied, rres, dres, rerr, derr, _ := runRegPair(t, landingModule(), cfg, false,
 			func(vm *VM) ([]uint64, error) { return vm.Call("landing", I32(x)) })
-		assertEquivalent(t, reg, stack, rres, sres, rerr, serr)
+		assertEquivalent(t, reg, denied, rres, dres, rerr, derr)
+		if reg.AOTTranslated() == 0 {
+			t.Fatal("landing module should run on its register form")
+		}
 		want := x + 5
 		if x == 0 {
 			want = 100
@@ -288,37 +165,5 @@ func TestRegBranchIntoPair(t *testing.T) {
 		if AsI32(rres[0]) != want {
 			t.Errorf("landing(%d) = %d, want %d", x, AsI32(rres[0]), want)
 		}
-	}
-}
-
-// TestRegTierCycleSplit checks the Stats per-tier attribution: basic-only
-// runs charge only BasicCycles, opt-only runs only OptCycles, and a
-// tiering run splits across both with the totals adding up.
-func TestRegTierCycleSplit(t *testing.T) {
-	run := func(mode TierMode, disableReg bool) Stats {
-		cfg := DefaultConfig()
-		cfg.Mode = mode
-		cfg.TierUpThreshold = 100
-		cfg.DisableRegTier = disableReg
-		vm := newVM(t, cfg)
-		call1(t, vm, "sum", I32(50000))
-		return vm.Stats()
-	}
-	basic := run(TierBasicOnly, false)
-	if basic.OptCycles != 0 || basic.BasicCycles == 0 {
-		t.Errorf("basic-only split wrong: %+v", basic)
-	}
-	opt := run(TierOptOnly, false)
-	if opt.BasicCycles != 0 || opt.OptCycles == 0 {
-		t.Errorf("opt-only split wrong: %+v", opt)
-	}
-	both := run(TierBoth, false)
-	if both.BasicCycles == 0 || both.OptCycles == 0 {
-		t.Errorf("tiering run should split cycles across tiers: %+v", both)
-	}
-	// The split must be identical with the register tier disabled (it is
-	// part of the Stats equality in the matrix test, but pin it here too).
-	if stack := run(TierBoth, true); stack.BasicCycles != both.BasicCycles || stack.OptCycles != both.OptCycles {
-		t.Errorf("split differs across dispatchers: reg=%+v stack=%+v", both, stack)
 	}
 }

@@ -1,14 +1,12 @@
 package wasmvm
 
-import (
-	"wasmbench/internal/faultinject"
-	"wasmbench/internal/wasm"
-)
+import "wasmbench/internal/wasm"
 
-// This file implements the register-form translation behind the optimizing
-// tier. The idea mirrors what LiftOff-vs-TurboFan means for dispatch cost
-// in the engines the paper studies (§4.4.2): the basic tier interprets
-// stack bytecode, paying a push/pop on almost every instruction, while the
+// This file implements the register-form IR behind the optimizing tier —
+// the input the AOT translator (aot.go) compiles into superblocks. The
+// idea mirrors what LiftOff-vs-TurboFan means for dispatch cost in the
+// engines the paper studies (§4.4.2): the basic tier interprets stack
+// bytecode, paying a push/pop on almost every instruction, while the
 // optimizing tier runs code whose operands live in fixed slots.
 //
 // Wasm validation guarantees the operand-stack height at every pc is a
@@ -21,14 +19,18 @@ import (
 //
 // The translation is deliberately 1:1 — regCode[pc] executes exactly
 // code[pc] — so branch targets survive unchanged and the stack engine can
-// switch to the register body at any label (OSR) without a pc mapping.
-// Superinstructions (fuse.go) translate into fused register forms that
-// keep the two-component cost accounting.
+// switch to the superblocks built from it at any label (OSR) without a pc
+// mapping. On top of that, pairRegs overlays pair forms: the first
+// instruction of a common adjacent pair (operand shuffles, immediates
+// feeding arithmetic, address computation, loop exits) becomes one rop
+// executing both, while the partner slot keeps its standalone form, so a
+// branch landing on it still executes exactly that instruction.
 //
 // Determinism contract: executing regCode must charge the same cycles (in
 // the same float-addition order), the same steps, the same cost-class
 // tallies, and emit the same trace events as executing code under the
-// optimizing cost table. Costs are precomputed from OptCost only because
+// optimizing cost table. A pair charges both of its components, in order,
+// against the same table. Costs are precomputed from OptCost only because
 // the register body runs exclusively in the optimizing tier.
 
 // rkind discriminates register-form instructions. A handful of hot
@@ -67,13 +69,13 @@ const (
 	rBrIf
 	rBrTable
 	rUnreachable
-	rMove2      // fused local.get+local.get
-	rConstBin   // fused const+binop via numBinary
-	rConstAdd32 // fused i32.const+i32.add
-	rGetLoad    // fused local.get+load
-	rCmpBrIf    // fused cmp+br_if via numUnary/numBinary
-	rGeS32BrIf  // fused i32.ge_s+br_if
-	rLtS32BrIf  // fused i32.lt_s+br_if
+	rMove2      // pair local.get+local.get
+	rConstBin   // pair const+binop via numBinary
+	rConstAdd32 // pair i32.const+i32.add
+	rGetLoad    // pair local.get+load
+	rCmpBrIf    // pair cmp+br_if via numUnary/numBinary
+	rGeS32BrIf  // pair i32.ge_s+br_if
+	rLtS32BrIf  // pair i32.lt_s+br_if
 )
 
 // rbranch is a resolved branch target in register form. Wasm labels carry
@@ -89,8 +91,8 @@ type rbranch struct {
 
 // rop is one register-form instruction. Registers index the frame slice
 // (locals at 0..nLocals-1, operand slots above). cost/cost2 are the
-// OptCost charges of the components, precomputed so the dispatch loop
-// avoids a table lookup.
+// OptCost charges of a pair's components (op2/class2 name the second),
+// precomputed so the dispatchers avoid a table lookup.
 type rop struct {
 	kind    rkind
 	op      wasm.Opcode
@@ -109,52 +111,29 @@ type rop struct {
 	targets []rbranch // br_table (default last)
 }
 
-// regBody returns cf's register-form body, translating it on first use.
-// A nil result means translation bailed (the stack loop keeps serving the
-// function; only dispatch speed is affected, never metrics).
-func (vm *VM) regBody(cf *compiledFunc) []rop {
-	if !cf.regTried {
-		cf.regTried = true
-		if vm.faults != nil && vm.faults.Fire(faultinject.WasmRegTranslate, cf.name) {
-			// Injected translation failure: regCode stays nil, so the stack
-			// loop serves the function permanently — the same fallback as a
-			// natural conservative bail, with identical metrics. A body
-			// retained across a snapshot Reset (and the AOT form built from
-			// it) is dropped too, so the denial behaves exactly as on a
-			// cold instance.
-			vm.emitFault(faultinject.WasmRegTranslate, vm.cycles)
-			cf.regCode = nil
-			cf.aotBlocks, cf.aotEntry = nil, nil
-			return nil
-		}
-		// A non-nil regCode here was retained across a snapshot Reset (or
-		// seeded from a pool's warm-body store): translation is skipped,
-		// but the counters below replay so translation accounting stays
-		// byte-identical to a cold instance.
-		if cf.regCode == nil {
-			cf.regCode = translateReg(vm.module, cf, &vm.cfg.OptCost)
-		}
-		if cf.regCode != nil {
-			vm.regBuilt++
-			if vm.inst != nil {
-				vm.inst.RegTranslated.Inc()
-			}
-		}
+// translateReg lowers a function's stack bytecode to register form using
+// the static entry heights recorded by lowerFunc, then overlays pair forms
+// (pairRegs). Returns nil if any construct falls outside the register
+// model (conservative bail).
+func translateReg(m *wasm.Module, cf *compiledFunc, opt *CostTable) []rop {
+	out := translateSlots(m, cf, opt)
+	if out != nil {
+		pairRegs(out, cf.code)
 	}
-	return cf.regCode
+	return out
 }
 
-// translateReg lowers a function's stack bytecode to register form using
-// the static entry heights recorded by lowerFunc. Returns nil if any
-// construct falls outside the register model (conservative bail).
-func translateReg(m *wasm.Module, cf *compiledFunc, opt *CostTable) []rop {
+// translateSlots is the 1:1 half of translateReg: every slot gets its
+// standalone register form, which is also what a branch landing on a
+// pair's partner slot executes.
+func translateSlots(m *wasm.Module, cf *compiledFunc, opt *CostTable) []rop {
 	code := cf.code
 	heights := cf.heights
 	nLocals := int32(cf.nLocals)
 
 	// Frame capacity: every runtime stack depth is some instruction's entry
-	// height, so the peak is the max recorded height plus the deepest
-	// single-instruction growth (at most 2 pushes, fused get+get).
+	// height, so the peak is the max recorded height plus one push, with a
+	// spare slot.
 	maxH := int32(0)
 	for _, h := range heights {
 		if h > maxH {
@@ -194,65 +173,6 @@ func translateReg(m *wasm.Module, cf *compiledFunc, opt *CostTable) []rop {
 		}
 
 		switch in.op {
-		case opFusedGetGet:
-			r.kind = rMove2
-			r.class2 = in.class2
-			r.cost2 = opt[in.class2]
-			r.r1 = int32(in.a)
-			r.r2 = int32(in.b2)
-			r.rd = reg(h)
-
-		case opFusedConst32Bin, opFusedConst64Bin:
-			r.op2 = in.op2
-			r.class2 = in.class2
-			r.cost2 = opt[in.class2]
-			if in.op == opFusedConst32Bin {
-				r.val = int64(uint64(uint32(in.val)))
-			}
-			r.r1 = reg(h - 1)
-			r.rd = reg(h - 1)
-			if in.op2 == wasm.OpI32Add {
-				r.kind = rConstAdd32
-			} else {
-				r.kind = rConstBin
-			}
-
-		case opFusedGetLoad:
-			r.kind = rGetLoad
-			r.op2 = in.op2
-			r.class2 = in.class2
-			r.cost2 = opt[in.class2]
-			r.r1 = int32(in.a)
-			r.b = in.b2
-			r.rd = reg(h)
-
-		case opFusedCmpBrIf:
-			r.op2 = in.op2
-			r.class2 = in.class2
-			r.cost2 = opt[in.class2]
-			var hb int32 // operand height when the branch is applied
-			if isUnaryNumeric(in.op2) {
-				r.r1 = reg(h - 1) // eqz
-				hb = h - 1
-			} else {
-				r.r1 = reg(h - 2)
-				r.r2 = reg(h - 1)
-				hb = h - 2
-			}
-			j, ok := jmp(in.jump, hb)
-			if !ok {
-				return nil
-			}
-			r.jump = j
-			switch in.op2 {
-			case wasm.OpI32GeS:
-				r.kind = rGeS32BrIf
-			case wasm.OpI32LtS:
-				r.kind = rLtS32BrIf
-			default:
-				r.kind = rCmpBrIf
-			}
-
 		case wasm.OpBlock, wasm.OpLoop, wasm.OpEnd, wasm.OpNop, wasm.OpDrop:
 			r.kind = rNop
 
@@ -412,4 +332,75 @@ func translateReg(m *wasm.Module, cf *compiledFunc, opt *CostTable) []rop {
 		}
 	}
 	return out
+}
+
+// pairRegs overlays pair forms on a 1:1 register body, greedily fusing
+// non-overlapping adjacent pairs left to right. Each pair rop takes its
+// operands from the two standalone forms it replaces and charges both
+// components; the partner slot is left untouched, so sequential flow skips
+// it (pc advances by 2) while a branch landing on it executes it alone.
+func pairRegs(out []rop, code []lop) {
+	for pc := 0; pc+1 < len(code); pc++ {
+		op, next := code[pc].op, code[pc+1].op
+		r, p := &out[pc], &out[pc+1]
+		if r.kind == rDead {
+			continue // a dead pair's partner is dead too
+		}
+		switch {
+		case isCmpLike(op) && next == wasm.OpBrIf:
+			// The cmp's operand registers, the br_if's branch: the
+			// partner applies it at the height the pair leaves behind.
+			r.op2 = op
+			r.jump = p.jump
+			switch op {
+			case wasm.OpI32GeS:
+				r.kind = rGeS32BrIf
+			case wasm.OpI32LtS:
+				r.kind = rLtS32BrIf
+			default:
+				r.kind = rCmpBrIf
+			}
+		case op == wasm.OpLocalGet && next == wasm.OpLocalGet:
+			r.kind = rMove2
+			r.r2 = p.r1 // second local; it lands in r.rd+1
+		case (op == wasm.OpI32Const || op == wasm.OpF32Const ||
+			op == wasm.OpI64Const || op == wasm.OpF64Const) && isBinaryNumeric(next):
+			// The constant (already packed) becomes the binop's right
+			// operand, applied to the binop's left operand register.
+			r.op2 = next
+			r.r1, r.rd = p.r1, p.rd
+			if next == wasm.OpI32Add {
+				r.kind = rConstAdd32
+			} else {
+				r.kind = rConstBin
+			}
+		case op == wasm.OpLocalGet && isLoadOp(next):
+			r.kind = rGetLoad
+			r.op2 = next
+			r.b = p.b
+		default:
+			continue
+		}
+		r.class2 = p.class
+		r.cost2 = p.cost
+		pc++ // greedy: the partner stays intact but is skipped by flow
+	}
+}
+
+// isBinaryNumeric reports whether op is a pure two-operand numeric opcode
+// (the numBinary family): comparisons through f64.copysign, minus the
+// unary instructions interleaved in that range.
+func isBinaryNumeric(op wasm.Opcode) bool {
+	return op >= wasm.OpI32Eq && op <= wasm.OpF64Copysign && !isUnaryNumeric(op)
+}
+
+// isCmpLike reports whether op leaves a boolean on the stack and cannot
+// trap — the class of ops that pair with a following br_if.
+func isCmpLike(op wasm.Opcode) bool {
+	return op == wasm.OpI32Eqz || op == wasm.OpI64Eqz ||
+		(op >= wasm.OpI32Eq && op <= wasm.OpF64Ge)
+}
+
+func isLoadOp(op wasm.Opcode) bool {
+	return op >= wasm.OpI32Load && op <= wasm.OpI64Load32U
 }

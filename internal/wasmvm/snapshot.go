@@ -5,10 +5,10 @@ package wasmvm
 // never shrinks, so at service scale the per-request cost that matters is
 // instantiation, not compilation. A Snapshot captures a freshly
 // instantiated VM's state once — post-init linear memory, globals, and the
-// validated/lowered/fused function bodies — and NewVM clones runnable
-// instances from it by arena copy, skipping wasm.Validate, lowerFunc, and
-// fuseFunc entirely. Reset returns a finished instance to the snapshot
-// state in place, so pools recycle instances instead of discarding them.
+// validated/lowered function bodies — and NewVM clones runnable instances
+// from it by arena copy, skipping wasm.Validate and lowerFunc entirely.
+// Reset returns a finished instance to the snapshot state in place, so
+// pools recycle instances instead of discarding them.
 //
 // Determinism contract (the same one regalloc.go and aot.go established):
 // snapshot restore is a *host-time* optimization only. Every clone and
@@ -20,10 +20,10 @@ package wasmvm
 //
 // Sharing rules, derived from what the dispatch tiers capture:
 //
-//   - code []lop and heights []int32 are immutable after New() (fusion
-//     rewrites them at load, before capture) — shared across all clones.
-//   - regCode []rop is pure data, never written by runReg, but its costs
-//     are precomputed from Config.OptCost — shareable only between
+//   - code []lop and heights []int32 are immutable after New() — shared
+//     across all clones, whatever their Config.
+//   - regCode []rop is pure data, never written after translation, but its
+//     costs are precomputed from Config.OptCost — shareable only between
 //     instances of the same config shape (the pool's warm-body store).
 //   - AOT superblock closures capture the owning VM's globals slice and
 //     *Memory at translation time — instance-bound, never shared. Reset
@@ -32,7 +32,6 @@ package wasmvm
 
 import (
 	"errors"
-	"fmt"
 
 	"wasmbench/internal/wasm"
 )
@@ -48,24 +47,16 @@ type snapFunc struct {
 }
 
 // Snapshot is an immutable post-init image of an instantiated module,
-// valid for cloning under any Config with the same effective-fusion
-// setting (fusion rewrites the shared lowered code; everything else in a
-// Config is applied per clone). Snapshots are safe for concurrent use.
+// valid for cloning under any Config (the lowered code it shares is
+// config-independent; everything in a Config is applied per clone).
+// Snapshots are safe for concurrent use.
 type Snapshot struct {
 	module   *wasm.Module
 	binSize  int
-	fusionOn bool // effective fusion at capture (!DisableFusion && StepLimit == 0)
-	fused    int
 	funcs    []snapFunc
 	hasMem   bool
 	memBytes []byte // private copy of the post-init linear memory
 	globals  []uint64
-}
-
-// fusionEffective reports whether a config actually fuses at load time
-// (fusion is skipped under a step limit; see Config.DisableFusion).
-func fusionEffective(cfg Config) bool {
-	return !cfg.DisableFusion && cfg.StepLimit == 0
 }
 
 // Snapshot captures the VM's post-init state. It is valid only on a
@@ -81,12 +72,10 @@ func (vm *VM) Snapshot() (*Snapshot, error) {
 		return nil, errors.New("wasmvm: snapshot requires a freshly instantiated VM (no calls yet)")
 	}
 	s := &Snapshot{
-		module:   vm.module,
-		binSize:  vm.binSize,
-		fusionOn: fusionEffective(vm.cfg),
-		fused:    vm.fused,
-		funcs:    make([]snapFunc, len(vm.funcs)),
-		globals:  append([]uint64(nil), vm.globals...),
+		module:  vm.module,
+		binSize: vm.binSize,
+		funcs:   make([]snapFunc, len(vm.funcs)),
+		globals: append([]uint64(nil), vm.globals...),
 	}
 	for i := range vm.funcs {
 		cf := &vm.funcs[i]
@@ -109,14 +98,9 @@ func (vm *VM) Snapshot() (*Snapshot, error) {
 // NewVM clones a runnable instance from the snapshot under cfg,
 // byte-identical in every virtual metric to New() + Instantiate() with the
 // same cfg. The clone shares the snapshot's lowered code and copies only
-// the mutable arenas (linear memory, globals). cfg must agree with the
-// snapshot on effective fusion — the one config axis baked into the shared
-// code; everything else (cost tables, tier policy, page caps, attachments)
-// is applied fresh here.
+// the mutable arenas (linear memory, globals); everything in cfg (cost
+// tables, tier policy, page caps, attachments) is applied fresh here.
 func (s *Snapshot) NewVM(cfg Config) (*VM, error) {
-	if fusionEffective(cfg) != s.fusionOn {
-		return nil, fmt.Errorf("wasmvm: snapshot fusion mismatch (snapshot fused=%v)", s.fusionOn)
-	}
 	if cfg.CallDepthLimit == 0 {
 		cfg.CallDepthLimit = 10000
 	}
@@ -142,12 +126,7 @@ func (s *Snapshot) NewVM(cfg Config) (*VM, error) {
 	if vm.profiling {
 		vm.profs = make([]funcProf, len(vm.funcs))
 	}
-	vm.fused = s.fused
-	if vm.inst != nil {
-		vm.inst.FusedPairs.Add(float64(vm.fused))
-	}
-	vm.regEnabled = !cfg.DisableRegTier && cfg.StepLimit == 0
-	vm.aotEnabled = !cfg.DisableAOTTier && vm.regEnabled
+	vm.aotEnabled = !cfg.DisableAOTTier && cfg.StepLimit == 0
 	vm.imports = make([]HostFunc, len(s.module.Imports))
 	if s.hasMem {
 		m := s.module.Mem
@@ -171,7 +150,7 @@ func (s *Snapshot) NewVM(cfg Config) (*VM, error) {
 // post-Instantiate state, including the re-applied virtual instantiation
 // charge. Translated register and AOT bodies are retained — AOT closures
 // captured this instance's globals slice and *Memory, which is exactly why
-// the restore is in-place — but their tried flags clear, so the next run
+// the restore is in-place — but the tried flag clears, so the next run
 // replays translation counters, fault checks, and trace events
 // byte-identically to a cold instance while skipping the translation work.
 func (vm *VM) Reset() error {
@@ -190,7 +169,6 @@ func (vm *VM) Reset() error {
 		cf := &vm.funcs[i]
 		cf.hotness = 0
 		cf.tieredUp = false
-		cf.regTried = false
 		cf.aotTried = false
 	}
 	vm.stack = vm.stack[:0]
@@ -203,7 +181,6 @@ func (vm *VM) Reset() error {
 	}
 	vm.lastFlush = Stats{}
 	vm.childCycles = 0
-	vm.regBuilt = 0
 	vm.aotBuilt = 0
 	vm.aotBlockCount = 0
 	vm.aotErr = nil
@@ -214,9 +191,7 @@ func (vm *VM) Reset() error {
 
 // attach swaps the per-run attachments (tracer, profiling, fault plan,
 // instruments) onto a pooled instance at checkout, mirroring what New()
-// wires from a cold config. The FusedPairs publication matches the cold
-// path too: every cold cell constructs a VM and publishes its fused count
-// once, so every pooled checkout does the same.
+// wires from a cold config.
 func (vm *VM) attach(cfg Config) {
 	vm.cfg.Tracer = cfg.Tracer
 	vm.cfg.Profile = cfg.Profile
@@ -228,8 +203,5 @@ func (vm *VM) attach(cfg Config) {
 	vm.profiling = cfg.Profile || cfg.Tracer != nil
 	if vm.profiling && vm.profs == nil {
 		vm.profs = make([]funcProf, len(vm.funcs))
-	}
-	if vm.inst != nil {
-		vm.inst.FusedPairs.Add(float64(vm.fused))
 	}
 }

@@ -52,7 +52,7 @@ func snapModule() *wasm.Module {
 
 // vmFingerprint is every externally observable virtual metric of a run:
 // results, the full cycle clock, stats, memory image checksum, profiles,
-// translation counters, and the trace event stream. Pooled and cold
+// the translation counter, and the trace event stream. Pooled and cold
 // executions must agree on all of it, byte for byte.
 type vmFingerprint struct {
 	results  []uint64
@@ -61,7 +61,6 @@ type vmFingerprint struct {
 	peak     uint64
 	pages    uint32
 	memSum   uint64
-	regBuilt int
 	aotBuilt int
 	profiles []obsv.FuncProfile
 	events   []obsv.Event
@@ -93,7 +92,6 @@ func runWorkload(t *testing.T, vm *VM, tc *obsv.Collector) vmFingerprint {
 		peak:     vm.PeakMemoryBytes(),
 		pages:    vm.Memory().Pages(),
 		memSum:   fnv1a(vm.Memory().Bytes()),
-		regBuilt: vm.RegTranslated(),
 		aotBuilt: vm.AOTTranslated(),
 		profiles: vm.Profile(),
 		events:   tc.Events(),
@@ -103,8 +101,8 @@ func runWorkload(t *testing.T, vm *VM, tc *obsv.Collector) vmFingerprint {
 
 // TestSnapshotCloneAndResetIdentity is the core determinism claim: a clone
 // from a post-init snapshot and a recycled (Reset) instance produce virtual
-// metrics byte-identical to a cold New+Instantiate — across all four
-// dispatch tiers, with tracing and profiling armed.
+// metrics byte-identical to a cold New+Instantiate — across every
+// dispatch tier, with tracing and profiling armed.
 func TestSnapshotCloneAndResetIdentity(t *testing.T) {
 	for name, cfg := range growTierConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -176,24 +174,46 @@ func TestSnapshotCloneAndResetIdentity(t *testing.T) {
 	}
 }
 
-// TestSnapshotFusionMismatch: the one config axis baked into shared code is
-// rejected at clone time instead of silently mis-dispatching.
-func TestSnapshotFusionMismatch(t *testing.T) {
-	vm, err := New(snapModule(), 0, DefaultConfig())
+// TestSnapshotClonesAcrossConfigs: the lowered code a snapshot shares is
+// config-independent, so one snapshot clones instances for any tier mode
+// and dispatcher, each byte-identical to a cold instance of its own config.
+func TestSnapshotClonesAcrossConfigs(t *testing.T) {
+	origin, err := New(snapModule(), 0, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.Instantiate(); err != nil {
+	if err := origin.Instantiate(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := vm.Snapshot()
+	snap, err := origin.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultConfig()
-	bad.DisableFusion = true
-	if _, err := snap.NewVM(bad); err == nil {
-		t.Fatal("fusion-mismatched clone succeeded; want error")
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.Mode = TierOptOnly },
+		func(c *Config) { c.Mode = TierOptOnly; c.DisableAOTTier = true },
+		func(c *Config) { c.StepLimit = 1 << 40 },
+	} {
+		cfg := DefaultConfig()
+		mut(&cfg)
+		coldTC, cloneTC := &obsv.Collector{}, &obsv.Collector{}
+		cfg.Tracer = coldTC
+		cold, err := New(snapModule(), 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cold.Instantiate(); err != nil {
+			t.Fatal(err)
+		}
+		want := runWorkload(t, cold, coldTC)
+		cfg.Tracer = cloneTC
+		clone, err := snap.NewVM(cfg)
+		if err != nil {
+			t.Fatalf("clone under %+v: %v", cfg, err)
+		}
+		if got := runWorkload(t, clone, cloneTC); !reflect.DeepEqual(want, got) {
+			t.Errorf("clone diverged from cold:\ncold:  %+v\nclone: %+v", want, got)
+		}
 	}
 }
 
@@ -321,7 +341,7 @@ func TestPoolEvictsOtherShape(t *testing.T) {
 	pool := NewInstancePool(snapModule(), 0, PoolOptions{MaxInstances: 1})
 	cfgA := DefaultConfig()
 	cfgB := DefaultConfig()
-	cfgB.TierUpThreshold = 99 // different shape, same fusion bucket
+	cfgB.TierUpThreshold = 99 // different shape, same snapshot
 	vA, _, err := pool.Get(cfgA)
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +370,6 @@ func TestPoolEvictsOtherShape(t *testing.T) {
 func TestPoolConcurrent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TierUpThreshold = 50
-	cfg.AOTThreshold = 50
 	pool := NewInstancePool(snapModule(), 0, PoolOptions{MaxInstances: 3})
 	const workers = 8
 	const iters = 20
@@ -396,13 +415,13 @@ func TestPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestPoolFaultedTranslationRecycles: an injected register-translation
-// failure on a pooled instance clears the retained body, and the next
-// checkout rebuilds it — fault behavior is per run, not sticky.
+// TestPoolFaultedTranslationRecycles: an injected optimizing-tier
+// translation failure on a pooled instance clears the retained superblocks,
+// and the next checkout rebuilds them — fault behavior is per run, not
+// sticky.
 func TestPoolFaultedTranslationRecycles(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TierUpThreshold = 50
-	cfg.DisableAOTTier = true
 	pool := NewInstancePool(snapModule(), 0, PoolOptions{MaxInstances: 1})
 
 	vm, _, err := pool.Get(cfg)
@@ -412,15 +431,15 @@ func TestPoolFaultedTranslationRecycles(t *testing.T) {
 	if _, err := vm.Call("work", I32(400)); err != nil {
 		t.Fatal(err)
 	}
-	if vm.RegTranslated() == 0 {
-		t.Fatal("workload never engaged the register tier")
+	if vm.AOTTranslated() == 0 {
+		t.Fatal("workload never engaged the AOT tier")
 	}
 	pool.Put(vm)
 
-	// Second checkout with a translation fault armed: retained body must be
-	// discarded, run falls back to the stack tier.
+	// Second checkout with a translation fault armed: retained superblocks
+	// must be discarded, the run falls back to the stack loop.
 	fcfg := cfg
-	fcfg.Faults = faultinject.NewPlan(7, faultinject.Rule{Point: faultinject.WasmRegTranslate, Prob: 1})
+	fcfg.Faults = faultinject.NewPlan(7, faultinject.Rule{Point: faultinject.WasmAOTTranslate, Prob: 1})
 	vm2, recycled, err := pool.Get(fcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -431,8 +450,8 @@ func TestPoolFaultedTranslationRecycles(t *testing.T) {
 	if _, err := vm2.Call("work", I32(400)); err != nil {
 		t.Fatal(err)
 	}
-	if vm2.RegTranslated() != 0 {
-		t.Error("faulted run still counts register translations")
+	if vm2.AOTTranslated() != 0 || vm2.Stats().AOTCycles != 0 {
+		t.Error("faulted run still ran AOT superblocks")
 	}
 	pool.Put(vm2)
 
@@ -444,7 +463,7 @@ func TestPoolFaultedTranslationRecycles(t *testing.T) {
 	if _, err := vm3.Call("work", I32(400)); err != nil {
 		t.Fatal(err)
 	}
-	if vm3.RegTranslated() == 0 {
+	if vm3.AOTTranslated() == 0 {
 		t.Error("post-fault checkout never re-translated")
 	}
 	pool.Put(vm3)

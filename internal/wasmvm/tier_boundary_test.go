@@ -2,6 +2,7 @@ package wasmvm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"wasmbench/internal/obsv"
@@ -124,14 +125,13 @@ func aotCompileEvents(coll *obsv.Collector) []obsv.Event {
 	return out
 }
 
-// TestAOTExactlyAtThreshold pins the AOT tier boundary in pinned-opt mode,
-// where hotness grows one call at a time: with AOTThreshold T, the T-th
-// call is the first to compile and run superblocks, and repeat calls never
-// compile again.
+// TestAOTExactlyAtThreshold pins the AOT tier boundary in tiering mode,
+// where the tier-up threshold is the only threshold left: with threshold T
+// the T-th call is the first to compile and run superblocks, no call
+// before it does, and repeat calls never compile again.
 func TestAOTExactlyAtThreshold(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Mode = TierOptOnly
-	cfg.AOTThreshold = 5
+	cfg.TierUpThreshold = 5
 	coll := &obsv.Collector{}
 	cfg.Tracer = coll
 	vm := newVM(t, cfg)
@@ -166,11 +166,64 @@ func TestAOTExactlyAtThreshold(t *testing.T) {
 	if n := len(aotCompileEvents(coll)); n != 1 {
 		t.Fatalf("%d KindAOTCompile events, want 1", n)
 	}
+	if s := vm.Stats(); s.AOTCycles != s.OptCycles {
+		t.Errorf("every optimizing-tier call should run on superblocks: AOTCycles %v, OptCycles %v", s.AOTCycles, s.OptCycles)
+	}
+}
+
+// TestAOTFromFirstCallOptOnly pins the opt-only entry: with no basic tier
+// there is no threshold to cross, so a function called once runs its hot
+// loop on AOT superblocks from its first instruction — and measures exactly
+// what the stack loop measures under the same cost table.
+func TestAOTFromFirstCallOptOnly(t *testing.T) {
+	run := func(disableAOT bool) (*VM, *obsv.Collector) {
+		cfg := DefaultConfig()
+		cfg.Mode = TierOptOnly
+		cfg.DisableAOTTier = disableAOT
+		coll := &obsv.Collector{}
+		cfg.Tracer = coll
+		vm := newVM(t, cfg)
+		if got := AsI64(call1(t, vm, "sum", I32(100000))); got != 4999950000 {
+			t.Fatalf("sum = %d", got)
+		}
+		return vm, coll
+	}
+	aot, acoll := run(false)
+	stack, scoll := run(true)
+	if got := aot.AOTTranslated(); got != 1 {
+		t.Fatalf("AOTTranslated = %d after one call, want 1", got)
+	}
+	evs := aotCompileEvents(acoll)
+	if len(evs) != 1 {
+		t.Fatalf("%d KindAOTCompile events, want 1", len(evs))
+	}
+	// Compiled at call entry: nothing but instantiation has been charged.
+	if enter := acoll.Events()[0]; enter.Kind != obsv.KindCallEnter || evs[0].TS != enter.TS {
+		t.Errorf("AOT compile at %v, want at call entry %+v", evs[0].TS, enter)
+	}
+	as, ss := aot.Stats(), stack.Stats()
+	if as.AOTCycles != as.OptCycles || as.OptCycles == 0 {
+		t.Errorf("the whole call should run on superblocks: %+v", as)
+	}
+	if aot.Cycles() != stack.Cycles() {
+		t.Errorf("cycles differ: aot=%v stack=%v", aot.Cycles(), stack.Cycles())
+	}
+	as.AOTCycles = 0
+	if as != ss {
+		t.Errorf("stats differ:\n  aot:   %+v\n  stack: %+v", as, ss)
+	}
+	if ap, sp := aot.Profile(), stack.Profile(); !reflect.DeepEqual(ap, sp) {
+		t.Errorf("profiles differ:\n  aot:   %+v\n  stack: %+v", ap, sp)
+	}
+	if ae := stripAOTCompile(acoll.Events()); !reflect.DeepEqual(ae, scoll.Events()) {
+		t.Error("trace streams differ beyond the aot-compile marker")
+	}
 }
 
 // TestAOTPinnedOff verifies the AOT tier stays off where it must: under
-// DisableAOTTier and in basic-only mode (no register bodies to compile
-// from), no amount of hotness produces a superblock or an event.
+// DisableAOTTier and in basic-only mode (nothing ever reaches the
+// optimizing tier), no amount of hotness produces a superblock or an
+// event.
 func TestAOTPinnedOff(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -182,7 +235,6 @@ func TestAOTPinnedOff(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.TierUpThreshold = 10
-			cfg.AOTThreshold = 10
 			coll := &obsv.Collector{}
 			cfg.Tracer = coll
 			tc.mut(&cfg)
@@ -204,18 +256,24 @@ func TestAOTPinnedOff(t *testing.T) {
 	}
 }
 
-// TestAOTOSRMidLoop sets AOTThreshold equal to TierUpThreshold so the
-// back-edge that promotes the loop also qualifies it for superblocks: the
-// single call must OSR from the stack body directly into the AOT
-// dispatcher and finish there.
+// TestAOTOSRMidLoop pins the tiering entry: the back-edge that promotes a
+// running loop moves the frame into the AOT dispatcher by OSR, compiling
+// at the tier-up instant and resuming at the same pc. Resuming anywhere
+// else would skip or repeat instructions, so steps, the basic/opt cycle
+// split, and the result must all equal a stack-loop run's.
 func TestAOTOSRMidLoop(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TierUpThreshold = 500
-	cfg.AOTThreshold = 500
-	coll := &obsv.Collector{}
-	cfg.Tracer = coll
-	vm := newVM(t, cfg)
-	call1(t, vm, "sum", I32(100000))
+	run := func(disableAOT bool) (*VM, *obsv.Collector, uint64) {
+		cfg := DefaultConfig()
+		cfg.TierUpThreshold = 500
+		cfg.DisableAOTTier = disableAOT
+		coll := &obsv.Collector{}
+		cfg.Tracer = coll
+		vm := newVM(t, cfg)
+		res := call1(t, vm, "sum", I32(100000))
+		return vm, coll, res
+	}
+	vm, coll, res := run(false)
+	stack, _, sres := run(true)
 	if got := vm.Stats().TierUps; got != 1 {
 		t.Fatalf("TierUps = %d, want 1", got)
 	}
@@ -232,17 +290,23 @@ func TestAOTOSRMidLoop(t *testing.T) {
 	if evs[0].A <= 0 || evs[0].B <= 0 {
 		t.Errorf("compile event payload wrong: %+v", evs[0])
 	}
+	if ups := tierUpEvents(coll); len(ups) != 1 || ups[0].TS != evs[0].TS {
+		t.Errorf("AOT compile at %v, want at the tier-up instant %+v", evs[0].TS, ups)
+	}
+	s, ss := vm.Stats(), stack.Stats()
+	if res != sres || s.Steps != ss.Steps || s.BasicCycles != ss.BasicCycles || s.OptCycles != ss.OptCycles {
+		t.Errorf("OSR resumed off the stack loop's path:\n  aot:   res=%d %+v\n  stack: res=%d %+v", res, s, sres, ss)
+	}
 }
 
 // TestAOTCompileChargesNoCycles pins the AOT compile's virtual cost at
-// zero: like fusion and register translation (and unlike tier-up), the
-// superblock compile is invisible to the virtual clock, so an AOT run and
-// a register-only run of the same workload read identical cycles.
+// zero: unlike tier-up, the register-form and superblock translation is
+// invisible to the virtual clock, so an AOT run and a stack-loop run of
+// the same workload read identical cycles.
 func TestAOTCompileChargesNoCycles(t *testing.T) {
 	run := func(disableAOT bool) *VM {
 		cfg := DefaultConfig()
 		cfg.TierUpThreshold = 500
-		cfg.AOTThreshold = 500
 		cfg.DisableAOTTier = disableAOT
 		vm := newVM(t, cfg)
 		call1(t, vm, "sum", I32(100000))
@@ -250,12 +314,12 @@ func TestAOTCompileChargesNoCycles(t *testing.T) {
 		return vm
 	}
 	aot := run(false)
-	reg := run(true)
+	stack := run(true)
 	if aot.AOTTranslated() != 1 {
 		t.Fatalf("AOTTranslated = %d, want 1", aot.AOTTranslated())
 	}
-	if aot.Cycles() != reg.Cycles() {
-		t.Fatalf("AOT compile leaked into the virtual clock: aot=%v reg=%v",
-			aot.Cycles(), reg.Cycles())
+	if aot.Cycles() != stack.Cycles() {
+		t.Fatalf("AOT compile leaked into the virtual clock: aot=%v stack=%v",
+			aot.Cycles(), stack.Cycles())
 	}
 }

@@ -66,37 +66,17 @@ type Config struct {
 	StepLimit uint64
 	// CallDepthLimit guards the host stack; 0 means 10000.
 	CallDepthLimit int
-	// DisableFusion turns off the load-time superinstruction pass
-	// (fuse.go). Fusion never changes virtual cycles, step counts, or
-	// traces — only wall-clock dispatch speed — so this exists for
-	// equivalence tests and interpreter-overhead studies. Fusion is also
-	// skipped automatically when StepLimit is set, preserving the exact
-	// instruction at which the budget trips.
-	DisableFusion bool
-	// DisableRegTier turns off the register-form optimizing tier
-	// (regalloc.go/regexec.go): tier-up then only swaps cost tables, as
-	// the basic interpreter always did. Like fusion, the register tier
-	// never changes virtual cycles, step counts, stats, profiles, or
-	// traces — only wall-clock dispatch speed — so this exists for
-	// equivalence tests and dispatch-overhead studies. The register tier
-	// is also skipped automatically when StepLimit is set: a translated
-	// instruction charges all of its fused components before the budget
-	// check, which could overshoot the exact trip instruction.
-	DisableRegTier bool
-	// DisableAOTTier turns off the closure-threaded AOT tier (aot.go /
-	// aotexec.go): hot functions then keep running the register-dispatch
-	// loop. Like fusion and the register tier, the AOT tier never changes
-	// virtual cycles, step counts, stats, profiles, or traces — only
-	// wall-clock dispatch speed. The AOT form is built from the register
-	// form, so the tier is also off implicitly whenever the register tier
-	// is (DisableRegTier or a step limit).
+	// DisableAOTTier turns off the closure-threaded AOT tier (regalloc.go,
+	// aot.go, aotexec.go): optimizing-tier functions then run on the stack
+	// loop under OptCost, exactly as they do when translation bails. The
+	// AOT tier never changes virtual cycles, step counts, stats (apart
+	// from the AOTCycles sub-split), profiles, or traces — only wall-clock
+	// dispatch speed — so this is the stack reference for equivalence
+	// tests and the degrade ladder's "noaot" rung. The tier is also off
+	// whenever StepLimit is set: a translated pair charges both of its
+	// components before the budget check, which could overshoot the exact
+	// trip instruction.
 	DisableAOTTier bool
-	// AOTThreshold is the hotness after which an optimizing-tier function's
-	// register body is AOT-compiled into superblocks of pre-bound closures.
-	// 0 engages the AOT tier together with the register tier (hotness is
-	// always past zero by then); the default holds it at the same point as
-	// tier-up.
-	AOTThreshold uint64
 	// Tracer receives typed execution events (tier-ups, memory grows,
 	// call enter/exit) stamped with the virtual-cycle clock. nil disables
 	// tracing; hook sites cost one branch.
@@ -105,14 +85,14 @@ type Config struct {
 	// a non-nil Tracer).
 	Profile bool
 	// Faults arms deterministic fault injection (memory.grow denial,
-	// register-tier translation failure, artificial stalls). nil — the
+	// optimizing-tier translation failure, artificial stalls). nil — the
 	// default — is completely inert: every injection site is guarded by a
 	// single nil check and the execution path is byte-identical to a build
 	// without fault injection.
 	Faults *faultinject.Plan
 	// Instruments publishes live counters to a telemetry registry: per-tier
-	// cycles, steps, tier-ups, memory grows, fusion and register-tier
-	// totals. nil (the default) is inert under the same discipline as
+	// cycles, steps, tier-ups, memory grows, and AOT translation totals.
+	// nil (the default) is inert under the same discipline as
 	// Tracer/Faults: rare events cost one branch, and bulk counters are
 	// flushed only at exported Call boundaries, so the dispatch loop itself
 	// never touches an instrument. Instruments never feed back into the
@@ -129,7 +109,6 @@ func DefaultConfig() Config {
 		CompileBasicPerInstr: 6,
 		CompileOptPerInstr:   60,
 		TierUpThreshold:      1500,
-		AOTThreshold:         1500,
 		Mode:                 TierBoth,
 		DecodePerByte:        0.6,
 		InstantiateCost:      9000,
@@ -151,17 +130,12 @@ type branchTarget struct {
 }
 
 // lop is a lowered instruction: the original opcode plus resolved control
-// targets and a precomputed cost class. Superinstructions (see fuse.go)
-// additionally carry their partner's opcode (op2), cost class (class2),
-// and immediate (b2).
+// targets and a precomputed cost class.
 type lop struct {
 	op      wasm.Opcode
-	op2     wasm.Opcode
 	class   CostClass
-	class2  CostClass
 	keep    uint8
 	a, b    uint32
-	b2      uint32
 	val     int64
 	jump    branchTarget   // br, br_if (taken), if (false edge), else
 	targets []branchTarget // br_table
@@ -183,19 +157,15 @@ type compiledFunc struct {
 	// assign every stack slot a fixed frame register.
 	heights []int32
 
-	// Register-form body, produced lazily by translateReg the first time
-	// the function runs (or resumes via OSR) in the optimizing tier. The
-	// translation is 1:1 — regCode[pc] executes exactly code[pc] — so
-	// branch targets, OSR safe points, and fused partner slots need no
-	// remapping.
-	regCode  []rop
-	maxStack int32 // peak operand-stack height (register frame = locals + this)
-	regTried bool  // translation attempted (regCode may still be nil on bail)
-
-	// AOT superblock form, produced lazily by translateAOT once the
-	// function is hot enough (Config.AOTThreshold) in the optimizing tier.
-	// aotEntry maps a register-form pc to its superblock index (-1 = not a
-	// block leader), so OSR can enter mid-function at any branch target.
+	// Optimizing-tier forms, produced lazily by aotBody the first time the
+	// function runs (or resumes via OSR) in the optimizing tier. regCode is
+	// the register-form IR (translateReg): 1:1 with code, so branch
+	// targets, OSR safe points, and pair partner slots need no remapping.
+	// aotBlocks are its superblocks (translateAOT); aotEntry maps a
+	// register-form pc to its superblock index (-1 = not a block leader),
+	// so OSR can enter mid-function at any branch target.
+	regCode   []rop
+	maxStack  int32 // peak operand-stack height (register frame = locals + this)
 	aotBlocks []aotBlock
 	aotEntry  []int32
 	aotTried  bool // translation attempted (aotBlocks may still be nil on bail)
@@ -217,8 +187,9 @@ type Stats struct {
 	OptCycles   float64
 	// AOTCycles is the sub-split of OptCycles charged while the AOT
 	// superblock dispatcher was running (always <= OptCycles). It is the
-	// one dispatcher-visible Stats field: a configuration that never
-	// engages the AOT tier reports 0 here while charging the identical
+	// one dispatcher-visible Stats field: a configuration where the stack
+	// loop serves the optimizing tier (DisableAOTTier, a step limit, or a
+	// translation bail) reports 0 here while charging the identical
 	// OptCycles total, so cross-dispatcher equivalence checks compare
 	// everything except this split.
 	AOTCycles float64
@@ -279,17 +250,9 @@ type VM struct {
 	// childCycles accumulates callee cycles for the frame currently being
 	// profiled, so selfCycles = total − children.
 	childCycles float64
-	// fused is the static count of superinstruction pairs formed at load
-	// time (0 when fusion is disabled).
-	fused int
-	// regEnabled gates the register-form optimizing tier (off under
-	// DisableRegTier or a step limit); regBuilt counts translated bodies.
-	regEnabled bool
-	regBuilt   int
 	// aotEnabled gates the closure-threaded AOT tier (off under
-	// DisableAOTTier, and implicitly whenever the register tier is off);
-	// aotBuilt/aotBlockCount count AOT-compiled functions and the
-	// superblocks built for them.
+	// DisableAOTTier or a step limit); aotBuilt/aotBlockCount count
+	// AOT-compiled functions and the superblocks built for them.
 	aotEnabled    bool
 	aotBuilt      int
 	aotBlockCount int
@@ -351,33 +314,14 @@ func New(m *wasm.Module, binarySize int, cfg Config) (*VM, error) {
 	if vm.profiling {
 		vm.profs = make([]funcProf, len(vm.funcs))
 	}
-	if !cfg.DisableFusion && cfg.StepLimit == 0 {
-		for i := range vm.funcs {
-			vm.fused += fuseFunc(vm.funcs[i].code)
-		}
-	}
-	if vm.inst != nil {
-		vm.inst.FusedPairs.Add(float64(vm.fused))
-	}
-	vm.regEnabled = !cfg.DisableRegTier && cfg.StepLimit == 0
-	vm.aotEnabled = !cfg.DisableAOTTier && vm.regEnabled
+	vm.aotEnabled = !cfg.DisableAOTTier && cfg.StepLimit == 0
 	vm.imports = make([]HostFunc, len(m.Imports))
 	return vm, nil
 }
 
-// FusedPairs returns the number of superinstruction pairs formed at load
-// time; 0 when fusion was disabled (explicitly or by a step limit).
-func (vm *VM) FusedPairs() int { return vm.fused }
-
-// RegTranslated returns how many functions have been translated to
-// register form so far; 0 when the register tier is disabled (explicitly
-// or by a step limit) or when nothing has tiered up yet.
-func (vm *VM) RegTranslated() int { return vm.regBuilt }
-
 // AOTTranslated returns how many functions have been AOT-compiled into
 // superblock form so far; 0 when the AOT tier is disabled (explicitly or
-// via a disabled register tier) or when nothing has crossed the AOT
-// threshold yet.
+// by a step limit) or when nothing has run in the optimizing tier yet.
 func (vm *VM) AOTTranslated() int { return vm.aotBuilt }
 
 // AOTSuperblocks returns the total number of superblocks built across all
