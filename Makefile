@@ -2,9 +2,13 @@
 
 GO ?= go
 
-.PHONY: check build vet test race e2ebench-test bench bench-e2e bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke fuzz
+.PHONY: check fmt build vet test race e2ebench-test bench bench-e2e bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke fuzz
 
-check: vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke
+check: fmt vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke
+
+# Formatting gate: every Go file (e2ebench/ included) is gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

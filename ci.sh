@@ -1,6 +1,8 @@
 #!/bin/sh
 # Tier-1 verification gate, for environments without make.
 set -eux
+# Formatting gate: every Go file (e2ebench/ included) is gofmt-clean.
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test -race ./...

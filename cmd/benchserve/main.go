@@ -44,13 +44,11 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before the half-open probe (0 = 5s)")
 	stepLimit := flag.Uint64("step-limit", 0, "per-measurement dynamic instruction budget (0 = profile default)")
 	vmPool := flag.Bool("vm-pool", true, "serve Wasm cells from warm pooled instances")
-	vmPoolSize := flag.Int("vm-pool-size", 0, "max live instances per artifact pool (0 = default)")
 	noCache := flag.Bool("no-compile-cache", false, "cold-compile every request")
 	faultSpec := flag.String("faults", "", "fault plan spec, e.g. 'serve.shed:prob=0.1;wasm.stall:count=3,stall=2s'")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault plan seed")
 	checkpointPath := flag.String("checkpoint", "", "JSONL checkpoint: record successes, serve repeats across restarts")
 	telemetrySnap := flag.String("telemetry-snapshot", "", "write a metrics snapshot on drain ('-' = text to stdout; .json gets JSON)")
-	flightCap := flag.Int("flight", 0, "flight-recorder window in events (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget before in-flight cells are canceled")
 
 	loadgen := flag.Bool("loadgen", false, "run as load generator instead of server")
@@ -76,7 +74,7 @@ func main() {
 		plan = faultinject.NewPlan(*faultSeed, rules...)
 	}
 
-	hub := telemetry.NewHub(*flightCap)
+	hub := telemetry.NewHub(0)
 	var checkpoint *harness.Checkpoint
 	if *checkpointPath != "" {
 		var err error
@@ -102,7 +100,6 @@ func main() {
 		BreakerFailures: *breakerFailures,
 		BreakerCooldown: *breakerCooldown,
 		DisableVMPool:   !*vmPool,
-		VMPoolSize:      *vmPoolSize,
 		DisableCache:    *noCache,
 		Faults:          plan,
 		Hub:             hub,
@@ -144,7 +141,7 @@ func main() {
 	// Flush durable state after the pipeline is quiet: the snapshot sees
 	// every terminal response, the checkpoint every recorded success.
 	if *telemetrySnap != "" {
-		if err := writeSnapshot(*telemetrySnap, hub); err != nil {
+		if err := telemetry.WriteSnapshot(os.Stdout, *telemetrySnap, hub.Registry().Snapshot()); err != nil {
 			fmt.Fprintln(os.Stderr, "benchserve: telemetry snapshot:", err)
 		}
 	}
@@ -243,30 +240,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func writeSnapshot(dst string, hub *telemetry.Hub) error {
-	snap := hub.Registry().Snapshot()
-	if dst == "-" {
-		fmt.Print(snap.Text())
-		return nil
-	}
-	f, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(dst, ".json") {
-		err = snap.WriteJSON(f)
-	} else {
-		_, err = f.WriteString(snap.Text())
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		fmt.Printf("telemetry snapshot: %d metrics -> %s\n", len(snap.Metrics), dst)
-	}
-	return err
 }
 
 func fatal(err error) {

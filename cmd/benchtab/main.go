@@ -30,8 +30,8 @@
 // file and restores them on the next invocation, and -faults/-fault-seed
 // inject a deterministic fault plan for drills. -vm-pool serves Wasm cells
 // from per-artifact instance pools (snapshot clones/resets instead of cold
-// instantiation; host time only — every virtual metric is unchanged), with
-// -vm-pool-size bounding live instances per pool. Any cell still failed or
+// instantiation; host time only — every virtual metric is unchanged; each
+// pool holds at most workers+1 live instances). Any cell still failed or
 // quarantined at the end makes benchtab exit nonzero with a failure
 // summary on stderr.
 package main
@@ -75,10 +75,8 @@ func main() {
 	faultSpec := flag.String("faults", "", "with -metrics: deterministic fault plan, e.g. 'wasm.stall:count=2,stall=100ms;harness.worker-panic:prob=0.05'")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the -faults plan and retry jitter")
 	vmPool := flag.Bool("vm-pool", false, "with -metrics: serve Wasm measurements from per-artifact instance pools (post-init snapshot clones and resets instead of cold instantiation; virtual metrics are unchanged)")
-	vmPoolSize := flag.Int("vm-pool-size", 0, "with -metrics: max live instances per artifact pool (0 = workers+1)")
 	telemetryAddr := flag.String("telemetry", "", "with -metrics: serve live telemetry on this address during the sweep (/metrics, /debug/trace, /debug/profile, /debug/cells, /healthz); ':0' picks a free port")
 	telemetrySnap := flag.String("telemetry-snapshot", "", "with -metrics: write a metrics snapshot when the sweep ends ('-' = text to stdout; a path ending in .json gets JSON)")
-	flightCap := flag.Int("flight", 0, "flight-recorder window in events for -telemetry (0 = default 65536)")
 	flag.Parse()
 	if *exp == "" && !*metricsFlag && *traceOut == "" {
 		flag.Usage()
@@ -120,7 +118,6 @@ func main() {
 			StepLimit:       *stepLimit,
 			QuarantineAfter: *quarantine,
 			VMPool:          *vmPool,
-			VMPoolSize:      *vmPoolSize,
 		}
 		if *faultSpec != "" {
 			rules, err := faultinject.ParseSpec(*faultSpec)
@@ -137,7 +134,7 @@ func main() {
 			defer cp.Close()
 			ropt.Checkpoint = cp
 		}
-		tele := teleConfig{addr: *telemetryAddr, snapshot: *telemetrySnap, flight: *flightCap}
+		tele := teleConfig{addr: *telemetryAddr, snapshot: *telemetrySnap}
 		if err := runMetrics(opts, ropt, tele, *traceOut); err != nil {
 			fatal(err)
 		}
@@ -249,7 +246,6 @@ func run(id string, opts core.Options) error {
 type teleConfig struct {
 	addr     string // HTTP listen address ("" = no server)
 	snapshot string // snapshot destination ("" = none, "-" = stdout text)
-	flight   int    // flight-recorder capacity (0 = default)
 }
 
 func (t teleConfig) enabled() bool { return t.addr != "" || t.snapshot != "" }
@@ -293,7 +289,7 @@ func runMetrics(opts core.Options, ropt harness.RunOptions, tele teleConfig, tra
 	var hub *telemetry.Hub
 	var srv *telemetry.Server
 	if tele.enabled() {
-		hub = telemetry.NewHub(tele.flight)
+		hub = telemetry.NewHub(0)
 		ropt.Telemetry = hub
 		profile.SetInstruments(hub.Registry())
 		profile.SetProfiling(true)
@@ -323,7 +319,7 @@ func runMetrics(opts core.Options, ropt harness.RunOptions, tele teleConfig, tra
 				}
 			}
 			if tele.snapshot != "" {
-				if err := writeSnapshot(tele.snapshot, hub); err != nil {
+				if err := telemetry.WriteSnapshot(os.Stdout, tele.snapshot, hub.Registry().Snapshot()); err != nil {
 					fmt.Fprintln(os.Stderr, "benchtab: telemetry snapshot:", err)
 				}
 			}
@@ -372,14 +368,13 @@ func runMetrics(opts core.Options, ropt harness.RunOptions, tele teleConfig, tra
 	return nil
 }
 
-// writeTrace exports the collector's events (with an explicit truncation
-// marker if its Limit dropped any) as a Chrome trace file.
+// writeTrace exports the collector's events as a Chrome trace file.
 func writeTrace(path string, coll *obsv.Collector) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obsv.WriteChromeTrace(f, coll.EventsWithTruncation(), nil); err != nil {
+	if err := obsv.WriteChromeTrace(f, coll.Events(), nil); err != nil {
 		f.Close()
 		return err
 	}
@@ -388,33 +383,6 @@ func writeTrace(path string, coll *obsv.Collector) error {
 	}
 	fmt.Printf("trace: %d events -> %s\n", coll.Len(), path)
 	return nil
-}
-
-// writeSnapshot dumps the hub's registry: "-" prints the aligned text
-// table to stdout, a *.json path gets indented JSON, anything else the
-// text table.
-func writeSnapshot(dst string, hub *telemetry.Hub) error {
-	snap := hub.Registry().Snapshot()
-	if dst == "-" {
-		fmt.Print(snap.Text())
-		return nil
-	}
-	f, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(dst, ".json") {
-		err = snap.WriteJSON(f)
-	} else {
-		_, err = f.WriteString(snap.Text())
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		fmt.Printf("telemetry snapshot: %d metrics -> %s\n", len(snap.Metrics), dst)
-	}
-	return err
 }
 
 func fatal(err error) {

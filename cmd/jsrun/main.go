@@ -86,7 +86,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := obsv.WriteChromeTrace(f, coll.EventsWithTruncation(), vm.Profile()); err != nil {
+		if err := obsv.WriteChromeTrace(f, coll.Events(), vm.Profile()); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {

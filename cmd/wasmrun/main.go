@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"wasmbench/internal/browser"
 	"wasmbench/internal/compiler"
@@ -172,7 +171,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := obsv.WriteChromeTrace(f, coll.EventsWithTruncation(), vm.Profile()); err != nil {
+		if err := obsv.WriteChromeTrace(f, coll.Events(), vm.Profile()); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -185,7 +184,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := obsv.WriteFolded(f, coll.EventsWithTruncation()); err != nil {
+		if err := obsv.WriteFolded(f, coll.Events()); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -193,32 +192,10 @@ func main() {
 		}
 	}
 	if *teleSnap != "" {
-		if err := dumpSnapshot(*teleSnap, reg.Snapshot()); err != nil {
+		if err := telemetry.WriteSnapshot(os.Stdout, *teleSnap, reg.Snapshot()); err != nil {
 			fatal(err)
 		}
 	}
-}
-
-// dumpSnapshot writes a registry snapshot: "-" prints the text table to
-// stdout, a *.json path gets indented JSON, anything else the text table.
-func dumpSnapshot(dst string, snap telemetry.Snapshot) error {
-	if dst == "-" {
-		fmt.Print(snap.Text())
-		return nil
-	}
-	f, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(dst, ".json") {
-		err = snap.WriteJSON(f)
-	} else {
-		_, err = f.WriteString(snap.Text())
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 func fatal(err error) {

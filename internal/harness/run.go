@@ -14,7 +14,6 @@ import (
 	"wasmbench/internal/ir"
 	"wasmbench/internal/obsv"
 	"wasmbench/internal/telemetry"
-	"wasmbench/internal/wasmvm"
 )
 
 // Cell is one measurement cell: a benchmark compiled with a configuration
@@ -118,11 +117,9 @@ type RunOptions struct {
 	// re-running module init per cell. Like the artifact cache, this is
 	// wall-clock-only — virtual metrics are byte-identical to cold runs by
 	// the wasmvm snapshot contract. Saturated pools fall back to cold
-	// instantiation, never blocking a worker.
+	// instantiation, never blocking a worker. Each artifact pool holds at
+	// most workers+1 live instances.
 	VMPool bool
-	// VMPoolSize bounds each artifact pool's live instances; <=0 selects
-	// the default (workers + 1).
-	VMPoolSize int
 	// SharedVMPools, when set (and VMPool is true), serves Wasm
 	// measurements from a caller-owned pool set shared across many runs —
 	// the warm-instance substrate a long-running server keeps across
@@ -174,9 +171,9 @@ type RunOptions struct {
 	Checkpoint *Checkpoint
 	// Telemetry, when set, publishes the run live: harness instruments
 	// (cell latency histograms, queue-depth gauge, robustness counters) on
-	// the hub's registry, an in-flight cell table as the hub's "cells"
-	// provider, merged VM profiles, harness trace events teed into the
-	// hub's flight recorder, and a flight dump frozen on every cell
+	// the hub's registry, the run's cell record as the hub's "cells"
+	// provider (a RunState), merged VM profiles, harness trace events teed
+	// into the hub's flight window, and a flight dump frozen on every cell
 	// failure. nil (the default) changes nothing: results and metrics are
 	// byte-identical with telemetry on or off.
 	Telemetry *telemetry.Hub
@@ -217,12 +214,8 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	metrics := &obsv.RunMetrics{
-		Workers: workers,
-		Cells:   make([]obsv.CellMetric, len(cells)),
-	}
 	if len(cells) == 0 {
-		return out, metrics
+		return out, &obsv.RunMetrics{Workers: workers, Cells: []obsv.CellMetric{}}
 	}
 	cache := opt.Cache
 	if cache == nil && !opt.DisableCache {
@@ -231,34 +224,16 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 	if opt.DisableCache {
 		cache = nil
 	}
-	// Snapshot so a caller-shared cache reports this run's delta only.
-	var cacheBase CacheStats
-	if cache != nil {
-		cacheBase = cache.Stats()
-	}
-	var faultBase int
-	if opt.Faults != nil {
-		faultBase = opt.Faults.TotalFired()
-	}
 	if opt.VMPool && opt.vmPools == nil {
 		if opt.SharedVMPools != nil {
 			opt.vmPools = opt.SharedVMPools.set
 		} else {
-			size := opt.VMPoolSize
-			if size <= 0 {
-				size = workers + 1
-			}
 			var pi *telemetry.PoolInstruments
 			if opt.Telemetry != nil {
 				pi = telemetry.NewPoolInstruments(opt.Telemetry.Registry())
 			}
-			opt.vmPools = newVMPoolSet(size, pi)
+			opt.vmPools = newVMPoolSet(workers+1, pi)
 		}
-	}
-	// Delta-base so pools shared across runs report this run's checkouts.
-	var vmPoolBase wasmvm.PoolStats
-	if opt.vmPools != nil {
-		vmPoolBase = opt.vmPools.stats()
 	}
 	quar := newQuarantine(opt.QuarantineAfter)
 	ctx := opt.Context
@@ -266,11 +241,10 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 		ctx = context.Background()
 	}
 
-	start := time.Now()
-	// Arm live telemetry (nil hub → nil tracker; every hook is then a
-	// no-op) and tee harness trace events into the hub's flight recorder.
-	rt := newRunTelemetry(opt.Telemetry, cells, workers, cache, opt.vmPools, opt.Faults, start)
-	if rt != nil {
+	rec := newRunRecord(cells, workers, cache, opt.vmPools, opt.Faults, opt.Telemetry)
+	start := rec.start
+	// Tee harness trace events into the hub's flight window.
+	if opt.Telemetry != nil {
 		opt.Tracer = obsv.Multi(opt.Tracer, opt.Telemetry.Tracer())
 	}
 
@@ -282,14 +256,9 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 			if r, ok := opt.Checkpoint.Lookup(c); ok {
 				out[i] = r
 				resumed[i] = true
-				rt.resumed(i)
-				metrics.Cells[i] = obsv.CellMetric{Label: c.Label(), Resumed: true}
-				if r.Meas != nil && r.Meas.Result != nil {
-					metrics.Cells[i].TierUps = r.Meas.Result.TierUps
-					metrics.Cells[i].BasicCycles = r.Meas.Result.WasmStats.BasicCycles
-					metrics.Cells[i].OptCycles = r.Meas.Result.WasmStats.OptCycles
-					metrics.Cells[i].AOTCycles = r.Meas.Result.WasmStats.AOTCycles
-				}
+				cm := obsv.CellMetric{Label: c.Label(), Status: "resumed", Resumed: true}
+				recordResult(&cm, r)
+				rec.resumed(i, cm)
 			}
 		}
 	}
@@ -306,7 +275,7 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 		}
 	}
 	close(idx)
-	rt.enqueued(pending)
+	rec.enqueued(pending)
 
 	var (
 		mu   sync.Mutex
@@ -330,7 +299,7 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 						TS: float64(cellStart), Name: c.Label(),
 						Track: "harness", A: float64(worker), B: float64(depth)})
 				}
-				rt.cellStart(i, worker)
+				rec.claim(i, worker, idx)
 				r, oc := runCellResilient(ctx, c, opt, cache, quar, start)
 				wall := time.Since(start) - cellStart
 				out[i] = r
@@ -348,16 +317,8 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 					Degraded:    oc.degraded,
 					Quarantined: oc.quarantined,
 				}
-				if r.Meas != nil && r.Meas.Result != nil {
-					cm.TierUps = r.Meas.Result.TierUps
-					cm.BasicCycles = r.Meas.Result.WasmStats.BasicCycles
-					cm.OptCycles = r.Meas.Result.WasmStats.OptCycles
-					cm.AOTCycles = r.Meas.Result.WasmStats.AOTCycles
-					cm.VMPooled = r.Meas.Result.VMPooled
-					cm.VMPoolHit = r.Meas.Result.VMPoolRecycled
-				}
-				metrics.Cells[i] = cm
-				rt.cellDone(i, r, cm)
+				recordResult(&cm, r)
+				rec.finish(i, r, cm)
 				if r.Err == nil && opt.Checkpoint != nil {
 					// Checkpoint write failures are non-fatal: the sweep's
 					// results are still valid, only resumability suffers.
@@ -380,40 +341,24 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 		}(w)
 	}
 	wg.Wait()
-	metrics.Span = time.Since(start)
-	if cache != nil {
-		s := cache.Stats()
-		metrics.CacheEnabled = true
-		metrics.CacheHits = s.Hits - cacheBase.Hits
-		metrics.CacheMisses = s.Misses - cacheBase.Misses
-		metrics.CacheDedupWaits = s.DedupWaits - cacheBase.DedupWaits
+	metrics := rec.snapshot()
+	return out, &metrics
+}
+
+// recordResult copies a measured cell's virtual metrics and pool use
+// into its record.
+func recordResult(cm *obsv.CellMetric, r CellResult) {
+	if r.Meas == nil || r.Meas.Result == nil {
+		return
 	}
-	if opt.vmPools != nil {
-		s := opt.vmPools.stats()
-		metrics.VMPoolEnabled = true
-		metrics.VMPoolHits = s.Hits - vmPoolBase.Hits
-		metrics.VMPoolMisses = s.Misses - vmPoolBase.Misses
-		metrics.VMPoolRecycles = s.Recycles - vmPoolBase.Recycles
-		metrics.VMPoolColdFallbacks = s.ColdFallbacks - vmPoolBase.ColdFallbacks
-	}
-	// Aggregate robustness counters from the per-cell metrics (after
-	// wg.Wait, so no extra synchronization is needed). All remain zero on
-	// a fault-free run, keeping Render's output byte-identical.
-	if opt.Faults != nil {
-		metrics.FaultsInjected = opt.Faults.TotalFired() - faultBase
-	}
-	for _, cm := range metrics.Cells {
-		if cm.Attempts > 1 {
-			metrics.Retries += cm.Attempts - 1
-		}
-		if cm.Degraded != "" {
-			metrics.Degraded++
-		}
-		if cm.Quarantined {
-			metrics.Quarantined++
-		}
-	}
-	return out, metrics
+	res := r.Meas.Result
+	cm.Cycles = res.Cycles
+	cm.TierUps = res.TierUps
+	cm.BasicCycles = res.WasmStats.BasicCycles
+	cm.OptCycles = res.WasmStats.OptCycles
+	cm.AOTCycles = res.WasmStats.AOTCycles
+	cm.VMPooled = res.VMPooled
+	cm.VMPoolHit = res.VMPoolRecycled
 }
 
 // FirstError returns the first cell error, if any.

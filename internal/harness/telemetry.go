@@ -1,12 +1,12 @@
 package harness
 
-// This file wires one RunCellsWith invocation into a telemetry.Hub: live
-// harness instruments (cell latency histograms, queue depth, robustness
-// counters), a mutex-protected per-cell state table published as the
-// hub's "cells" JSON provider (the workers' own metrics.Cells writes are
-// index-disjoint and lock-free, so /debug/cells reads this copy instead),
-// failure dumps of the flight-recorder window, and live-profile merging.
-// A nil Hub (the default) makes every hook a no-op.
+// This file holds one RunCellsWith invocation's cell record and wires it
+// into a telemetry.Hub. Workers write the record's cells under one mutex;
+// the RunMetrics a run returns and the hub's live "cells" provider
+// (/debug/cells) are both copies tallied by snapshot. With a hub attached
+// the run also feeds the harness instruments (cell latency histograms,
+// queue depth, robustness counters), freezes a flight dump on every failed
+// cell, and merges VM profiles. Without one every hub hook is skipped.
 
 import (
 	"sync"
@@ -15,267 +15,217 @@ import (
 	"wasmbench/internal/faultinject"
 	"wasmbench/internal/obsv"
 	"wasmbench/internal/telemetry"
+	"wasmbench/internal/wasmvm"
 )
 
-// CellState is the live, JSON-facing view of one cell in an in-flight
-// sweep, served at /debug/cells while workers are still running.
-type CellState struct {
-	Label  string `json:"label"`
-	Status string `json:"status"` // pending, running, ok, failed, quarantined, resumed
-	Worker int    `json:"worker"`
-	// Wall-clock split in milliseconds (0 until the cell finishes).
-	WallMs    float64 `json:"wall_ms"`
-	CompileMs float64 `json:"compile_ms"`
-	MeasureMs float64 `json:"measure_ms"`
-	// Cycles is the measurement's virtual-cycle total; TierUps the VM tier
-	// promotions it observed. The three per-tier fields split the Wasm
-	// instruction cycles by dispatcher (AOTCycles ⊆ OptCycles).
-	Cycles      float64 `json:"cycles,omitempty"`
-	BasicCycles float64 `json:"basic_cycles,omitempty"`
-	OptCycles   float64 `json:"opt_cycles,omitempty"`
-	AOTCycles   float64 `json:"aot_cycles,omitempty"`
-	TierUps     int     `json:"tier_ups,omitempty"`
-	Attempts    int     `json:"attempts,omitempty"`
-	Degraded    string  `json:"degraded,omitempty"`
-	CacheHit    bool    `json:"cache_hit,omitempty"`
-	// VMPooled marks a Wasm measurement served through the instance pool;
-	// VMPoolHit narrows it to a recycled (snapshot-reset) instance.
-	VMPooled  bool `json:"vm_pooled,omitempty"`
-	VMPoolHit bool `json:"vm_pool_hit,omitempty"`
+// RunState is the "cells" provider's payload: a tallied copy of the run's
+// cell record plus the cumulative counters of the artifact cache and the
+// instance pools it used, which may be shared with other runs.
+type RunState struct {
+	obsv.RunMetrics
+	Cache   *CacheStats       `json:"cache,omitempty"`
+	VMPool  *wasmvm.PoolStats `json:"vm_pool,omitempty"`
+	VMPools int               `json:"vm_pools,omitempty"`
 }
 
-// VMPoolState is the /debug/cells view of the run's instance pools:
-// aggregate checkout counters across every per-artifact pool.
-type VMPoolState struct {
-	Pools         int `json:"pools"`
-	Hits          int `json:"hits"`
-	Misses        int `json:"misses"`
-	Recycles      int `json:"recycles"`
-	ColdFallbacks int `json:"cold_fallbacks"`
-	Evictions     int `json:"evictions"`
-	Discards      int `json:"discards"`
-	Live          int `json:"live"`
-	Idle          int `json:"idle"`
-}
+// runRecord is one run's cell record and the baselines its counters are
+// measured from.
+type runRecord struct {
+	start     time.Time
+	cache     *ArtifactCache
+	cacheBase CacheStats
+	pools     *vmPoolSet
+	poolBase  wasmvm.PoolStats
+	plan      *faultinject.Plan
+	faultBase int
 
-// SweepState is the /debug/cells payload: run-level aggregates plus the
-// per-cell table.
-type SweepState struct {
-	Workers     int         `json:"workers"`
-	Total       int         `json:"total"`
-	Done        int         `json:"done"`
-	Running     int         `json:"running"`
-	Failed      int         `json:"failed"`
-	Resumed     int         `json:"resumed"`
-	Retries     int         `json:"retries"`
-	Degraded    int         `json:"degraded"`
-	Quarantined int         `json:"quarantined"`
-	Faults      int         `json:"faults_injected"`
-	QueueDepth  int         `json:"queue_depth"`
-	Cache       CacheStats  `json:"cache"`
-	// VMPool is present only when RunOptions.VMPool armed the instance
-	// pools, so pool-less sweeps serve an unchanged payload.
-	VMPool    *VMPoolState `json:"vm_pool,omitempty"`
-	ElapsedMs float64      `json:"elapsed_ms"`
-	Cells     []CellState  `json:"cells"`
-}
-
-// runTelemetry tracks one run's live state. A nil *runTelemetry is inert,
-// so RunCellsWith calls its hooks unconditionally.
-type runTelemetry struct {
-	hub   *telemetry.Hub
-	inst  *telemetry.HarnessInstruments
-	cache *ArtifactCache
-	pools *vmPoolSet
-	plan  *faultinject.Plan
-	start time.Time
+	hub  *telemetry.Hub
+	inst *telemetry.HarnessInstruments
 
 	mu         sync.Mutex
-	state      SweepState
-	faultsSeen int
+	m          obsv.RunMetrics
+	faultsSeen int // plan firings already added to harness_faults_total
 }
 
-// newRunTelemetry arms the hub for one run (nil hub → nil tracker). It
-// registers the harness instruments, publishes the "cells" provider, and
-// threads cache instruments into the artifact cache.
-func newRunTelemetry(hub *telemetry.Hub, cells []Cell, workers int, cache *ArtifactCache, pools *vmPoolSet, plan *faultinject.Plan, start time.Time) *runTelemetry {
-	if hub == nil {
-		return nil
-	}
-	rt := &runTelemetry{
-		hub:   hub,
-		inst:  telemetry.NewHarnessInstruments(hub.Registry()),
-		cache: cache,
-		pools: pools,
-		plan:  plan,
-		start: start,
-	}
-	if plan != nil {
-		rt.faultsSeen = plan.TotalFired()
-	}
-	rt.state = SweepState{
-		Workers: workers,
-		Total:   len(cells),
-		Cells:   make([]CellState, len(cells)),
+// newRunRecord starts the record with every cell pending. A non-nil hub
+// gets the harness instruments, the "cells" provider, and the cache's
+// instruments.
+func newRunRecord(cells []Cell, workers int, cache *ArtifactCache, pools *vmPoolSet, plan *faultinject.Plan, hub *telemetry.Hub) *runRecord {
+	r := &runRecord{
+		start: time.Now(), cache: cache, pools: pools, plan: plan, hub: hub,
+		m: obsv.RunMetrics{Workers: workers, Cells: make([]obsv.CellMetric, len(cells))},
 	}
 	for i, c := range cells {
-		rt.state.Cells[i] = CellState{Label: c.Label(), Status: "pending"}
+		r.m.Cells[i] = obsv.CellMetric{Label: c.Label(), Status: "pending"}
 	}
+	// Baselines, so a caller-shared cache or pool set and a reused fault
+	// plan report this run's deltas only.
 	if cache != nil {
-		cache.SetInstruments(telemetry.NewCacheInstruments(hub.Registry()),
-			telemetry.NewCompilerInstruments(hub.Registry()))
+		r.cacheBase = cache.Stats()
 	}
-	hub.Publish("cells", rt.snapshot)
-	return rt
+	r.poolBase = pools.stats()
+	if plan != nil {
+		r.faultBase = plan.TotalFired()
+		r.faultsSeen = r.faultBase
+	}
+	if hub != nil {
+		r.inst = telemetry.NewHarnessInstruments(hub.Registry())
+		if cache != nil {
+			cache.SetInstruments(telemetry.NewCacheInstruments(hub.Registry()),
+				telemetry.NewCompilerInstruments(hub.Registry()))
+		}
+		hub.Publish("cells", r.state)
+	}
+	return r
 }
 
-// snapshot is the "cells" provider: a deep copy safe to marshal after the
-// call returns.
-func (rt *runTelemetry) snapshot() any {
-	rt.mu.Lock()
-	s := rt.state
-	s.Cells = append([]CellState(nil), rt.state.Cells...)
-	rt.mu.Unlock()
-	if rt.cache != nil {
-		s.Cache = rt.cache.Stats()
-	}
-	if rt.pools != nil {
-		ps := rt.pools.stats()
-		s.VMPool = &VMPoolState{
-			Pools:         rt.pools.poolCount(),
-			Hits:          ps.Hits,
-			Misses:        ps.Misses,
-			Recycles:      ps.Recycles,
-			ColdFallbacks: ps.ColdFallbacks,
-			Evictions:     ps.Evictions,
-			Discards:      ps.Discards,
-			Live:          ps.Live,
-			Idle:          ps.Idle,
+// snapshot returns a copy of the record with every aggregate derived from
+// its cells and the run's cache, pools, and fault plan.
+func (r *runRecord) snapshot() obsv.RunMetrics {
+	r.mu.Lock()
+	m := r.m
+	m.Cells = append([]obsv.CellMetric(nil), r.m.Cells...)
+	r.mu.Unlock()
+	m.Span = time.Since(r.start)
+	m.Total = len(m.Cells)
+	for _, c := range m.Cells {
+		switch c.Status {
+		case "pending":
+			m.QueueDepth++
+		case "running":
+			m.Running++
+		default:
+			m.Done++
+		}
+		if c.Failed {
+			m.Failed++
+		}
+		if c.Resumed {
+			m.Resumed++
+		}
+		if c.Attempts > 1 {
+			m.Retries += c.Attempts - 1
+		}
+		if c.Degraded != "" {
+			m.Degraded++
+		}
+		if c.Quarantined {
+			m.Quarantined++
 		}
 	}
-	s.ElapsedMs = float64(time.Since(rt.start)) / float64(time.Millisecond)
+	if r.plan != nil {
+		m.FaultsInjected = r.plan.TotalFired() - r.faultBase
+	}
+	if r.cache != nil {
+		s := r.cache.Stats()
+		m.CacheEnabled = true
+		m.CacheHits = s.Hits - r.cacheBase.Hits
+		m.CacheMisses = s.Misses - r.cacheBase.Misses
+		m.CacheDedupWaits = s.DedupWaits - r.cacheBase.DedupWaits
+	}
+	if r.pools != nil {
+		s := r.pools.stats()
+		m.VMPoolEnabled = true
+		m.VMPoolHits = s.Hits - r.poolBase.Hits
+		m.VMPoolMisses = s.Misses - r.poolBase.Misses
+		m.VMPoolRecycles = s.Recycles - r.poolBase.Recycles
+		m.VMPoolColdFallbacks = s.ColdFallbacks - r.poolBase.ColdFallbacks
+	}
+	return m
+}
+
+// state is the "cells" provider.
+func (r *runRecord) state() any {
+	s := RunState{RunMetrics: r.snapshot()}
+	if r.cache != nil {
+		cs := r.cache.Stats()
+		s.Cache = &cs
+	}
+	if r.pools != nil {
+		ps := r.pools.stats()
+		s.VMPool = &ps
+		s.VMPools = r.pools.poolCount()
+	}
 	return s
 }
 
 // resumed records a checkpoint-restored cell.
-func (rt *runTelemetry) resumed(i int) {
-	if rt == nil {
-		return
+func (r *runRecord) resumed(i int, cm obsv.CellMetric) {
+	r.mu.Lock()
+	r.m.Cells[i] = cm
+	r.mu.Unlock()
+	if r.inst != nil {
+		r.inst.Checkpoints.Inc()
 	}
-	rt.inst.Checkpoints.Inc()
-	rt.mu.Lock()
-	rt.state.Cells[i].Status = "resumed"
-	rt.state.Resumed++
-	rt.state.Done++
-	rt.mu.Unlock()
 }
 
 // enqueued sets the initial queue-depth gauge.
-func (rt *runTelemetry) enqueued(pending int) {
-	if rt == nil {
-		return
+func (r *runRecord) enqueued(pending int) {
+	if r.inst != nil {
+		r.inst.QueueDepth.Set(float64(pending))
 	}
-	rt.inst.QueueDepth.Set(float64(pending))
-	rt.mu.Lock()
-	rt.state.QueueDepth = pending
-	rt.mu.Unlock()
 }
 
-// cellStart marks a cell claimed by a worker.
-func (rt *runTelemetry) cellStart(i, worker int) {
-	if rt == nil {
-		return
+// claim marks cell i running on worker. The queue-depth gauge reads the
+// index channel under the record's lock, so the last claim always leaves
+// it at the true depth.
+func (r *runRecord) claim(i, worker int, queue chan int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.m.Cells[i].Status = "running"
+	r.m.Cells[i].Worker = worker
+	if r.inst != nil {
+		r.inst.QueueDepth.Set(float64(len(queue)))
 	}
-	rt.mu.Lock()
-	cs := &rt.state.Cells[i]
-	cs.Status = "running"
-	cs.Worker = worker
-	rt.state.Running++
-	rt.state.QueueDepth--
-	depth := rt.state.QueueDepth
-	rt.mu.Unlock()
-	rt.inst.QueueDepth.Set(float64(depth))
 }
 
-// cellDone folds one finished cell into the live state, observes the
-// latency histograms, and freezes a flight dump on failure.
-func (rt *runTelemetry) cellDone(i int, r CellResult, cm obsv.CellMetric) {
-	if rt == nil {
-		return
-	}
-	rt.inst.CellsDone.Inc()
-	rt.inst.CellWall.Observe(cm.Wall.Seconds())
-	rt.inst.CellCompile.Observe(cm.Compile.Seconds())
-	rt.inst.CellMeasure.Observe(cm.Measure.Seconds())
-	if cm.Attempts > 1 {
-		rt.inst.Retries.Add(float64(cm.Attempts - 1))
-	}
-	if cm.Degraded != "" {
-		rt.inst.Degraded.Inc()
-	}
-	if cm.Quarantined {
-		rt.inst.Quarantined.Inc()
-	}
-
-	cs := CellState{
-		Label:       cm.Label,
-		Status:      "ok",
-		Worker:      cm.Worker,
-		WallMs:      float64(cm.Wall) / float64(time.Millisecond),
-		CompileMs:   float64(cm.Compile) / float64(time.Millisecond),
-		MeasureMs:   float64(cm.Measure) / float64(time.Millisecond),
-		BasicCycles: cm.BasicCycles,
-		OptCycles:   cm.OptCycles,
-		AOTCycles:   cm.AOTCycles,
-		TierUps:     cm.TierUps,
-		Attempts:    cm.Attempts,
-		Degraded:    cm.Degraded,
-		CacheHit:    cm.CacheHit,
-		VMPooled:    cm.VMPooled,
-		VMPoolHit:   cm.VMPoolHit,
-	}
+// finish stores cell i's final record and, with a hub, observes the
+// latency histograms and robustness counters, merges the cell's profiles,
+// and freezes a flight dump on failure.
+func (r *runRecord) finish(i int, res CellResult, cm obsv.CellMetric) {
 	switch {
 	case cm.Quarantined:
-		cs.Status = "quarantined"
+		cm.Status = "quarantined"
 	case cm.Failed:
-		cs.Status = "failed"
+		cm.Status = "failed"
+	default:
+		cm.Status = "ok"
 	}
-	if r.Meas != nil && r.Meas.Result != nil {
-		cs.Cycles = r.Meas.Result.Cycles
-		rt.inst.CellCycles.Observe(r.Meas.Result.Cycles)
-		rt.hub.MergeProfiles(r.Meas.Result.Profiles)
+	r.mu.Lock()
+	r.m.Cells[i] = cm
+	var newFaults int
+	if r.plan != nil {
+		fired := r.plan.TotalFired()
+		newFaults, r.faultsSeen = fired-r.faultsSeen, fired
 	}
-
-	rt.mu.Lock()
-	rt.state.Cells[i] = cs
-	rt.state.Running--
-	rt.state.Done++
-	if cm.Failed {
-		rt.state.Failed++
+	r.mu.Unlock()
+	if r.inst == nil {
+		return
 	}
+	r.inst.CellsDone.Inc()
+	r.inst.CellWall.Observe(cm.Wall.Seconds())
+	r.inst.CellCompile.Observe(cm.Compile.Seconds())
+	r.inst.CellMeasure.Observe(cm.Measure.Seconds())
 	if cm.Attempts > 1 {
-		rt.state.Retries += cm.Attempts - 1
+		r.inst.Retries.Add(float64(cm.Attempts - 1))
 	}
 	if cm.Degraded != "" {
-		rt.state.Degraded++
+		r.inst.Degraded.Inc()
 	}
 	if cm.Quarantined {
-		rt.state.Quarantined++
+		r.inst.Quarantined.Inc()
 	}
-	if rt.plan != nil {
-		cur := rt.plan.TotalFired()
-		if d := cur - rt.faultsSeen; d > 0 {
-			rt.inst.Faults.Add(float64(d))
-			rt.state.Faults += d
-		}
-		rt.faultsSeen = cur
+	if newFaults > 0 {
+		r.inst.Faults.Add(float64(newFaults))
 	}
-	rt.mu.Unlock()
-
-	if r.Err != nil {
+	if res.Meas != nil && res.Meas.Result != nil {
+		r.inst.CellCycles.Observe(res.Meas.Result.Cycles)
+		r.hub.MergeProfiles(res.Meas.Result.Profiles)
+	}
+	if res.Err != nil {
 		// Freeze the trace window that led up to the failure before newer
 		// events overwrite it; /debug/trace?which=failure serves it.
-		rt.inst.FlightFailures.Inc()
-		rt.hub.DumpFlight(cm.Label + ": " + r.Err.Error())
+		r.inst.FlightFailures.Inc()
+		r.hub.DumpFlight(cm.Label + ": " + res.Err.Error())
 	}
 }

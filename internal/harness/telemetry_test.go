@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"wasmbench/internal/benchsuite"
@@ -74,7 +75,7 @@ func TestTelemetrySweepState(t *testing.T) {
 	if fn == nil {
 		t.Fatal("run did not publish the cells provider")
 	}
-	state, ok := fn().(SweepState)
+	state, ok := fn().(RunState)
 	if !ok {
 		t.Fatalf("cells provider returned %T", fn())
 	}
@@ -82,7 +83,7 @@ func TestTelemetrySweepState(t *testing.T) {
 		t.Fatalf("sweep state = %+v", state)
 	}
 	for _, c := range state.Cells {
-		if c.Status != "ok" || c.WallMs <= 0 {
+		if c.Status != "ok" || c.Wall <= 0 {
 			t.Fatalf("cell state = %+v", c)
 		}
 	}
@@ -109,6 +110,56 @@ func TestTelemetrySweepState(t *testing.T) {
 	}
 	if byName["harness_queue_depth"].Value != 0 {
 		t.Errorf("queue depth after run = %v, want 0", byName["harness_queue_depth"].Value)
+	}
+}
+
+// TestTelemetryCellsConcurrent scrapes the "cells" provider while the
+// workers write the run record (data-race coverage via -race): every
+// snapshot accounts for every cell, and the last one agrees with the
+// metrics the run returns.
+func TestTelemetryCellsConcurrent(t *testing.T) {
+	hub := telemetry.NewHub(256)
+	cells := append(teleCells(t), teleCells(t)...)
+	stop := make(chan struct{})
+	scrapes := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				scrapes <- n
+				return
+			default:
+			}
+			if fn := hub.Provider("cells"); fn != nil {
+				s := fn().(RunState)
+				if s.Total != len(cells) || s.Done+s.Running+s.QueueDepth != s.Total {
+					t.Errorf("scrape %d: total=%d done=%d running=%d queued=%d",
+						n, s.Total, s.Done, s.Running, s.QueueDepth)
+				}
+				n++
+			}
+			runtime.Gosched()
+		}
+	}()
+	_, m := RunCellsWith(cells, RunOptions{Workers: 2, Telemetry: hub})
+	close(stop)
+	if n := <-scrapes; n == 0 {
+		t.Log("no scrape landed during the run")
+	}
+	final := hub.Provider("cells")().(RunState)
+	if final.Done != len(cells) || final.Running != 0 || final.QueueDepth != 0 {
+		t.Fatalf("final state: done=%d running=%d queued=%d", final.Done, final.Running, final.QueueDepth)
+	}
+	if m.Done != final.Done || m.Total != final.Total || m.Failed != final.Failed {
+		t.Fatalf("returned metrics %d/%d/%d, provider %d/%d/%d (done/total/failed)",
+			m.Done, m.Total, m.Failed, final.Done, final.Total, final.Failed)
+	}
+	for i, c := range final.Cells {
+		if c.Label != m.Cells[i].Label || c.Status != m.Cells[i].Status {
+			t.Fatalf("cell %d: provider %s/%s, returned %s/%s",
+				i, c.Label, c.Status, m.Cells[i].Label, m.Cells[i].Status)
+		}
 	}
 }
 

@@ -28,12 +28,10 @@ type vmPoolSet struct {
 	pools map[string]*wasmvm.InstancePool
 }
 
+// newVMPoolSet bounds each pool at size live instances: one per worker
+// plus a spare keeps a full worker pool from ever blocking on checkout
+// even before recycling starts.
 func newVMPoolSet(size int, inst *telemetry.PoolInstruments) *vmPoolSet {
-	if size <= 0 {
-		// One instance per worker plus a spare keeps a full worker pool
-		// from ever blocking on checkout even before recycling starts.
-		size = DefaultWorkers() + 1
-	}
 	return &vmPoolSet{size: size, inst: inst, pools: make(map[string]*wasmvm.InstancePool)}
 }
 
@@ -105,15 +103,11 @@ type VMPools struct {
 	set *vmPoolSet
 }
 
-// NewVMPools builds a shared pool set. size bounds each per-artifact
-// pool's live instances (<=0 selects the harness default); reg, when
-// non-nil, receives the pool's checkout counters as pool_* metrics.
-func NewVMPools(size int, reg *telemetry.Registry) *VMPools {
-	var pi *telemetry.PoolInstruments
-	if reg != nil {
-		pi = telemetry.NewPoolInstruments(reg)
-	}
-	return &VMPools{set: newVMPoolSet(size, pi)}
+// NewVMPools builds a shared pool set whose per-artifact pools hold at
+// most DefaultWorkers()+1 live instances; reg, when non-nil, receives the
+// pools' checkout counters as wasm_vm_pool_* metrics.
+func NewVMPools(reg *telemetry.Registry) *VMPools {
+	return &VMPools{set: newVMPoolSet(DefaultWorkers()+1, telemetry.NewPoolInstruments(reg))}
 }
 
 // Stats aggregates checkout counters across every per-artifact pool.

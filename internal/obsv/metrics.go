@@ -7,90 +7,110 @@ import (
 )
 
 // CellMetric records the harness-level schedule of one measurement cell.
+// It is the one per-cell record: RunCellsWith returns it and the live
+// /debug/cells endpoint serves it as JSON while the run is in flight.
 type CellMetric struct {
-	Label  string
-	Worker int
+	Label string `json:"label"`
+	// Status is the cell's place in the run: pending, running, ok, failed,
+	// quarantined, or resumed.
+	Status string `json:"status"`
+	Worker int    `json:"worker"`
 	// QueueDepth is how many cells were queued at the moment this one was
 	// picked up, including the cell itself: a single worker draining k
 	// cells records k, k-1, …, 1.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// Start is the offset from the run start.
-	Start time.Duration
+	Start time.Duration `json:"start_ns"`
 	// Compile and Measure split the cell's wall time into toolchain work
 	// and VM execution; Wall is the full span (compile + measure + glue).
-	Compile time.Duration
-	Measure time.Duration
-	Wall    time.Duration
-	Failed  bool
+	Compile time.Duration `json:"compile_ns"`
+	Measure time.Duration `json:"measure_ns"`
+	Wall    time.Duration `json:"wall_ns"`
+	Failed  bool          `json:"failed,omitempty"`
 	// CacheHit reports that the cell's artifact came from the harness
 	// compile cache (or from waiting on another worker's in-flight
 	// compile) instead of being compiled by this cell.
-	CacheHit bool
-	// TierUps counts VM tier promotions during the measurement (Wasm
-	// functions or JS code objects), and BasicCycles/OptCycles split the
-	// cell's virtual instruction cycles by the tier that charged them
-	// (Wasm cells only; JS cells report zero). AOTCycles is the portion of
-	// OptCycles charged while the AOT superblock dispatcher ran — a
-	// sub-split, always ≤ OptCycles, so the three render as
-	// basic / (opt − aot) / aot.
-	TierUps     int
-	BasicCycles float64
-	OptCycles   float64
-	AOTCycles   float64
+	CacheHit bool `json:"cache_hit,omitempty"`
+	// Cycles is the measurement's virtual-cycle total. TierUps counts VM
+	// tier promotions during the measurement (Wasm functions or JS code
+	// objects), and BasicCycles/OptCycles split the cell's virtual
+	// instruction cycles by the tier that charged them (Wasm cells only;
+	// JS cells report zero). AOTCycles is the portion of OptCycles charged
+	// while the AOT superblock dispatcher ran — a sub-split, always ≤
+	// OptCycles, so the three render as basic / (opt − aot) / aot.
+	Cycles      float64 `json:"cycles,omitempty"`
+	TierUps     int     `json:"tier_ups,omitempty"`
+	BasicCycles float64 `json:"basic_cycles,omitempty"`
+	OptCycles   float64 `json:"opt_cycles,omitempty"`
+	AOTCycles   float64 `json:"aot_cycles,omitempty"`
 	// Attempts is how many times the harness ran the cell (1 = first try
 	// succeeded; retries and degradation rungs each add one).
-	Attempts int
+	Attempts int `json:"attempts,omitempty"`
 	// Degraded names the degradation-ladder rung that finally produced the
 	// cell's result ("noaot", "nojit", "O0"); "" when the
 	// cell ran at full configuration.
-	Degraded string
+	Degraded string `json:"degraded,omitempty"`
 	// Quarantined reports the cell was skipped because its benchmark
 	// exceeded the consecutive-failure quarantine threshold.
-	Quarantined bool
+	Quarantined bool `json:"quarantined,omitempty"`
 	// Resumed reports the cell's result was restored from a checkpoint
 	// file instead of being executed (Attempts is 0 for such cells).
-	Resumed bool
+	Resumed bool `json:"resumed,omitempty"`
 	// VMPooled reports the cell's Wasm run was served through the harness
 	// instance pool (snapshot clone or recycled instance); VMPoolHit
 	// narrows that to a recycled instance. Wall-clock bookkeeping only —
 	// virtual metrics are identical to a cold run by construction.
-	VMPooled  bool
-	VMPoolHit bool
+	VMPooled  bool `json:"vm_pooled,omitempty"`
+	VMPoolHit bool `json:"vm_pool_hit,omitempty"`
 }
 
-// RunMetrics aggregates one RunCells invocation's schedule.
+// RunMetrics aggregates one RunCells invocation's schedule. Every field
+// but Workers and Cells is derived from the cells and the run's shared
+// cache, pools, and fault plan, by the same function for the end-of-run
+// result and for the live /debug/cells view.
 type RunMetrics struct {
-	Workers int
-	// Span is the wall time from run start to the last cell completion.
-	Span  time.Duration
-	Cells []CellMetric
+	Workers int `json:"workers"`
+	// Span is the wall time from run start to the last cell completion;
+	// the live /debug/cells view reports the time since run start.
+	Span  time.Duration `json:"span_ns"`
+	Cells []CellMetric  `json:"cells"`
+	// Cell counts by status: Total cells, Done finished (ok, failed,
+	// quarantined, or resumed), Running claimed by a worker, QueueDepth
+	// not yet claimed, Failed finished with an error (quarantined cells
+	// included), Resumed restored from a checkpoint.
+	Total      int `json:"total"`
+	Done       int `json:"done"`
+	Running    int `json:"running"`
+	QueueDepth int `json:"queue_depth"`
+	Failed     int `json:"failed"`
+	Resumed    int `json:"resumed"`
 	// Compile-cache counters for the run (deltas when the cache is shared
 	// across runs): CacheHits resolved instantly, CacheMisses compiled,
 	// CacheDedupWaits blocked on another worker's in-flight compile.
 	// CacheEnabled distinguishes a disabled cache from an idle one.
-	CacheEnabled    bool
-	CacheHits       int
-	CacheMisses     int
-	CacheDedupWaits int
+	CacheEnabled    bool `json:"cache_enabled"`
+	CacheHits       int  `json:"cache_hits"`
+	CacheMisses     int  `json:"cache_misses"`
+	CacheDedupWaits int  `json:"cache_dedup_waits"`
 	// Robustness counters (all zero on a fault-free run, keeping Render's
 	// output byte-identical to a harness without the resilience layer):
 	// FaultsInjected totals fault-plan firings observed by the run,
 	// Retries counts re-executions of failed cells, Degraded counts cells
 	// whose result came from a degradation rung, and Quarantined counts
 	// cells skipped after their benchmark tripped the quarantine threshold.
-	FaultsInjected int
-	Retries        int
-	Degraded       int
-	Quarantined    int
+	FaultsInjected int `json:"faults_injected"`
+	Retries        int `json:"retries"`
+	Degraded       int `json:"degraded"`
+	Quarantined    int `json:"quarantined"`
 	// Instance-pool counters (zero and hidden when RunOptions.VMPool was
 	// off, keeping Render's output byte-identical): checkout hits served by
 	// recycled instances, misses that cloned from the snapshot, recycles
 	// returned to the pool, and cold fallbacks past the pool bound.
-	VMPoolEnabled       bool
-	VMPoolHits          int
-	VMPoolMisses        int
-	VMPoolRecycles      int
-	VMPoolColdFallbacks int
+	VMPoolEnabled       bool `json:"vm_pool_enabled"`
+	VMPoolHits          int  `json:"vm_pool_hits"`
+	VMPoolMisses        int  `json:"vm_pool_misses"`
+	VMPoolRecycles      int  `json:"vm_pool_recycles"`
+	VMPoolColdFallbacks int  `json:"vm_pool_cold_fallbacks"`
 }
 
 // Utilization returns busy-time / (workers × span): 1.0 means every

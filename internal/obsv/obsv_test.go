@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -41,19 +42,75 @@ func TestCollector(t *testing.T) {
 	if c.Events()[0].Name != "main" {
 		t.Error("Events() aliases internal buffer")
 	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Error("reset did not clear")
-	}
 }
 
+// TestCollectorLimit checks a bounded collector: Collector{Cap} retains
+// exactly Cap events, the newest, in arrival order. The truncation marker
+// Events puts in front is checked by TestEventsWithTruncation.
 func TestCollectorLimit(t *testing.T) {
-	c := Collector{Limit: 3}
+	c := Collector{Cap: 3}
 	for _, e := range sampleTrace() {
 		c.Emit(e)
 	}
-	if c.Len() != 3 || c.Dropped() != 5 {
-		t.Errorf("len=%d dropped=%d", c.Len(), c.Dropped())
+	if c.Len() != 3 {
+		t.Fatalf("len = %d, want 3", c.Len())
+	}
+	got := c.Events()
+	want := sampleTrace()[5:]
+	if len(got) != len(want)+1 {
+		t.Fatalf("Events = %d events, want marker + %d", len(got), len(want))
+	}
+	for i, e := range got[1:] {
+		if e != want[i] {
+			t.Fatalf("window[%d] = %+v, want %+v (newest, in order)", i, e, want[i])
+		}
+	}
+}
+
+func ringEvent(i int) Event {
+	return Event{Kind: KindCallEnter, TS: float64(i), A: float64(i)}
+}
+
+// TestCollectorNilSafe: a nil collector is an inert tracer.
+func TestCollectorNilSafe(t *testing.T) {
+	var c *Collector
+	c.Emit(ringEvent(1))
+	if got := c.Events(); got != nil {
+		t.Fatalf("nil collector Events = %+v", got)
+	}
+}
+
+// TestCollectorRingConcurrent checks the ring under parallel emitters and
+// concurrent snapshots (data-race coverage via -race); the count
+// invariant holds regardless of interleaving.
+func TestCollectorRingConcurrent(t *testing.T) {
+	c := &Collector{Cap: 64}
+	const goroutines, perG = 8, 500
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				c.Emit(ringEvent(i))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got := c.Events(); len(got) > 65 {
+					t.Errorf("snapshot of %d events exceeds cap + marker", len(got))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	events := c.Events()
+	if len(events) != 65 || events[0].Kind != KindTruncation {
+		t.Fatalf("full ring snapshot = %d events, want marker + 64", len(events))
+	}
+	if got, want := int(events[0].A)+len(events)-1, goroutines*perG; got != want {
+		t.Fatalf("held+overwritten = %d, want %d", got, want)
 	}
 }
 

@@ -138,7 +138,7 @@ func TestNilTelemetryAllocationFree(t *testing.T) {
 		c        *telemetry.Counter
 		g        *telemetry.Gauge
 		h        *telemetry.Histogram
-		f        *telemetry.FlightRecorder
+		f        *obsv.Collector
 		hub      *telemetry.Hub
 		sinkT    obsv.Tracer
 		sinkR    *telemetry.Registry

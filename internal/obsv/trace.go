@@ -68,11 +68,10 @@ const (
 	// consecutive failures. Name is the cell label; A is the consecutive
 	// failure count that tripped it.
 	KindQuarantine
-	// KindTruncation is a synthetic marker inserted by exporters where a
-	// bounded buffer lost events: after the last stored event for a
-	// Collector (which keeps the *oldest* events once Limit is reached)
-	// or before the first for a flight recorder (which keeps the
-	// *newest*). Name describes the loss; A is the number of events lost.
+	// KindTruncation is a synthetic marker that leads a bounded
+	// Collector's window once the ring has overwritten older events
+	// (see Collector.Events). Name describes the loss; A is the number of
+	// events lost.
 	KindTruncation
 	// KindAOTCompile marks an optimizing-tier function's register body
 	// being AOT-compiled into superblocks of pre-bound closures (the wasmvm
@@ -123,86 +122,65 @@ type Tracer interface {
 	Emit(Event)
 }
 
-// TruncationEvent builds the synthetic marker for lost events. The
-// timestamp ts should place the marker where the loss happened: the last
-// stored event's TS for a keep-oldest Collector, the first retained
-// event's TS for a keep-newest flight recorder.
-func TruncationEvent(lost int, note string, ts float64) Event {
-	return Event{Kind: KindTruncation, TS: ts, Name: note, A: float64(lost)}
-}
-
-// Collector is the standard Tracer: an in-memory, mutex-protected event
-// buffer. With a Limit set it keeps the *oldest* events and counts the
-// newest in Dropped() — the right shape for "how did the run begin". Its
-// complement is telemetry.FlightRecorder, a bounded ring keeping the
-// *newest* events for "what just happened". Exporters surface the loss
-// either way via EventsWithTruncation. The zero value is ready to use.
+// Collector is the one event buffer, mutex-protected and safe for
+// concurrent Emit. The zero value keeps every event — what the CLIs and
+// tests export. Collector{Cap: n} is a ring that keeps the newest n events
+// and counts the ones it overwrote: the flight window a long-running
+// process serves live ("what just happened"). Emit and Events are safe on
+// a nil *Collector.
 type Collector struct {
-	mu     sync.Mutex
-	events []Event
-	// Limit caps the buffer (0 = unlimited); once reached, further events
-	// are counted in Dropped but not stored.
-	Limit   int
-	dropped int
+	// Cap bounds the buffer (0 = unbounded); set it before the first Emit.
+	Cap int
+
+	mu          sync.Mutex
+	events      []Event
+	next        int // ring cursor once full: the slot the next event overwrites
+	overwritten int
 }
 
-// Emit appends the event (or drops it once Limit is reached).
+// Emit stores the event, overwriting the oldest once a ring is full.
 func (c *Collector) Emit(e Event) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
-	if c.Limit > 0 && len(c.events) >= c.Limit {
-		c.dropped++
-	} else {
+	if c.Cap <= 0 || len(c.events) < c.Cap {
 		c.events = append(c.events, e)
+	} else {
+		c.events[c.next] = e
+		c.overwritten++
+		if c.next++; c.next == c.Cap {
+			c.next = 0
+		}
 	}
 	c.mu.Unlock()
 }
 
-// Events returns a snapshot of the collected events.
+// Events returns a copy of the retained events in arrival order. When a
+// ring has overwritten older events, a KindTruncation marker leads the
+// window — the hole is before the first retained event — so exporters
+// show where the record starts instead of silently beginning mid-run.
 func (c *Collector) Events() []Event {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Event(nil), c.events...)
+	if c.overwritten == 0 {
+		return append([]Event(nil), c.events...)
+	}
+	out := make([]Event, 0, len(c.events)+1)
+	out = append(out, Event{Kind: KindTruncation, TS: c.events[c.next].TS,
+		Name: "ring full: oldest events overwritten", A: float64(c.overwritten)})
+	out = append(out, c.events[c.next:]...)
+	return append(out, c.events[:c.next]...)
 }
 
-// Len returns the number of stored events.
+// Len returns the number of retained events (the marker not counted).
 func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.events)
-}
-
-// Dropped returns how many events the Limit discarded.
-func (c *Collector) Dropped() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
-}
-
-// EventsWithTruncation returns the stored events followed by a synthetic
-// KindTruncation marker when the Limit discarded any — so exporters show
-// where the record stops instead of silently ending. With nothing
-// dropped it is identical to Events.
-func (c *Collector) EventsWithTruncation() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := append([]Event(nil), c.events...)
-	if c.dropped > 0 {
-		var ts float64
-		if n := len(out); n > 0 {
-			ts = out[n-1].TS
-		}
-		out = append(out, TruncationEvent(c.dropped,
-			"collector limit reached: newest events dropped", ts))
-	}
-	return out
-}
-
-// Reset discards all collected events.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.events = c.events[:0]
-	c.dropped = 0
-	c.mu.Unlock()
 }
 
 // trackTracer prefixes every event's track, labeling which engine/profile

@@ -6,49 +6,50 @@ import (
 	"testing"
 )
 
-// TestEventsWithTruncation checks the keep-oldest drop semantics are
-// surfaced, not silent: a limited collector's export carries an explicit
-// marker where the record stops.
+// TestEventsWithTruncation checks that a ring's losses are surfaced, not
+// silent: once Collector{Cap} has overwritten events, Events leads the
+// window with one KindTruncation marker that counts them and is stamped at
+// the first retained event, where the hole is.
 func TestEventsWithTruncation(t *testing.T) {
-	c := &Collector{Limit: 2}
+	c := &Collector{Cap: 2}
 	for i := 0; i < 5; i++ {
 		c.Emit(Event{Kind: KindCallEnter, TS: float64(i * 10), Name: "f"})
 	}
-	if c.Len() != 2 || c.Dropped() != 3 {
-		t.Fatalf("Len=%d Dropped=%d, want 2/3", c.Len(), c.Dropped())
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	// Events() is the raw view, unchanged.
-	if got := c.Events(); len(got) != 2 {
-		t.Fatalf("Events() = %d events, want 2", len(got))
-	}
-	got := c.EventsWithTruncation()
+	got := c.Events()
 	if len(got) != 3 {
-		t.Fatalf("EventsWithTruncation = %d events, want 2 + marker", len(got))
+		t.Fatalf("Events = %d events, want marker + 2", len(got))
 	}
-	mark := got[2]
+	mark := got[0]
 	if mark.Kind != KindTruncation || mark.A != 3 {
-		t.Fatalf("marker = %+v, want KindTruncation with A=3", mark)
+		t.Fatalf("events[0] = %+v, want KindTruncation with A=3", mark)
 	}
-	// Keep-oldest: the marker sits at the END, timestamped at the last
-	// stored event (the loss happened after it).
-	if mark.TS != got[1].TS {
-		t.Fatalf("marker TS = %v, want %v (end of stored record)", mark.TS, got[1].TS)
+	if mark.TS != got[1].TS || got[1].TS != 30 {
+		t.Fatalf("marker TS = %v, first retained TS = %v, want both 30", mark.TS, got[1].TS)
+	}
+	for _, e := range got[1:] {
+		if e.Kind == KindTruncation {
+			t.Fatalf("marker repeated inside the window: %+v", got)
+		}
 	}
 
-	// Nothing dropped → identical to Events.
-	c2 := &Collector{}
-	c2.Emit(Event{Kind: KindCallEnter, TS: 1})
-	if got := c2.EventsWithTruncation(); len(got) != 1 {
-		t.Fatalf("unlimited collector grew a marker: %+v", got)
+	// Nothing overwritten: no marker, bounded or not.
+	for _, c := range []*Collector{{}, {Cap: 8}} {
+		c.Emit(Event{Kind: KindCallEnter, TS: 1})
+		if got := c.Events(); len(got) != 1 || got[0].Kind != KindCallEnter {
+			t.Fatalf("collector with nothing lost grew a marker: %+v", got)
+		}
 	}
 }
 
 // TestTruncationInExporters checks every exporter renders the marker.
 func TestTruncationInExporters(t *testing.T) {
 	events := []Event{
+		{Kind: KindTruncation, Name: "ring full: oldest events overwritten", A: 7},
 		{Kind: KindCallEnter, TS: 0, Name: "main", Track: "wasm"},
 		{Kind: KindCallExit, TS: 100, Name: "main", Track: "wasm"},
-		TruncationEvent(7, "collector limit reached: newest events dropped", 100),
 	}
 
 	var chrome bytes.Buffer
@@ -71,8 +72,8 @@ func TestTruncationInExporters(t *testing.T) {
 	}
 
 	passes := []Event{
+		{Kind: KindTruncation, Name: "ring full: oldest events overwritten", A: 3},
 		{Kind: KindCompilePass, TS: 0, Dur: 10, Name: "parse", Track: "compile"},
-		TruncationEvent(3, "collector limit reached", 10),
 	}
 	table := CompilePassTable(passes)
 	if !strings.Contains(table, "TRUNCATED: 3 events lost") {

@@ -70,11 +70,9 @@ type Config struct {
 	// half-open probe; <=0 selects 5s.
 	BreakerCooldown time.Duration
 
-	// DisableVMPool serves every request from cold instantiation.
+	// DisableVMPool serves every request from cold instantiation. Each
+	// artifact pool otherwise holds at most DefaultWorkers()+1 instances.
 	DisableVMPool bool
-	// VMPoolSize bounds each artifact pool's live instances (<=0: harness
-	// default).
-	VMPoolSize int
 	// DisableCache cold-compiles every request.
 	DisableCache bool
 
@@ -83,8 +81,10 @@ type Config struct {
 	// nil is fully inert.
 	Faults *faultinject.Plan
 	// Hub, when set, receives serve_* instruments, the "serve" state
-	// provider (/debug/serve), and makes the full telemetry surface
-	// available under the server's mux. nil disables telemetry.
+	// provider (/debug/serve), every request's cell events in its flight
+	// window, and a failure dump for every failed or timed-out request,
+	// and makes the full telemetry surface available under the server's
+	// mux. nil disables telemetry.
 	Hub *telemetry.Hub
 	// Checkpoint, when set, records every successful cell and serves
 	// repeat requests from the checkpoint on restart.
@@ -173,7 +173,7 @@ func NewServer(cfg Config) *Server {
 		cfg.Hub.Publish("serve", s.state)
 	}
 	if !cfg.DisableVMPool {
-		s.pools = harness.NewVMPools(cfg.VMPoolSize, reg)
+		s.pools = harness.NewVMPools(reg)
 	}
 	// One profile instance per name, shared across requests — the same
 	// sharing a benchtab sweep uses across its worker pool. Instruments
@@ -301,7 +301,7 @@ func (s *Server) admit(req *Request, cell harness.Cell) (*job, *Response) {
 			s.inst.Shed.Inc()
 		}
 		return nil, &Response{Status: StatusShed, Cell: label,
-			Error: fmt.Sprintf("queue full (%d waiting)", s.cfg.QueueBound),
+			Error:        fmt.Sprintf("queue full (%d waiting)", s.cfg.QueueBound),
 			RetryAfterMS: retryMS}
 	}
 }
@@ -333,6 +333,11 @@ func (s *Server) handle(j *job) {
 	finish := func(resp *Response) {
 		resp.Cell = j.label
 		resp.QueueMS = float64(queueWait) / float64(time.Millisecond)
+		if resp.Status == StatusFailed || resp.Status == StatusTimeout {
+			// Freeze the trace window that led up to the failure;
+			// /debug/trace?which=failure serves it.
+			s.cfg.Hub.DumpFlight(j.label + ": " + resp.Error)
+		}
 		j.done <- resp
 	}
 
@@ -379,6 +384,10 @@ func (s *Server) handle(j *job) {
 		StepLimit:      s.cfg.StepLimit,
 		Faults:         s.cfg.Faults,
 		Checkpoint:     s.cfg.Checkpoint,
+		// Cell events feed the hub's flight window (/debug/trace).
+		// Telemetry stays unset: every one-cell request would republish
+		// /debug/cells over the last.
+		Tracer: s.cfg.Hub.Tracer(),
 	})
 	runWall := time.Since(t0)
 	s.mu.Lock()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -441,5 +442,49 @@ func TestLoadgenAccounting(t *testing.T) {
 	}
 	if stats.ByStatus[StatusOK] == 0 {
 		t.Errorf("nothing served: %v", stats.ByStatus)
+	}
+}
+
+// TestServeTraceWindow: benchserve's /debug/trace serves the requests it
+// ran. Every request's cell events reach the hub's flight window, and a
+// failed request freezes a failure dump that ?which=failure serves.
+func TestServeTraceWindow(t *testing.T) {
+	hub := telemetry.NewHub(0)
+	get := func(s *Server, path string) (int, string) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec.Code, rec.Body.String()
+	}
+
+	const n = 3
+	ok := NewServer(Config{Workers: 1, Hub: hub})
+	for i := 0; i < n; i++ {
+		if resp := ok.Submit(&Request{Bench: "atax", Size: "XS"}); resp.Status != StatusOK {
+			t.Fatalf("request: %+v", resp)
+		}
+	}
+	drain(t, ok, 10*time.Second)
+	code, body := get(ok, "/debug/trace")
+	if code != 200 {
+		t.Fatalf("/debug/trace = %d", code)
+	}
+	if got := strings.Count(body, `"cat":"cell","ph":"X"`); got != n {
+		t.Fatalf("/debug/trace holds %d cell-done events after %d requests:\n%s", got, n, body)
+	}
+	if code, _ := get(ok, "/debug/trace?which=failure"); code != 404 {
+		t.Fatalf("failure trace before any failure = %d, want 404", code)
+	}
+
+	// A step limit far below the kernel's work fails the request.
+	bad := NewServer(Config{Workers: 1, Hub: hub, StepLimit: 10})
+	if resp := bad.Submit(&Request{Bench: "atax", Size: "XS"}); resp.Status != StatusFailed {
+		t.Fatalf("step-limited request: %+v", resp)
+	}
+	drain(t, bad, 10*time.Second)
+	if code, body := get(bad, "/debug/trace?which=failure"); code != 200 || !strings.Contains(body, "atax") {
+		t.Fatalf("failure trace = %d:\n%s", code, body)
+	}
+	if dump, _ := hub.LastDump(); dump == nil || !strings.Contains(dump.Reason, "step limit") {
+		t.Fatalf("failure dump = %+v, want the step-limit error as its reason", dump)
 	}
 }

@@ -8,14 +8,14 @@ import (
 )
 
 // Hub bundles the live telemetry surfaces of one process: the metrics
-// Registry, the flight-recorder trace ring, a merged live profile (folded
-// stacks across every measured VM so far), named JSON state providers
-// (the harness publishes its in-flight cell table as "cells"), and the
-// most recent failure dump. A nil *Hub is fully inert, mirroring the
-// nil-Tracer discipline.
+// Registry, the flight window (an obsv.Collector ring keeping the newest
+// events), a merged live profile (folded stacks across every measured VM
+// so far), named JSON state providers (the harness publishes its run
+// record as "cells"), and the most recent failure dump. A nil *Hub is
+// fully inert, mirroring the nil-Tracer discipline.
 type Hub struct {
 	Reg    *Registry
-	Flight *FlightRecorder
+	Flight *obsv.Collector
 
 	mu        sync.Mutex
 	profiles  map[string]*obsv.FuncProfile // keyed by track + "\x00" + name
@@ -24,22 +24,29 @@ type Hub struct {
 	dumps     uint64
 }
 
-// FlightDump is a flight-recorder snapshot frozen at a failure.
+// FlightDump is the flight window frozen at a failure.
 type FlightDump struct {
 	// Reason labels what triggered the dump (cell label + error).
-	Reason string `json:"reason"`
-	// Overwritten is how many older events the ring had already displaced
-	// when the dump was taken.
-	Overwritten uint64       `json:"overwritten"`
-	Events      []obsv.Event `json:"-"`
+	Reason string
+	// Events is the window as Collector.Events returned it: a truncation
+	// marker, its note prefixed with the reason, leads it when the ring
+	// had already overwritten older events.
+	Events []obsv.Event
 }
 
-// NewHub returns a hub with a fresh registry and a flight recorder of the
+// DefaultFlightCapacity is the flight window in events (≈ a few seconds
+// of VM events on a busy sweep).
+const DefaultFlightCapacity = 65536
+
+// NewHub returns a hub with a fresh registry and a flight window of the
 // given capacity (<= 0 selects DefaultFlightCapacity).
 func NewHub(flightCapacity int) *Hub {
+	if flightCapacity <= 0 {
+		flightCapacity = DefaultFlightCapacity
+	}
 	return &Hub{
 		Reg:       NewRegistry(),
-		Flight:    NewFlightRecorder(flightCapacity),
+		Flight:    &obsv.Collector{Cap: flightCapacity},
 		profiles:  make(map[string]*obsv.FuncProfile),
 		providers: make(map[string]func() any),
 	}
@@ -54,7 +61,7 @@ func (h *Hub) Registry() *Registry {
 	return h.Reg
 }
 
-// Tracer returns the hub's flight recorder as an obsv.Tracer, or nil on a
+// Tracer returns the hub's flight window as an obsv.Tracer, or nil on a
 // nil hub — preserving the VMs' disabled fast path.
 func (h *Hub) Tracer() obsv.Tracer {
 	if h == nil || h.Flight == nil {
@@ -133,17 +140,20 @@ func (h *Hub) Provider(name string) func() any {
 	return h.providers[name]
 }
 
-// DumpFlight freezes the current flight-recorder window as the hub's
-// failure dump. The harness calls this when a cell fails or is
-// quarantined, so the trace context that led up to the failure survives
-// even after the ring moves on; /debug/trace?which=failure serves it.
+// DumpFlight freezes the current flight window as the hub's failure
+// dump. The harness and the serve workers call this when a cell fails, so
+// the trace context that led up to the failure survives even after the
+// ring moves on; /debug/trace?which=failure serves it.
 func (h *Hub) DumpFlight(reason string) {
 	if h == nil || h.Flight == nil {
 		return
 	}
-	events, over := h.Flight.Snapshot()
+	events := h.Flight.Events()
+	if len(events) > 0 && events[0].Kind == obsv.KindTruncation {
+		events[0].Name = "failure dump (" + reason + "): " + events[0].Name
+	}
 	h.mu.Lock()
-	h.lastDump = &FlightDump{Reason: reason, Overwritten: over, Events: events}
+	h.lastDump = &FlightDump{Reason: reason, Events: events}
 	h.dumps++
 	h.mu.Unlock()
 }

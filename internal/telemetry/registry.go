@@ -1,8 +1,8 @@
 // Package telemetry is the study's live observability layer: a concurrent
-// metrics registry (counters, gauges, fixed-bucket histograms), a bounded
-// flight-recorder trace ring, and an embeddable HTTP server that exposes
-// both — plus the live profiler and the harness's in-flight cell state —
-// while a sweep is running.
+// metrics registry (counters, gauges, fixed-bucket histograms), a hub that
+// holds it with a bounded flight window of trace events (an obsv.Collector
+// ring), and an embeddable HTTP server that exposes both — plus the live
+// profiler and the harness's run record — while a sweep is running.
 //
 // The package follows the nil-Tracer discipline established by
 // internal/obsv: every instrument method is defined on a pointer receiver

@@ -1,7 +1,10 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -291,5 +294,56 @@ func TestSnapshot(t *testing.T) {
 	txt := s.Text()
 	if !strings.Contains(txt, "a_total") || !strings.Contains(txt, "count=2 sum=55") {
 		t.Fatalf("snapshot text missing metrics:\n%s", txt)
+	}
+}
+
+// TestWriteSnapshot covers the three -telemetry-snapshot destinations:
+// "-" prints the text table to stdout, *.json gets JSON, any other path
+// the text table; file writes are confirmed on stdout.
+func TestWriteSnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a_total", "").Add(7)
+	snap := r.Snapshot()
+	dir := t.TempDir()
+
+	var out strings.Builder
+	if err := WriteSnapshot(&out, "-", snap); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != snap.Text() {
+		t.Fatalf("stdout = %q, want the text table %q", out.String(), snap.Text())
+	}
+
+	jsonPath := filepath.Join(dir, "m.json")
+	out.Reset()
+	if err := WriteSnapshot(&out, jsonPath, snap); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Snapshot
+	if err := json.Unmarshal(data, &back); err != nil || len(back.Metrics) != 1 || back.Metrics[0].Value != 7 {
+		t.Fatalf("JSON file = %s (err %v)", data, err)
+	}
+	if want := "telemetry snapshot: 1 metrics -> " + jsonPath + "\n"; out.String() != want {
+		t.Fatalf("stdout = %q, want %q", out.String(), want)
+	}
+
+	txtPath := filepath.Join(dir, "m.txt")
+	out.Reset()
+	if err := WriteSnapshot(&out, txtPath, snap); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(txtPath); err != nil || string(data) != snap.Text() {
+		t.Fatalf("text file = %q (err %v), want %q", data, err, snap.Text())
+	}
+	if !strings.HasSuffix(out.String(), "-> "+txtPath+"\n") {
+		t.Fatalf("stdout = %q, want a confirmation line", out.String())
+	}
+
+	if err := WriteSnapshot(&out, filepath.Join(dir, "missing", "m.json"), snap); err == nil {
+		t.Fatal("writing into a missing directory succeeded")
 	}
 }

@@ -16,11 +16,11 @@ import (
 // Server is the embeddable telemetry endpoint. It serves five routes:
 //
 //	/metrics        Prometheus text exposition of the hub's registry
-//	/debug/trace    Chrome trace_event JSON of the flight-recorder window
+//	/debug/trace    Chrome trace_event JSON of the flight window
 //	                (?which=failure serves the last failure dump instead)
 //	/debug/profile  folded stacks of the merged live profile
 //	/debug/cells    JSON from the "cells" state provider (the harness
-//	                publishes its in-flight cell table there); any other
+//	                publishes its run record there); any other
 //	                published provider is reachable as /debug/<name>
 //	/healthz        liveness probe
 //
@@ -49,26 +49,15 @@ func Handler(h *Hub) http.Handler {
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		var events []obsv.Event
-		var lost uint64
-		note := "flight window full: oldest events overwritten"
 		if r.URL.Query().Get("which") == "failure" {
 			dump, _ := h.LastDump()
 			if dump == nil {
 				http.Error(w, "no failure dump recorded", http.StatusNotFound)
 				return
 			}
-			events, lost = dump.Events, dump.Overwritten
-			note = "failure dump (" + dump.Reason + "): oldest events overwritten"
-		} else if h != nil && h.Flight != nil {
-			events, lost = h.Flight.Snapshot()
-		}
-		if lost > 0 {
-			// Keep-newest ring: the hole is before the first retained event.
-			var ts float64
-			if len(events) > 0 {
-				ts = events[0].TS
-			}
-			events = append([]obsv.Event{obsv.TruncationEvent(int(lost), note, ts)}, events...)
+			events = dump.Events
+		} else if h != nil {
+			events = h.Flight.Events()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = obsv.WriteChromeTrace(w, events, h.Profiles())

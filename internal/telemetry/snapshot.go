@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strings"
 )
 
@@ -107,4 +108,31 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
+}
+
+// WriteSnapshot writes a snapshot where a -telemetry-snapshot flag points:
+// "-" prints the text table to stdout, a path ending in .json gets
+// indented JSON, any other path the text table. A file write is confirmed
+// with one line on stdout.
+func WriteSnapshot(stdout io.Writer, dst string, s Snapshot) error {
+	if dst == "-" {
+		_, err := io.WriteString(stdout, s.Text())
+		return err
+	}
+	f, err := os.Create(dst)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(dst, ".json") {
+		err = s.WriteJSON(f)
+	} else {
+		_, err = f.WriteString(s.Text())
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		fmt.Fprintf(stdout, "telemetry snapshot: %d metrics -> %s\n", len(s.Metrics), dst)
+	}
+	return err
 }
