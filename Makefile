@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race e2ebench-test bench bench-e2e bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke fuzz
+.PHONY: check fmt build vet test race e2ebench-test bench bench-e2e experiments-check bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke fuzz
 
 check: fmt vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke
 
@@ -45,6 +45,12 @@ bench:
 bench-e2e:
 	bash e2ebench/run.sh --workload table2 --seconds 45
 	bash e2ebench/run.sh --workload serve-cold --seconds 45
+
+# Regenerates every paper table and figure and diffs the output, with its
+# exit code, against the committed experiments_all.txt: any byte that moved
+# fails. Takes minutes (about 3.5 on 2 vCPUs), so not part of check.
+experiments-check:
+	{ $(GO) run ./cmd/benchtab -exp all; echo "EXITCODE=$$?"; } | diff experiments_all.txt -
 
 # One-iteration sweep of every benchmark so a broken -bench path fails CI
 # without waiting for steady-state numbers (baselines live in BENCH_perf.json).

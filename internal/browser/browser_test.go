@@ -5,6 +5,8 @@ import (
 
 	"wasmbench/internal/compiler"
 	"wasmbench/internal/ir"
+	"wasmbench/internal/wasm"
+	"wasmbench/internal/wasmvm"
 )
 
 const tinyProg = `
@@ -130,4 +132,119 @@ var __exit = 0;
 	if len(m.Result.Output) != 1 || m.Result.Output[0].I != 499500 {
 		t.Errorf("manual JS output: %v", m.Result.Output)
 	}
+}
+
+// growCapModule is a minimal module exporting grow(n) = memory.grow(n).
+func growCapModule() *wasm.Module {
+	m := &wasm.Module{}
+	tI_I := m.AddType(wasm.FuncType{Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32}})
+	m.Mem = &wasm.MemType{Min: 1}
+	m.Funcs = append(m.Funcs, wasm.Function{Type: tI_I, Name: "grow", Body: []wasm.Instr{
+		{Op: wasm.OpLocalGet, A: 0}, {Op: wasm.OpMemoryGrow}, {Op: wasm.OpEnd},
+	}})
+	m.Exports = append(m.Exports, wasm.Export{Name: "grow", Kind: wasm.ExportFunc, Idx: 0})
+	return m
+}
+
+// tabBudgetPages is a ≈300 MB per-tab linear-memory budget (the study's
+// Mi 6 class of device) in 64 KiB pages.
+const tabBudgetPages = 4800
+
+// TestTabCapGrowDeniedAtBudget runs a real module on a mobile profile's
+// engine with its page cap set to a tab budget: growing to exactly the
+// budget succeeds, growing past it fails with −1 and leaves the size
+// unchanged — the spec-correct surface of a mobile tab OOM kill.
+func TestTabCapGrowDeniedAtBudget(t *testing.T) {
+	p := Chrome(Mobile)
+	cfg := p.Wasm
+	cfg.MaxPages = tabBudgetPages
+	cfg.GrowGranularityPages = 1
+	vm, err := wasmvm.New(growCapModule(), 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Instantiate(); err != nil {
+		t.Fatal(err)
+	}
+	grow := func(n int32) int32 {
+		res, err := vm.Call("grow", wasmvm.I32(n))
+		if err != nil {
+			t.Fatalf("grow(%d): %v", n, err)
+		}
+		return wasmvm.AsI32(res[0])
+	}
+	// Fill to exactly the 4800-page budget.
+	if r := grow(int32(tabBudgetPages) - 1); r != 1 {
+		t.Fatalf("grow to budget returned %d, want old size 1", r)
+	}
+	if got := vm.Memory().Pages(); got != tabBudgetPages {
+		t.Fatalf("pages = %d, want %d", got, tabBudgetPages)
+	}
+	// One page past the budget must fail without resizing.
+	if r := grow(1); r != -1 {
+		t.Errorf("grow past tab budget = %d, want -1", r)
+	}
+	if got := vm.Memory().Pages(); got != tabBudgetPages {
+		t.Errorf("failed grow resized memory: %d pages", got)
+	}
+}
+
+// TestTabCapPoolReclaim drives an instance pool bounded at two instances
+// like a mobile tab manager: the pool admits exactly the budget, an
+// over-budget checkout under ColdFallback runs cold (the tab-kill
+// analogue — no blocking, no error), and an idle instance of another
+// engine shape is evicted to admit a new one, exactly as an idle tab is
+// reclaimed for a foreground one.
+func TestTabCapPoolReclaim(t *testing.T) {
+	cfgA := Chrome(Mobile).Wasm
+	cfgA.MaxPages = tabBudgetPages
+	cfgA.GrowGranularityPages = 1
+	const budget = 2
+	pool := wasmvm.NewInstancePool(growCapModule(), 0, wasmvm.PoolOptions{
+		MaxInstances: budget,
+		ColdFallback: true,
+	})
+
+	vm1, _, err := pool.Get(cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm2, _, err := pool.Get(cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Budget exhausted: the third concurrent tab runs cold instead of
+	// waiting for a kill.
+	vm3, recycled, err := pool.Get(cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recycled {
+		t.Error("over-budget checkout reported recycled")
+	}
+	if s := pool.Stats(); s.ColdFallbacks != 1 || s.Live != budget {
+		t.Errorf("after over-budget checkout: %+v, want 1 cold fallback at live=%d", s, budget)
+	}
+	pool.Put(vm3) // cold instance is outside the pool: dropped, not admitted
+	pool.Put(vm1)
+	pool.Put(vm2)
+	if s := pool.Stats(); s.Idle != budget {
+		t.Errorf("idle = %d, want %d", s.Idle, budget)
+	}
+
+	// A foreground tab with a different engine shape evicts an idle one.
+	cfgB := cfgA
+	cfgB.TierUpThreshold = 77
+	vmB, _, err := pool.Get(cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := pool.Stats()
+	if s.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1 (idle tab reclaimed)", s.Evictions)
+	}
+	if s.Live != budget {
+		t.Errorf("live = %d, want %d (budget never exceeded)", s.Live, budget)
+	}
+	pool.Put(vmB)
 }

@@ -72,7 +72,7 @@ func TestWasmLedger(t *testing.T) {
 			for _, m := range wasmLedgerModes {
 				for _, p := range profiles {
 					key := fmt.Sprintf("%s/%s/O2/XS/%s/%s", b.Name, tc, m.name, p.Name())
-					meas, err := p.MeasureWasmMode(art, m.mode)
+					meas, err := p.MeasureWasmWith(art, MeasureOptions{Mode: m.mode})
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}

@@ -7,6 +7,7 @@
 package browser
 
 import (
+	"errors"
 	"fmt"
 
 	"wasmbench/internal/compiler"
@@ -52,41 +53,6 @@ type Profile struct {
 	// WasmMemOverhead is the module/devtools overhead added to the Wasm
 	// memory metric, in bytes.
 	WasmMemOverhead uint64
-	// TabCapPages models the platform's per-tab linear-memory budget in
-	// 64 KiB pages (mobile browsers kill tabs that outgrow it, PAPER.md
-	// §memory; JS heaps stay flat while Wasm memory grows toward the cap).
-	// Advisory: it constrains nothing until ApplyTabCap is called, so
-	// existing measurements are untouched. 0 = no platform cap (desktop).
-	TabCapPages uint32
-}
-
-// ApplyTabCap clamps the Wasm engine's page limit to the platform tab
-// budget, making memory.grow return −1 at the cap exactly as a mobile tab
-// OOM kill would — the harness's degrade ladder and the fault matrix use
-// this as the capacity-exhaustion environment.
-func (p *Profile) ApplyTabCap() {
-	if p.TabCapPages != 0 && (p.Wasm.MaxPages == 0 || p.Wasm.MaxPages > p.TabCapPages) {
-		p.Wasm.MaxPages = p.TabCapPages
-	}
-}
-
-// PooledVMBudget sizes an instance pool against the platform tab budget:
-// how many idle pooled instances of the given linear-memory footprint fit
-// under TabCapPages. Idle instances hold their post-init memory (and any
-// retained grow arena), so on mobile the pool bound — not just a single
-// tab — must respect the cap; a checkout evicted past the budget is
-// reclaimed exactly like a tab kill. At least 1 (a pool that cannot hold
-// one instance degrades to cold runs by exhaustion, not by erroring);
-// 0 means no platform cap, leaving the bound to the caller.
-func (p *Profile) PooledVMBudget(instancePages uint32) int {
-	if p.TabCapPages == 0 || instancePages == 0 {
-		return 0
-	}
-	n := int(p.TabCapPages / instancePages)
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // Name returns e.g. "chrome-desktop".
@@ -228,9 +194,6 @@ func Edge(plat Platform) *Profile {
 // smaller caches, thermal limits; the study's Mi 6).
 func mobileize(p *Profile) {
 	p.ClockGHz = 1.35
-	// ≈300 MB tab budget (the study's Mi 6 class of device); advisory
-	// until ApplyTabCap.
-	p.TabCapPages = 4800
 	p.Wasm.BasicCost = p.Wasm.BasicCost.Scale(1.6)
 	p.Wasm.OptCost = p.Wasm.OptCost.Scale(1.6)
 	p.JS.InterpCost = p.JS.InterpCost.Scale(1.6)
@@ -253,6 +216,10 @@ func AllProfiles() []*Profile {
 	}
 }
 
+// ErrTierMode reports a tier mode the engine cannot run: the JS engine
+// has no optimizing-only configuration.
+var ErrTierMode = errors.New("browser: tier mode not supported by this engine")
+
 // Measurement is one §3.4 data collection: execution time via the page's
 // performance.now() span and memory via the DevTools model.
 type Measurement struct {
@@ -267,6 +234,11 @@ type Measurement struct {
 // lets the harness's degradation ladder and fault plans ride through the
 // same code path the zero-fault sweep uses.
 type MeasureOptions struct {
+	// Mode selects the engine tiers (the §4.4 experiments). On the Wasm
+	// engine a mode other than TierBoth replaces the profile's; on the JS
+	// engine TierBasicOnly pins the interpreter (DisableJIT) and
+	// TierOptOnly fails with ErrTierMode.
+	Mode wasmvm.TierMode
 	// DisableAOTTier runs the Wasm VM's optimizing tier on the stack loop
 	// instead of AOT superblocks (results and metrics are unchanged by
 	// construction).
@@ -290,23 +262,16 @@ type MeasureOptions struct {
 // excluding page setup, but instantiation — which the timer in the JS
 // loader includes — is inside the span).
 func (p *Profile) MeasureWasm(art *compiler.Artifact) (*Measurement, error) {
-	return p.MeasureWasmMode(art, p.Wasm.Mode)
+	return p.MeasureWasmWith(art, MeasureOptions{})
 }
 
-// MeasureWasmMode runs with an explicit tier mode (the §4.4 experiments).
-func (p *Profile) MeasureWasmMode(art *compiler.Artifact, mode wasmvm.TierMode) (*Measurement, error) {
-	cfg := p.Wasm
-	cfg.Mode = mode
-	return p.measureWasmCfg(art, cfg, MeasureOptions{})
-}
-
-// MeasureWasmWith measures under per-run engine overrides (deadlines,
-// degradation rungs, fault plans).
+// MeasureWasmWith measures under per-run engine overrides (tier modes,
+// deadlines, degradation rungs, fault plans).
 func (p *Profile) MeasureWasmWith(art *compiler.Artifact, opts MeasureOptions) (*Measurement, error) {
-	return p.measureWasmCfg(art, p.Wasm, opts)
-}
-
-func (p *Profile) measureWasmCfg(art *compiler.Artifact, cfg wasmvm.Config, opts MeasureOptions) (*Measurement, error) {
+	cfg := p.Wasm
+	if opts.Mode != wasmvm.TierBoth {
+		cfg.Mode = opts.Mode
+	}
 	if opts.DisableAOTTier {
 		cfg.DisableAOTTier = true
 	}
@@ -341,6 +306,12 @@ func (p *Profile) MeasureJS(art *compiler.Artifact) (*Measurement, error) {
 // overrides.
 func (p *Profile) MeasureJSWith(art *compiler.Artifact, opts MeasureOptions) (*Measurement, error) {
 	cfg := p.JS
+	switch opts.Mode {
+	case wasmvm.TierBasicOnly:
+		opts.DisableJIT = true // --no-opt
+	case wasmvm.TierOptOnly:
+		return nil, ErrTierMode
+	}
 	if opts.DisableJIT {
 		cfg.JITEnabled = false
 	}

@@ -8,6 +8,8 @@ import (
 	"wasmbench/internal/codegen"
 	"wasmbench/internal/ir"
 	"wasmbench/internal/jsvm"
+	"wasmbench/internal/obsv"
+	"wasmbench/internal/telemetry"
 	"wasmbench/internal/wasmvm"
 )
 
@@ -346,5 +348,29 @@ func TestWATRendering(t *testing.T) {
 		if !strings.Contains(wat, want) {
 			t.Errorf("WAT missing %q", want)
 		}
+	}
+}
+
+// TestPassWorkWithoutTracer: live compiler instruments observe every
+// pipeline stage and optimization pass whether or not a tracer is
+// attached — one compiler_pass_work_cycles sample per KindCompilePass
+// event a tracer-only compile emits.
+func TestPassWorkWithoutTracer(t *testing.T) {
+	tr := &obsv.Collector{}
+	if _, err := Compile(gemmSrc, Options{Opt: ir.O2, ModuleName: "gemm", Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	passes := 0
+	for _, e := range tr.Events() {
+		if e.Kind == obsv.KindCompilePass {
+			passes++
+		}
+	}
+	inst := telemetry.NewCompilerInstruments(telemetry.NewRegistry())
+	if _, err := Compile(gemmSrc, Options{Opt: ir.O2, ModuleName: "gemm", Instruments: inst}); err != nil {
+		t.Fatal(err)
+	}
+	if got := inst.PassWork.Count(); got != uint64(passes) || passes <= 5 {
+		t.Errorf("pass-work samples = %d, tracer saw %d compile-pass events", got, passes)
 	}
 }

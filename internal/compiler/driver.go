@@ -188,7 +188,7 @@ func Compile(src string, opts Options) (*Artifact, error) {
 		return nil, err
 	}
 	var hook ir.PassHook
-	if opts.Tracer != nil {
+	if opts.Tracer != nil || opts.Instruments != nil {
 		n := ir.NodeCount(prog)
 		clock.stage("ir-build", n, n, n)
 		hook = func(name string, before, after int) {

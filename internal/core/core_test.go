@@ -6,6 +6,7 @@ import (
 
 	"wasmbench/internal/benchsuite"
 	"wasmbench/internal/browser"
+	"wasmbench/internal/harness"
 	"wasmbench/internal/ir"
 )
 
@@ -248,5 +249,35 @@ func TestTable7Render(t *testing.T) {
 	}
 	if !strings.Contains(r.RenderTable7(), "Basic only") {
 		t.Error("render broken")
+	}
+}
+
+// TestCellLabelsDistinct: every experiment's cell list names each cell
+// once, so the runner's per-cell records (checkpoint, trace, metrics)
+// never conflate two measurements.
+func TestCellLabelsDistinct(t *testing.T) {
+	all := benchsuite.All()
+	manual, _, err := manualJSCells(benchsuite.ManualBenchmarks(), browser.Chrome(browser.Desktop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	desktop := []*browser.Profile{browser.Chrome(browser.Desktop), browser.Firefox(browser.Desktop)}
+	for name, cells := range map[string][]harness.Cell{
+		"table2":    optLevelCells(all),
+		"table3":    inputSizeCells(browser.Chrome(browser.Desktop), all, benchsuite.AllSizes),
+		"fig10":     jitCells(all),
+		"table7":    table7Cells(desktop, all),
+		"table8":    browserCells(browser.AllProfiles(), all),
+		"compilers": compilerCells(all),
+		"table9":    manual,
+	} {
+		seen := map[string]bool{}
+		for _, c := range cells {
+			if l := c.Label(); seen[l] {
+				t.Errorf("%s: duplicate cell label %s", name, l)
+			} else {
+				seen[l] = true
+			}
+		}
 	}
 }

@@ -5,16 +5,11 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-
 	"wasmbench/internal/benchsuite"
 	"wasmbench/internal/browser"
-	"wasmbench/internal/codegen"
 	"wasmbench/internal/compiler"
 	"wasmbench/internal/harness"
 	"wasmbench/internal/ir"
-	"wasmbench/internal/jsvm"
 	"wasmbench/internal/wasmvm"
 )
 
@@ -40,6 +35,24 @@ func (o Options) sizes() []benchsuite.Size {
 	return benchsuite.AllSizes
 }
 
+// kernel is the cell every experiment varies: a benchmark compiled by
+// Cheerp at -O2 with the medium input. A nil profile is only valid for
+// the x86 lang.
+func kernel(b *benchsuite.Benchmark, lang string, p *browser.Profile) harness.Cell {
+	return harness.Cell{Bench: b, Size: benchsuite.M, Level: ir.O2, Lang: lang, Profile: p}
+}
+
+// measure runs cells on the experiment runner with its default options
+// and returns the results in cell order, or the first cell error.
+func measure(cells []harness.Cell) ([]harness.CellResult, error) {
+	res, _ := harness.RunCellsWith(cells, harness.RunOptions{})
+	return res, harness.FirstError(res)
+}
+
+// ms and kb read a measured cell's execution time and memory.
+func ms(r harness.CellResult) float64 { return r.Meas.ExecMS }
+func kb(r harness.CellResult) float64 { return r.Meas.MemoryKB }
+
 // ---- §4.2.1: compiler optimization levels (Table 2, Figs. 5/6/11) ----
 
 // OptLevelRow is one benchmark's ratios relative to -O2.
@@ -60,74 +73,45 @@ type OptLevelsResult struct {
 
 var optLevels = []ir.OptLevel{ir.O1, ir.O2, ir.Oz, ir.Ofast}
 
+// optLevelLangs are the Table 2 targets, in their cell order.
+var optLevelLangs = []string{"wasm", "js", "x86"}
+
+// optLevelCells lists Table 2's cells: per benchmark and level, Wasm and
+// JS on desktop Chrome and the native x86 backend, at the medium input.
+func optLevelCells(benches []*benchsuite.Benchmark) []harness.Cell {
+	chrome := browser.Chrome(browser.Desktop)
+	var cells []harness.Cell
+	for _, b := range benches {
+		for _, lv := range optLevels {
+			for _, lang := range optLevelLangs {
+				c := kernel(b, lang, chrome)
+				if lang == "x86" {
+					c.Profile = nil
+				}
+				c.Level = lv
+				cells = append(cells, c)
+			}
+		}
+	}
+	return cells
+}
+
 // RunOptLevels measures the 41 benchmarks at -O1/-O2/-Oz/-Ofast on desktop
 // Chrome (Wasm + JS) and on the native x86 backend, with the medium input.
 func RunOptLevels(opts Options) (*OptLevelsResult, error) {
-	chrome := browser.Chrome(browser.Desktop)
 	benches := opts.benchmarks()
 	res := &OptLevelsResult{Levels: []ir.OptLevel{ir.O1, ir.Ofast, ir.Oz}}
-
-	type cellOut struct {
-		timeJS, timeWasm, timeX86 float64
-		sizeJS, sizeWasm, sizeX86 float64
-		memJS, memWasm            float64
-	}
-	type key struct {
-		bench int
-		level ir.OptLevel
-	}
-	outs := make(map[key]*cellOut)
-	var mu sync.Mutex
-
-	type job struct {
-		bi    int
-		level ir.OptLevel
-	}
-	var jobs []job
-	for bi := range benches {
-		for _, lv := range optLevels {
-			jobs = append(jobs, job{bi, lv})
-		}
-	}
-	err := parallelDo(len(jobs), func(i int) error {
-		j := jobs[i]
-		b := benches[j.bi]
-		art, err := compiler.Compile(b.Source, compiler.Options{
-			Opt:        j.level,
-			Defines:    b.Defines(benchsuite.M),
-			HeapLimit:  b.HeapLimitBytes(benchsuite.M),
-			ModuleName: b.Name,
-		})
-		if err != nil {
-			return fmt.Errorf("%s %v: %w", b.Name, j.level, err)
-		}
-		wm, err := chrome.MeasureWasm(art)
-		if err != nil {
-			return fmt.Errorf("%s %v wasm: %w", b.Name, j.level, err)
-		}
-		jm, err := chrome.MeasureJS(art)
-		if err != nil {
-			return fmt.Errorf("%s %v js: %w", b.Name, j.level, err)
-		}
-		xr, err := compiler.RunX86(art, codegen.DefaultX86Config())
-		if err != nil {
-			return fmt.Errorf("%s %v x86: %w", b.Name, j.level, err)
-		}
-		mu.Lock()
-		outs[key{j.bi, j.level}] = &cellOut{
-			timeJS: jm.ExecMS, timeWasm: wm.ExecMS, timeX86: xr.Cycles,
-			sizeJS: float64(art.JSSize()), sizeWasm: float64(art.WasmSize()), sizeX86: float64(art.X86Size()),
-			memJS: jm.MemoryKB, memWasm: wm.MemoryKB,
-		}
-		mu.Unlock()
-		return nil
-	})
+	cells, err := measure(optLevelCells(benches))
 	if err != nil {
 		return nil, err
 	}
-
+	// at returns the wasm, js and x86 cells of benchmark bi at level li.
+	at := func(bi, li int) (w, j, x harness.CellResult) {
+		k := (bi*len(optLevels) + li) * len(optLevelLangs)
+		return cells[k], cells[k+1], cells[k+2]
+	}
 	for bi, b := range benches {
-		base := outs[key{bi, ir.O2}]
+		w, j, x := at(bi, 1) // the -O2 baseline (optLevels[1])
 		row := OptLevelRow{
 			Bench:    b.Name,
 			TimeJS:   map[ir.OptLevel]float64{},
@@ -139,23 +123,23 @@ func RunOptLevels(opts Options) (*OptLevelsResult, error) {
 			MemJS:    map[ir.OptLevel]float64{},
 			MemWasm:  map[ir.OptLevel]float64{},
 		}
-		best, bestT := ir.O2, base.timeWasm
-		for _, lv := range optLevels {
-			o := outs[key{bi, lv}]
-			if o.timeWasm < bestT {
-				best, bestT = lv, o.timeWasm
+		best, bestT := ir.O2, ms(w)
+		for li, lv := range optLevels {
+			ow, oj, ox := at(bi, li)
+			if ms(ow) < bestT {
+				best, bestT = lv, ms(ow)
 			}
 			if lv == ir.O2 {
 				continue
 			}
-			row.TimeJS[lv] = o.timeJS / base.timeJS
-			row.TimeWasm[lv] = o.timeWasm / base.timeWasm
-			row.TimeX86[lv] = o.timeX86 / base.timeX86
-			row.SizeJS[lv] = o.sizeJS / base.sizeJS
-			row.SizeWasm[lv] = o.sizeWasm / base.sizeWasm
-			row.SizeX86[lv] = o.sizeX86 / base.sizeX86
-			row.MemJS[lv] = o.memJS / base.memJS
-			row.MemWasm[lv] = o.memWasm / base.memWasm
+			row.TimeJS[lv] = ms(oj) / ms(j)
+			row.TimeWasm[lv] = ms(ow) / ms(w)
+			row.TimeX86[lv] = ox.Meas.Result.Cycles / x.Meas.Result.Cycles
+			row.SizeJS[lv] = float64(oj.Art.JSSize()) / float64(j.Art.JSSize())
+			row.SizeWasm[lv] = float64(ow.Art.WasmSize()) / float64(w.Art.WasmSize())
+			row.SizeX86[lv] = float64(ox.Art.X86Size()) / float64(x.Art.X86Size())
+			row.MemJS[lv] = kb(oj) / kb(j)
+			row.MemWasm[lv] = kb(ow) / kb(w)
 		}
 		row.FastestWasm = best
 		res.Rows = append(res.Rows, row)
@@ -221,42 +205,37 @@ type InputSizesResult struct {
 	Cells   []InputSizeCell
 }
 
+// inputSizeCells lists Tables 3–6's cells: Wasm then JS per benchmark
+// and size class on profile p.
+func inputSizeCells(p *browser.Profile, benches []*benchsuite.Benchmark, sizes []benchsuite.Size) []harness.Cell {
+	var cells []harness.Cell
+	for _, b := range benches {
+		for _, sz := range sizes {
+			for _, lang := range []string{"wasm", "js"} {
+				c := kernel(b, lang, p)
+				c.Size = sz
+				cells = append(cells, c)
+			}
+		}
+	}
+	return cells
+}
+
 // RunInputSizes measures the suite across input classes on one profile
 // (the paper uses desktop Chrome for Tables 3/4, desktop Firefox for 5/6).
 func RunInputSizes(p *browser.Profile, opts Options) (*InputSizesResult, error) {
-	benches := opts.benchmarks()
-	sizes := opts.sizes()
-	res := &InputSizesResult{Profile: p.Name()}
-	res.Cells = make([]InputSizeCell, len(benches)*len(sizes))
-	err := parallelDo(len(res.Cells), func(i int) error {
-		b := benches[i/len(sizes)]
-		sz := sizes[i%len(sizes)]
-		art, err := compiler.Compile(b.Source, compiler.Options{
-			Opt:        ir.O2,
-			Defines:    b.Defines(sz),
-			HeapLimit:  b.HeapLimitBytes(sz),
-			ModuleName: b.Name,
-		})
-		if err != nil {
-			return fmt.Errorf("%s/%v: %w", b.Name, sz, err)
-		}
-		wm, err := p.MeasureWasm(art)
-		if err != nil {
-			return fmt.Errorf("%s/%v wasm: %w", b.Name, sz, err)
-		}
-		jm, err := p.MeasureJS(art)
-		if err != nil {
-			return fmt.Errorf("%s/%v js: %w", b.Name, sz, err)
-		}
-		res.Cells[i] = InputSizeCell{
-			Bench: b.Name, Size: sz,
-			WasmMS: wm.ExecMS, JSMS: jm.ExecMS,
-			WasmMemKB: wm.MemoryKB, JSMemKB: jm.MemoryKB,
-		}
-		return nil
-	})
+	cells, err := measure(inputSizeCells(p, opts.benchmarks(), opts.sizes()))
 	if err != nil {
 		return nil, err
+	}
+	res := &InputSizesResult{Profile: p.Name()}
+	for k := 0; k < len(cells); k += 2 {
+		w, j := cells[k], cells[k+1]
+		res.Cells = append(res.Cells, InputSizeCell{
+			Bench: w.Bench.Name, Size: w.Size,
+			WasmMS: ms(w), JSMS: ms(j),
+			WasmMemKB: kb(w), JSMemKB: kb(j),
+		})
 	}
 	return res, nil
 }
@@ -310,51 +289,40 @@ type JITRow struct {
 // JITResult backs Fig. 10.
 type JITResult struct{ Rows []JITRow }
 
+// jitCells lists Fig. 10's cells on desktop Chrome: per benchmark, JS
+// and Wasm, each with both tiers and then basic-only (JS --no-opt, Wasm
+// --liftoff --no-wasm-tier-up).
+func jitCells(benches []*benchsuite.Benchmark) []harness.Cell {
+	chrome := browser.Chrome(browser.Desktop)
+	var cells []harness.Cell
+	for _, b := range benches {
+		for _, lang := range []string{"js", "wasm"} {
+			for _, mode := range []wasmvm.TierMode{wasmvm.TierBoth, wasmvm.TierBasicOnly} {
+				c := kernel(b, lang, chrome)
+				c.Mode = mode
+				cells = append(cells, c)
+			}
+		}
+	}
+	return cells
+}
+
 // RunJIT measures JIT impact on desktop Chrome with medium inputs.
 func RunJIT(opts Options) (*JITResult, error) {
 	benches := opts.benchmarks()
-	res := &JITResult{Rows: make([]JITRow, len(benches))}
-	err := parallelDo(len(benches), func(i int) error {
-		b := benches[i]
-		art, err := compiler.Compile(b.Source, compiler.Options{
-			Opt:        ir.O2,
-			Defines:    b.Defines(benchsuite.M),
-			HeapLimit:  b.HeapLimitBytes(benchsuite.M),
-			ModuleName: b.Name,
-		})
-		if err != nil {
-			return err
-		}
-		on := browser.Chrome(browser.Desktop)
-		off := browser.Chrome(browser.Desktop)
-		off.JS.JITEnabled = false // --no-opt
-
-		jsOn, err := on.MeasureJS(art)
-		if err != nil {
-			return err
-		}
-		jsOff, err := off.MeasureJS(art)
-		if err != nil {
-			return err
-		}
-		wOn, err := on.MeasureWasmMode(art, wasmvm.TierBoth)
-		if err != nil {
-			return err
-		}
-		wOff, err := on.MeasureWasmMode(art, wasmvm.TierBasicOnly) // --liftoff --no-wasm-tier-up
-		if err != nil {
-			return err
-		}
-		res.Rows[i] = JITRow{
-			Bench: b.Name,
-			Suite: b.Suite,
-			JS:    jsOff.ExecMS / jsOn.ExecMS,
-			Wasm:  wOff.ExecMS / wOn.ExecMS,
-		}
-		return nil
-	})
+	cells, err := measure(jitCells(benches))
 	if err != nil {
 		return nil, err
+	}
+	res := &JITResult{}
+	for i, b := range benches {
+		jsOn, jsOff, wOn, wOff := cells[4*i], cells[4*i+1], cells[4*i+2], cells[4*i+3]
+		res.Rows = append(res.Rows, JITRow{
+			Bench: b.Name,
+			Suite: b.Suite,
+			JS:    ms(jsOff) / ms(jsOn),
+			Wasm:  ms(wOff) / ms(wOn),
+		})
 	}
 	return res, nil
 }
@@ -370,65 +338,47 @@ type Table7Row struct {
 // Table7Result backs Table 7.
 type Table7Result struct{ Rows []Table7Row }
 
+// table7Modes are Table 7's tier configurations, in their cell order.
+var table7Modes = []wasmvm.TierMode{wasmvm.TierBoth, wasmvm.TierBasicOnly, wasmvm.TierOptOnly}
+
+// table7Cells lists Table 7's cells: per profile and benchmark, Wasm in
+// each tier configuration.
+func table7Cells(profiles []*browser.Profile, benches []*benchsuite.Benchmark) []harness.Cell {
+	var cells []harness.Cell
+	for _, p := range profiles {
+		for _, b := range benches {
+			for _, mode := range table7Modes {
+				c := kernel(b, "wasm", p)
+				c.Mode = mode
+				cells = append(cells, c)
+			}
+		}
+	}
+	return cells
+}
+
 // RunTable7 compares Wasm tier configurations on Chrome and Firefox.
 func RunTable7(opts Options) (*Table7Result, error) {
 	benches := opts.benchmarks()
 	profiles := []*browser.Profile{browser.Chrome(browser.Desktop), browser.Firefox(browser.Desktop)}
-	type samp struct {
-		suite      string
-		basic, opt float64
-	}
-	samples := make([][]samp, len(profiles))
-	for pi, p := range profiles {
-		samples[pi] = make([]samp, len(benches))
-		p := p
-		pi := pi
-		err := parallelDo(len(benches), func(i int) error {
-			b := benches[i]
-			art, err := compiler.Compile(b.Source, compiler.Options{
-				Opt:        ir.O2,
-				Defines:    b.Defines(benchsuite.M),
-				HeapLimit:  b.HeapLimitBytes(benchsuite.M),
-				ModuleName: b.Name,
-			})
-			if err != nil {
-				return err
-			}
-			both, err := p.MeasureWasmMode(art, wasmvm.TierBoth)
-			if err != nil {
-				return err
-			}
-			basic, err := p.MeasureWasmMode(art, wasmvm.TierBasicOnly)
-			if err != nil {
-				return err
-			}
-			optOnly, err := p.MeasureWasmMode(art, wasmvm.TierOptOnly)
-			if err != nil {
-				return err
-			}
-			// Execution-speed ratio of default to the single-tier setting:
-			// >1 means the default (both tiers) is faster.
-			samples[pi][i] = samp{
-				suite: b.Suite,
-				basic: basic.ExecMS / both.ExecMS,
-				opt:   optOnly.ExecMS / both.ExecMS,
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	cells, err := measure(table7Cells(profiles, benches))
+	if err != nil {
+		return nil, err
 	}
 	res := &Table7Result{}
 	for _, suite := range []string{"polybench", "chstone", "overall"} {
 		for pi, p := range profiles {
 			var basics, opts []float64
-			for _, s := range samples[pi] {
-				if suite != "overall" && s.suite != suite {
+			for i, b := range benches {
+				if suite != "overall" && b.Suite != suite {
 					continue
 				}
-				basics = append(basics, s.basic)
-				opts = append(opts, s.opt)
+				k := (pi*len(benches) + i) * len(table7Modes)
+				both, basic, optOnly := cells[k], cells[k+1], cells[k+2]
+				// Execution-speed ratio of default to the single-tier
+				// setting: >1 means the default (both tiers) is faster.
+				basics = append(basics, ms(basic)/ms(both))
+				opts = append(opts, ms(optOnly)/ms(both))
 			}
 			res.Rows = append(res.Rows, Table7Row{
 				Suite:     suite,
@@ -459,53 +409,46 @@ type Table8Result struct {
 	PerBench map[string]map[string][4]float64
 }
 
+// browserCells lists Table 8's cells: per profile and benchmark, Wasm
+// then JS.
+func browserCells(profiles []*browser.Profile, benches []*benchsuite.Benchmark) []harness.Cell {
+	var cells []harness.Cell
+	for _, p := range profiles {
+		for _, b := range benches {
+			cells = append(cells, kernel(b, "wasm", p), kernel(b, "js", p))
+		}
+	}
+	return cells
+}
+
 // RunBrowsersPlatforms measures the suite in the six deployment settings.
 func RunBrowsersPlatforms(opts Options) (*Table8Result, error) {
 	benches := opts.benchmarks()
+	profiles := browser.AllProfiles()
+	cells, err := measure(browserCells(profiles, benches))
+	if err != nil {
+		return nil, err
+	}
 	res := &Table8Result{PerBench: map[string]map[string][4]float64{}}
-	for _, p := range browser.AllProfiles() {
-		p := p
-		perBench := make([][4]float64, len(benches))
-		err := parallelDo(len(benches), func(i int) error {
-			b := benches[i]
-			art, err := compiler.Compile(b.Source, compiler.Options{
-				Opt:        ir.O2,
-				Defines:    b.Defines(benchsuite.M),
-				HeapLimit:  b.HeapLimitBytes(benchsuite.M),
-				ModuleName: b.Name,
-			})
-			if err != nil {
-				return err
-			}
-			wm, err := p.MeasureWasm(art)
-			if err != nil {
-				return err
-			}
-			jm, err := p.MeasureJS(art)
-			if err != nil {
-				return err
-			}
-			perBench[i] = [4]float64{jm.ExecMS, wm.ExecMS, jm.MemoryKB, wm.MemoryKB}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		cell := Table8Cell{Profile: p.Name()}
+	for pi, p := range profiles {
 		var js, wm, jmem, wmem []float64
 		byName := map[string][4]float64{}
-		for i, v := range perBench {
-			js = append(js, v[0])
-			wm = append(wm, v[1])
-			jmem = append(jmem, v[2])
-			wmem = append(wmem, v[3])
-			byName[benches[i].Name] = v
+		for i, b := range benches {
+			k := 2 * (pi*len(benches) + i)
+			w, j := cells[k], cells[k+1]
+			js = append(js, ms(j))
+			wm = append(wm, ms(w))
+			jmem = append(jmem, kb(j))
+			wmem = append(wmem, kb(w))
+			byName[b.Name] = [4]float64{ms(j), ms(w), kb(j), kb(w)}
 		}
-		cell.ExecMSJS = harness.Mean(js)
-		cell.ExecMSWasm = harness.Mean(wm)
-		cell.MemKBJS = harness.Mean(jmem)
-		cell.MemKBWasm = harness.Mean(wmem)
-		res.Cells = append(res.Cells, cell)
+		res.Cells = append(res.Cells, Table8Cell{
+			Profile:    p.Name(),
+			ExecMSJS:   harness.Mean(js),
+			ExecMSWasm: harness.Mean(wm),
+			MemKBJS:    harness.Mean(jmem),
+			MemKBWasm:  harness.Mean(wmem),
+		})
 		res.PerBench[p.Name()] = byName
 	}
 	return res, nil
@@ -519,90 +462,34 @@ type CompilerCompareResult struct {
 	MemRatio     float64 // Emscripten mem ÷ Cheerp mem
 }
 
+// compilerCells lists the toolchain comparison's cells: per benchmark,
+// Wasm from Cheerp then from Emscripten on desktop Chrome.
+func compilerCells(benches []*benchsuite.Benchmark) []harness.Cell {
+	chrome := browser.Chrome(browser.Desktop)
+	var cells []harness.Cell
+	for _, b := range benches {
+		em := kernel(b, "wasm", chrome)
+		em.Toolchain = compiler.Emscripten
+		cells = append(cells, kernel(b, "wasm", chrome), em)
+	}
+	return cells
+}
+
 // RunCompilerCompare compiles the suite with both toolchains at -O2/M on
 // desktop Chrome.
 func RunCompilerCompare(opts Options) (*CompilerCompareResult, error) {
-	benches := opts.benchmarks()
-	chrome := browser.Chrome(browser.Desktop)
-	speed := make([]float64, len(benches))
-	mem := make([]float64, len(benches))
-	err := parallelDo(len(benches), func(i int) error {
-		b := benches[i]
-		com := compiler.Options{
-			Opt:        ir.O2,
-			Defines:    b.Defines(benchsuite.M),
-			HeapLimit:  b.HeapLimitBytes(benchsuite.M),
-			ModuleName: b.Name,
-			Targets:    []compiler.Target{compiler.TargetWasm},
-		}
-		com.Toolchain = compiler.Cheerp
-		ch, err := compiler.Compile(b.Source, com)
-		if err != nil {
-			return err
-		}
-		com.Toolchain = compiler.Emscripten
-		em, err := compiler.Compile(b.Source, com)
-		if err != nil {
-			return err
-		}
-		chM, err := chrome.MeasureWasm(ch)
-		if err != nil {
-			return err
-		}
-		emM, err := chrome.MeasureWasm(em)
-		if err != nil {
-			return err
-		}
-		speed[i] = chM.ExecMS / emM.ExecMS // >1: Emscripten faster
-		mem[i] = emM.MemoryKB / chM.MemoryKB
-		return nil
-	})
+	cells, err := measure(compilerCells(opts.benchmarks()))
 	if err != nil {
 		return nil, err
+	}
+	var speed, mem []float64
+	for k := 0; k < len(cells); k += 2 {
+		ch, em := cells[k], cells[k+1]
+		speed = append(speed, ms(ch)/ms(em)) // >1: Emscripten faster
+		mem = append(mem, kb(em)/kb(ch))
 	}
 	return &CompilerCompareResult{
 		SpeedupGmean: harness.GeoMean(speed),
 		MemRatio:     harness.GeoMean(mem),
 	}, nil
 }
-
-// ---- parallel helper ----
-
-func parallelDo(n int, fn func(i int) error) error {
-	workers := 8
-	if n < workers {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	idx := make(chan int)
-	errCh := make(chan error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := fn(i); err != nil {
-					errCh <- err
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// jsvm is referenced by the §4.6 experiments in study2.go.
-var _ = jsvm.New

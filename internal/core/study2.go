@@ -7,6 +7,7 @@ import (
 	"wasmbench/internal/benchsuite"
 	"wasmbench/internal/browser"
 	"wasmbench/internal/compiler"
+	"wasmbench/internal/harness"
 	"wasmbench/internal/ir"
 	"wasmbench/internal/wasmvm"
 )
@@ -28,51 +29,64 @@ type Table9Row struct {
 // Table9Result backs Table 9.
 type Table9Result struct{ Rows []Table9Row }
 
+// manualJSCells lists Table 9's compiled columns: a JS and a Wasm cell on
+// profile p per distinct counterpart kernel (Heat-3d and SHA each back two
+// rows but are measured once). at maps each manual row to the index of
+// its counterpart's JS cell; the Wasm cell follows it.
+func manualJSCells(manuals []*benchsuite.ManualJS, p *browser.Profile) (cells []harness.Cell, at []int, err error) {
+	first := map[string]int{}
+	for _, m := range manuals {
+		k, ok := first[m.Counterpart]
+		if !ok {
+			b, err := benchsuite.ByName(m.Counterpart)
+			if err != nil {
+				return nil, nil, err
+			}
+			k = len(cells)
+			first[m.Counterpart] = k
+			cells = append(cells, kernel(b, "js", p), kernel(b, "wasm", p))
+		}
+		at = append(at, k)
+	}
+	return cells, at, nil
+}
+
 // RunManualJS measures the 11 Table 9 rows on desktop Chrome.
 func RunManualJS() (*Table9Result, error) {
 	manuals := benchsuite.ManualBenchmarks()
-	res := &Table9Result{Rows: make([]Table9Row, len(manuals))}
-	err := parallelDo(len(manuals), func(i int) error {
-		m := manuals[i]
-		chrome := browser.Chrome(browser.Desktop)
-		mm, err := chrome.MeasureJSSource(m.Source)
+	chrome := browser.Chrome(browser.Desktop)
+	cells, at, err := manualJSCells(manuals, chrome)
+	if err != nil {
+		return nil, err
+	}
+	compiled, err := measure(cells)
+	if err != nil {
+		return nil, err
+	}
+	hand := make([]*browser.Measurement, len(manuals))
+	err = parallelDo(len(manuals), func(i int) error {
+		m, err := chrome.MeasureJSSource(manuals[i].Source)
 		if err != nil {
-			return fmt.Errorf("manual %s: %w", m.Name, err)
+			return fmt.Errorf("manual %s: %w", manuals[i].Name, err)
 		}
-		b, err := benchsuite.ByName(m.Counterpart)
-		if err != nil {
-			return err
-		}
-		art, err := compiler.Compile(b.Source, compiler.Options{
-			Opt:        ir.O2,
-			Defines:    b.Defines(benchsuite.M),
-			HeapLimit:  b.HeapLimitBytes(benchsuite.M),
-			ModuleName: b.Name,
-		})
-		if err != nil {
-			return err
-		}
-		cm, err := chrome.MeasureJS(art)
-		if err != nil {
-			return err
-		}
-		wm, err := chrome.MeasureWasm(art)
-		if err != nil {
-			return err
-		}
-		res.Rows[i] = Table9Row{
-			Bench:       m.Name,
-			ManualMS:    mm.ExecMS,
-			CheerpJSMS:  cm.ExecMS,
-			WasmMS:      wm.ExecMS,
-			ManualMemKB: mm.MemoryKB,
-			CheerpMemKB: cm.MemoryKB,
-			WasmMemKB:   wm.MemoryKB,
-		}
+		hand[i] = m
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	res := &Table9Result{}
+	for i, m := range manuals {
+		cm, wm := compiled[at[i]], compiled[at[i]+1]
+		res.Rows = append(res.Rows, Table9Row{
+			Bench:       m.Name,
+			ManualMS:    hand[i].ExecMS,
+			CheerpJSMS:  ms(cm),
+			WasmMS:      ms(wm),
+			ManualMemKB: hand[i].MemoryKB,
+			CheerpMemKB: kb(cm),
+			WasmMemKB:   kb(wm),
+		})
 	}
 	return res, nil
 }
@@ -273,4 +287,44 @@ func RunCtxSwitch() *CtxSwitchResult {
 		res.NS[p.Browser] = p.CtxSwitchNS()
 	}
 	return res
+}
+
+// parallelDo runs fn(0..n-1) on up to 8 goroutines and returns an error
+// if any call failed. It serves the measurements of non-kernel sources —
+// Table 9's hand-written JS and Table 10's applications — which have no
+// harness cell.
+func parallelDo(n int, fn func(i int) error) error {
+	workers := 8
+	if n < workers {
+		workers = n
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	idx := make(chan int)
+	errCh := make(chan error, n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				if err := fn(i); err != nil {
+					errCh <- err
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

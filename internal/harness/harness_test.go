@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -8,7 +9,10 @@ import (
 
 	"wasmbench/internal/benchsuite"
 	"wasmbench/internal/browser"
+	"wasmbench/internal/codegen"
+	"wasmbench/internal/compiler"
 	"wasmbench/internal/ir"
+	"wasmbench/internal/wasmvm"
 )
 
 func TestGeoMean(t *testing.T) {
@@ -108,5 +112,84 @@ func TestRunCellsEndToEnd(t *testing.T) {
 	j := results[1].Meas.Result.OutputStrings()
 	if len(w) == 0 || len(j) == 0 || w[0] != j[0] {
 		t.Errorf("outputs differ: %v vs %v", w, j)
+	}
+}
+
+// TestCellLabel: the label names every field that changes a result, and
+// keeps the short form for Cheerp, TierBoth cells.
+func TestCellLabel(t *testing.T) {
+	b, err := benchsuite.ByName("atax")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chrome := browser.Chrome(browser.Desktop)
+	c := Cell{Bench: b, Size: benchsuite.M, Level: ir.O2, Lang: "wasm", Profile: chrome}
+	em := c
+	em.Toolchain = compiler.Emscripten
+	basic := c
+	basic.Mode = wasmvm.TierBasicOnly
+	x86 := c
+	x86.Lang, x86.Profile = "x86", nil
+	for _, tc := range []struct {
+		c    Cell
+		want string
+	}{
+		{c, "atax/M/wasm/-O2@chrome-desktop"},
+		{em, "atax/M/wasm/-O2/emscripten@chrome-desktop"},
+		{basic, "atax/M/wasm/-O2/basic@chrome-desktop"},
+		{x86, "atax/M/x86/-O2@native"},
+	} {
+		if got := tc.c.Label(); got != tc.want {
+			t.Errorf("Label() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
+// TestCellLangsAndModes: an x86 cell runs the native backend exactly as a
+// direct RunX86 of the kernel does, a mode cell measures what the profile
+// measures under that MeasureOptions.Mode, and a JS cell has no
+// optimizing-only mode.
+func TestCellLangsAndModes(t *testing.T) {
+	x86 := resCell(t, "atax", benchsuite.XS, "x86")
+	x86.Profile = nil
+	wasmBasic := resCell(t, "atax", benchsuite.XS, "wasm")
+	wasmBasic.Mode = wasmvm.TierBasicOnly
+	jsBasic := resCell(t, "atax", benchsuite.XS, "js")
+	jsBasic.Mode = wasmvm.TierBasicOnly
+	jsOpt := jsBasic
+	jsOpt.Mode = wasmvm.TierOptOnly
+	res := RunCells([]Cell{x86, wasmBasic, jsBasic, jsOpt})
+
+	all, err := compiler.Compile(x86.Bench.Source, compiler.Options{Opt: ir.O2,
+		Defines: x86.Bench.Defines(x86.Size), HeapLimit: x86.Bench.HeapLimitBytes(x86.Size),
+		ModuleName: x86.Bench.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xr, err := compiler.RunX86(all, codegen.DefaultX86Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res[0]; r.Err != nil || r.Meas.Result.Cycles != xr.Cycles || r.Art.X86Size() != all.X86Size() {
+		t.Errorf("x86 cell: err %v, want cycles %v and size %d", r.Err, xr.Cycles, all.X86Size())
+	}
+
+	chrome := wasmBasic.Profile
+	wm, err := chrome.MeasureWasmWith(all, browser.MeasureOptions{Mode: wasmvm.TierBasicOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keyOf(t, res[1]); got.Cycles != wm.Result.Cycles || got.ExecMS != wm.ExecMS {
+		t.Errorf("basic-only wasm cell %+v, profile measures %v ms", got, wm.ExecMS)
+	}
+	jm, err := chrome.MeasureJSWith(all, browser.MeasureOptions{DisableJIT: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keyOf(t, res[2]); got.Cycles != jm.Result.Cycles {
+		t.Errorf("basic-only js cell cycles %v, JIT-less engine %v", got.Cycles, jm.Result.Cycles)
+	}
+	if !errors.Is(res[3].Err, browser.ErrTierMode) {
+		t.Errorf("opt-only js cell: err %v, want ErrTierMode", res[3].Err)
 	}
 }

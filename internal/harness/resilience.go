@@ -17,11 +17,13 @@ import (
 	"time"
 
 	"wasmbench/internal/browser"
+	"wasmbench/internal/codegen"
 	"wasmbench/internal/compiler"
 	"wasmbench/internal/faultinject"
 	"wasmbench/internal/ir"
 	"wasmbench/internal/obsv"
 	"wasmbench/internal/telemetry"
+	"wasmbench/internal/wasmvm"
 )
 
 // Resilience errors.
@@ -40,14 +42,18 @@ var (
 )
 
 // degradeRungs is the graceful-degradation ladder for a cell language, in
-// the order attempts descend it. The wasm "noaot" rung only changes
-// dispatch machinery (the stack loop serves the optimizing tier instead of
-// AOT superblocks), so a degraded result is identical to the
-// full-configuration result by construction; the final O0 rung trades
-// optimization for survival and is visibly recorded in the metrics.
+// the order attempts descend it (x86 has no engine tiers, so only the O0
+// rung). The wasm "noaot" rung only changes dispatch machinery (the stack
+// loop serves the optimizing tier instead of AOT superblocks), so a
+// degraded result is identical to the full-configuration result by
+// construction; the final O0 rung trades optimization for survival and is
+// visibly recorded in the metrics.
 func degradeRungs(lang string) []string {
-	if lang == "js" {
+	switch lang {
+	case "js":
 		return []string{"nojit", "O0"}
+	case "x86":
+		return []string{"O0"}
 	}
 	return []string{"noaot", "O0"}
 }
@@ -127,7 +133,7 @@ func runAttempt(c Cell, cache *ArtifactCache, opt RunOptions, rung string, plan 
 	}
 
 	cc := c
-	mo := browser.MeasureOptions{StepLimit: opt.StepLimit, Faults: plan}
+	mo := browser.MeasureOptions{Mode: c.Mode, StepLimit: opt.StepLimit, Faults: plan}
 	switch rung {
 	case "noaot":
 		mo.DisableAOTTier = true
@@ -164,9 +170,12 @@ func runAttempt(c Cell, cache *ArtifactCache, opt RunOptions, rung string, plan 
 
 	t1 := time.Now()
 	var m *browser.Measurement
-	if cc.Lang == "js" {
+	switch cc.Lang {
+	case "js":
 		m, err = cc.Profile.MeasureJSWith(art, mo)
-	} else {
+	case "x86":
+		m, err = runX86(art, mo)
+	default:
 		// Pooled instantiation is keyed by the degraded cell's fingerprint:
 		// an O0 rung compiles a different artifact and therefore uses a
 		// different pool, while the dispatch-only noaot rung shares the
@@ -179,6 +188,22 @@ func runAttempt(c Cell, cache *ArtifactCache, opt RunOptions, rung string, plan 
 		err = fmt.Errorf("%s/%v/%s: %w", c.Bench.Name, c.Size, c.Lang, err)
 	}
 	return CellResult{Cell: c, Meas: m, Art: art, Err: err}, info
+}
+
+// runX86 runs an x86 cell on the native backend. The measurement carries
+// only the run's Result: without a browser there is no page timer or
+// DevTools memory.
+func runX86(art *compiler.Artifact, mo browser.MeasureOptions) (*browser.Measurement, error) {
+	if mo.Mode != wasmvm.TierBoth {
+		return nil, browser.ErrTierMode
+	}
+	cfg := codegen.DefaultX86Config()
+	cfg.StepLimit = mo.StepLimit
+	res, err := compiler.RunX86(art, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &browser.Measurement{Result: res}, nil
 }
 
 // budgetErr maps a context's termination cause to the harness error for a

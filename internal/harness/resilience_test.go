@@ -156,6 +156,17 @@ func TestDegradeLadder(t *testing.T) {
 	if m.Degraded != 1 || m.Retries != 1 {
 		t.Errorf("counters: %+v", m)
 	}
+
+	// x86 has no engine tiers: its only rung is O0.
+	x := resCell(t, "atax", benchsuite.XS, "x86")
+	x.Profile = nil
+	plan = faultinject.NewPlan(13, faultinject.Rule{Point: faultinject.CompilerPass, Count: 1})
+	res, m = RunCellsWith([]Cell{x}, RunOptions{
+		Workers: 1, Retries: 3, DegradeOnRetry: true, Faults: plan,
+	})
+	if res[0].Err != nil || m.Cells[0].Attempts != 2 || m.Cells[0].Degraded != "O0" {
+		t.Errorf("x86 cell: err %v, metric %+v", res[0].Err, m.Cells[0])
+	}
 }
 
 // TestQuarantine: a benchmark whose cells always fail trips the
@@ -409,6 +420,47 @@ func TestCheckpointResume(t *testing.T) {
 	stale.Level = ir.O0
 	if _, ok := cp2.Lookup(stale); ok {
 		t.Error("stale fingerprint must not resume")
+	}
+}
+
+// TestCheckpointResumesBothToolchains: the Cheerp and Emscripten builds
+// of one kernel are two checkpoint records, so a resumed run restores
+// both instead of re-measuring one of them.
+func TestCheckpointResumesBothToolchains(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkpoint.jsonl")
+	ch := resCell(t, "atax", benchsuite.XS, "wasm")
+	em := ch
+	em.Toolchain = compiler.Emscripten
+	cells := []Cell{ch, em}
+
+	cp1, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res1, _ := RunCellsWith(cells, RunOptions{Workers: 1, Checkpoint: cp1})
+	if err := FirstError(res1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cp2, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp2.Close()
+	if cp2.Len() != 2 {
+		t.Fatalf("reloaded %d records, want 2 (one per toolchain)", cp2.Len())
+	}
+	res2, m2 := RunCellsWith(cells, RunOptions{Workers: 1, Checkpoint: cp2})
+	for i, c := range cells {
+		if !m2.Cells[i].Resumed {
+			t.Errorf("%s: re-measured, want resumed", c.Label())
+		}
+		if got, want := keyOf(t, res2[i]), keyOf(t, res1[i]); got != want {
+			t.Errorf("%s: resumed %+v, measured %+v", c.Label(), got, want)
+		}
 	}
 }
 

@@ -14,23 +14,43 @@ import (
 	"wasmbench/internal/ir"
 	"wasmbench/internal/obsv"
 	"wasmbench/internal/telemetry"
+	"wasmbench/internal/wasmvm"
 )
 
 // Cell is one measurement cell: a benchmark compiled with a configuration
-// and measured on a profile.
+// and measured on a profile, or run on the native x86 backend.
 type Cell struct {
-	Bench   *benchsuite.Benchmark
-	Size    benchsuite.Size
-	Level   ir.OptLevel
-	Lang    string // "wasm" or "js"
+	Bench *benchsuite.Benchmark
+	Size  benchsuite.Size
+	Level ir.OptLevel
+	// Lang is "wasm", "js", or "x86" (the native backend, which runs
+	// without a Profile).
+	Lang    string
 	Profile *browser.Profile
 	// Toolchain defaults to Cheerp.
 	Toolchain compiler.Toolchain
+	// Mode selects the engine tiers (browser.MeasureOptions.Mode). The
+	// zero value, TierBoth, is every profile's default.
+	Mode wasmvm.TierMode
 }
 
-// Label renders a compact cell identifier, e.g. "atax/M/wasm/-O2@chrome-desktop".
+// Label renders a compact cell identifier naming every field that changes
+// the result, e.g. "atax/M/wasm/-O2@chrome-desktop". The toolchain is
+// appended only when it is not Cheerp and the mode only when it is not
+// TierBoth, so those labels (and checkpoints keyed by them) keep the
+// short form; x86 cells end "@native".
 func (c Cell) Label() string {
-	return fmt.Sprintf("%s/%v/%s/%v@%s", c.Bench.Name, c.Size, c.Lang, c.Level, c.Profile.Name())
+	l := fmt.Sprintf("%s/%v/%s/%v", c.Bench.Name, c.Size, c.Lang, c.Level)
+	if c.Toolchain != compiler.Cheerp {
+		l += "/" + c.Toolchain.String()
+	}
+	if c.Mode != wasmvm.TierBoth {
+		l += "/" + c.Mode.String()
+	}
+	if c.Profile == nil {
+		return l + "@native"
+	}
+	return l + "@" + c.Profile.Name()
 }
 
 // CellResult is the measured outcome.
@@ -41,11 +61,18 @@ type CellResult struct {
 	Err  error
 }
 
-// cellOptions renders the cell's full compiler configuration.
+// cellOptions renders the cell's full compiler configuration. It is the
+// only place kernel compile options are built. Each lang compiles its own
+// target alone: the artifact is byte-identical to that target's part of an
+// all-target compile, and served cells' fingerprints (which e2ebench's
+// replay recomputes) stay what they were.
 func cellOptions(c Cell) compiler.Options {
-	targets := []compiler.Target{compiler.TargetWasm}
-	if c.Lang == "js" {
-		targets = []compiler.Target{compiler.TargetJS}
+	target := compiler.TargetWasm
+	switch c.Lang {
+	case "js":
+		target = compiler.TargetJS
+	case "x86":
+		target = compiler.TargetX86
 	}
 	return compiler.Options{
 		Opt:        c.Level,
@@ -53,13 +80,14 @@ func cellOptions(c Cell) compiler.Options {
 		Defines:    c.Bench.Defines(c.Size),
 		HeapLimit:  c.Bench.HeapLimitBytes(c.Size),
 		ModuleName: c.Bench.Name,
-		Targets:    targets,
+		Targets:    []compiler.Target{target},
 	}
 }
 
 // Fingerprint returns the cell's content-addressed compilation key:
-// cells that differ only in browser profile share a fingerprint, and
-// therefore share one compiled artifact under an ArtifactCache.
+// cells that differ only in browser profile or tier mode share a
+// fingerprint, and therefore share one compiled artifact under an
+// ArtifactCache.
 func (c Cell) Fingerprint() string {
 	return compiler.Fingerprint(c.Bench.Source, cellOptions(c))
 }
@@ -156,7 +184,7 @@ type RunOptions struct {
 	// deterministic jitter seeded from the fault plan. 0 retries instantly.
 	RetryBackoff time.Duration
 	// DegradeOnRetry steps retries down the degradation ladder
-	// (wasm: noaot → O0; js: nojit → O0) instead of
+	// (wasm: noaot → O0; js: nojit → O0; x86: O0) instead of
 	// repeating the identical configuration.
 	DegradeOnRetry bool
 	// QuarantineAfter skips further cells of a benchmark after that many

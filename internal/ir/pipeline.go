@@ -171,14 +171,20 @@ type PassHook func(name string, nodesBefore, nodesAfter int)
 // OptimizeWithHook runs the pass pipeline for the level, invoking hook
 // after every pass. A nil hook skips the node counting entirely.
 func OptimizeWithHook(p *Program, level OptLevel, hook PassHook) {
+	before := -1
 	for _, s := range passSeq(level) {
 		if hook == nil {
 			s.fn(p)
 			continue
 		}
-		before := NodeCount(p)
+		if before < 0 {
+			before = NodeCount(p)
+		}
 		s.fn(p)
-		hook(s.name, before, NodeCount(p))
+		// Passes run back to back, so one pass's after is the next's before.
+		after := NodeCount(p)
+		hook(s.name, before, after)
+		before = after
 	}
 }
 

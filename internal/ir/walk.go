@@ -319,39 +319,32 @@ func cloneStmt(s Stmt) Stmt {
 }
 
 // countOps estimates the size of an expression in target instructions.
+// It recurses directly rather than through a closure: it runs over the
+// whole program after every pass whenever a pass hook is attached.
 func countOps(e Expr) int {
-	n := 0
-	var visit func(Expr)
-	visit = func(x Expr) {
-		n++
-		switch v := x.(type) {
-		case *Load:
-			visit(v.Addr)
-		case *Bin:
-			visit(v.X)
-			visit(v.Y)
-		case *Un:
-			visit(v.X)
-		case *Conv:
-			visit(v.X)
-		case *Call:
-			for _, a := range v.Args {
-				visit(a)
-			}
-		case *CallHost:
-			for _, a := range v.Args {
-				visit(a)
-			}
-		case *Ternary:
-			visit(v.C)
-			visit(v.X)
-			visit(v.Y)
-		case *Seq:
-			n += countStmts(v.Stmts) * 2
-			visit(v.X)
+	n := 1
+	switch v := e.(type) {
+	case *Load:
+		n += countOps(v.Addr)
+	case *Bin:
+		n += countOps(v.X) + countOps(v.Y)
+	case *Un:
+		n += countOps(v.X)
+	case *Conv:
+		n += countOps(v.X)
+	case *Call:
+		for _, a := range v.Args {
+			n += countOps(a)
 		}
+	case *CallHost:
+		for _, a := range v.Args {
+			n += countOps(a)
+		}
+	case *Ternary:
+		n += countOps(v.C) + countOps(v.X) + countOps(v.Y)
+	case *Seq:
+		n += countStmts(v.Stmts)*2 + countOps(v.X)
 	}
-	visit(e)
 	return n
 }
 

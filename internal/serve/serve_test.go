@@ -372,6 +372,45 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestBreakerPerToolchain: the breaker is keyed by cell label, and the
+// label names the toolchain, so tripping an Emscripten cell's breaker
+// leaves the Cheerp build of the same kernel admitted.
+func TestBreakerPerToolchain(t *testing.T) {
+	// Every Emscripten compile fails; Cheerp compiles are untouched.
+	plan := faultinject.NewPlan(13, faultinject.Rule{
+		Point: faultinject.CompilerPass, Prob: 1, Match: "/emscripten@",
+	})
+	s := NewServer(Config{
+		Workers: 1, BreakerFailures: 2, BreakerCooldown: time.Minute,
+		DisableCache: true, Faults: plan,
+	})
+	defer drain(t, s, 10*time.Second)
+
+	em := &Request{Bench: "doitgen", Size: "XS", Toolchain: "emscripten"}
+	for i := 0; i < 2; i++ {
+		if resp := s.Submit(em); resp.Status != StatusFailed {
+			t.Fatalf("emscripten request %d: want %s, got %+v", i, StatusFailed, resp)
+		}
+	}
+	if resp := s.Submit(em); resp.Status != StatusBreakerOpen {
+		t.Fatalf("post-trip emscripten request: want %s, got %+v", StatusBreakerOpen, resp)
+	}
+	ch := s.Submit(&Request{Bench: "doitgen", Size: "XS"})
+	if ch.Status != StatusOK {
+		t.Errorf("cheerp request after the emscripten trip: want ok, got %+v", ch)
+	}
+}
+
+// TestSubmitRejectsX86: x86 is a harness cell lang for the paper tables,
+// not a served backend; a request naming it is invalid and never admitted.
+func TestSubmitRejectsX86(t *testing.T) {
+	s := NewServer(Config{Workers: 1})
+	defer drain(t, s, 10*time.Second)
+	if resp := s.Submit(&Request{Bench: "atax", Size: "XS", Lang: "x86"}); resp.Status != StatusInvalid {
+		t.Errorf("x86 request: want %s, got %+v", StatusInvalid, resp)
+	}
+}
+
 // TestAdmitCountsJobBeforeWorker: a job must be counted in the drain
 // WaitGroup before a worker can claim it. A worker that finishes a job
 // first (here every job fast-fails on an open breaker) would otherwise

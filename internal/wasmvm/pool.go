@@ -19,7 +19,6 @@ package wasmvm
 // translation time.
 
 import (
-	"context"
 	"sync"
 
 	"wasmbench/internal/telemetry"
@@ -158,36 +157,9 @@ func NewInstancePool(m *wasm.Module, binarySize int, opts PoolOptions) *Instance
 // blocks until Put frees a slot or, with ColdFallback, returns an untracked
 // cold instance. Get never fails for capacity reasons.
 func (p *InstancePool) Get(cfg Config) (vm *VM, recycled bool, err error) {
-	return p.get(nil, cfg)
-}
-
-// GetCtx is Get with cooperative cancelation: a checkout blocked waiting
-// for a slot returns ctx.Err() promptly when ctx is canceled, instead of
-// waiting for a Put that may never come. The fast paths (free-list hit,
-// clone, eviction, cold fallback) are unaffected; no instance is leaked —
-// a canceled waiter never holds a slot.
-func (p *InstancePool) GetCtx(ctx context.Context, cfg Config) (vm *VM, recycled bool, err error) {
-	if ctx != nil && ctx.Done() != nil {
-		// Wake every cond waiter on cancel; each re-checks its own ctx. The
-		// lock around Broadcast orders the wake against a concurrent Wait.
-		stop := context.AfterFunc(ctx, func() {
-			p.mu.Lock()
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		})
-		defer stop()
-	}
-	return p.get(ctx, cfg)
-}
-
-func (p *InstancePool) get(ctx context.Context, cfg Config) (vm *VM, recycled bool, err error) {
 	shape := shapeOf(cfg)
 	p.mu.Lock()
 	for {
-		if ctx != nil && ctx.Err() != nil {
-			p.mu.Unlock()
-			return nil, false, ctx.Err()
-		}
 		if list := p.free[shape]; len(list) > 0 {
 			vm = list[len(list)-1]
 			list[len(list)-1] = nil

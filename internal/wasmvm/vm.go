@@ -33,6 +33,17 @@ const (
 	TierOptOnly
 )
 
+// String spells the mode as wasmrun's -mode flag does: both, basic, opt.
+func (m TierMode) String() string {
+	switch m {
+	case TierBasicOnly:
+		return "basic"
+	case TierOptOnly:
+		return "opt"
+	}
+	return "both"
+}
+
 // Config parameterizes the VM for one execution environment.
 type Config struct {
 	// BasicCost and OptCost are the per-class virtual-cycle cost tables of
