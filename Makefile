@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race e2ebench-test bench bench-e2e experiments-check bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke fuzz
+.PHONY: check fmt build vet test race e2ebench-test bench bench-e2e experiments-check bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz fuzz
 
-check: fmt vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke
+check: fmt vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz
 
 # Formatting gate: every Go file (e2ebench/ included) is gofmt-clean.
 fmt:
@@ -65,11 +65,13 @@ bench-smoke:
 difftest-smoke:
 	$(GO) test ./internal/difftest -run 'TestSmoke|TestCorpus|TestKernelOptInvariance' -count=1
 
-# Fault drill: a fixed-seed fault plan that fires every injection point at
-# least once and checks the harness retry/degrade/quarantine accounting,
-# plus the benchserve admission drills (serve.admit / serve.shed must
-# surface as typed responses, in-process and over HTTP, never hangs).
-# Deterministic (same seed ⇒ same counts and outcomes) and race-clean.
+# Fault drill: a fixed-seed fault plan that fires every non-serve injection
+# point at least once; each faulted cell runs once and either keeps its
+# clean-run measurement or fails with a typed injected error, under the
+# configuration its label names. Plus the benchserve admission drills
+# (serve.admit / serve.shed must surface as typed responses, in-process and
+# over HTTP, never hangs). Deterministic (same seed ⇒ same counts and
+# outcomes) and race-clean.
 faults-smoke:
 	$(GO) test ./internal/harness -run TestFaultSmoke -count=1 -race
 	$(GO) test ./internal/serve -run 'TestServeFaultDrill|TestServeFaultDrillHTTP' -count=1 -race
@@ -99,6 +101,12 @@ serve-smoke:
 	$(GO) run ./cmd/benchserve -loadgen -self -requests 60 -rate 300 -queue 4 -serve-workers 2 \
 		-loadgen-bench atax,bicg,mvt -loadgen-sizes XS -seed 7 \
 		-faults 'wasm.stall:count=6,stall=150ms' -expect-shed
+
+# Input-boundary fuzz: arbitrary bytes through the benchserve /run decoder
+# (JSON → request → cell → deadline) must never panic, must return typed
+# errors, and must resolve every deadline into (0, max]. No kernel runs.
+serve-fuzz:
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRequestDecode -fuzztime 10s
 
 # Open-ended differential fuzzing (not part of check). Override FUZZTIME
 # and FUZZ to steer, e.g. make fuzz FUZZ=FuzzDiffOptLevels FUZZTIME=5m.

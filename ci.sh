@@ -14,8 +14,9 @@ go test -run=NONE -bench=. -benchtime=1x ./...
 # corpus through the cross-backend oracle, without -race (full matrix:
 # every tier mode on the stack loop and on AOT superblocks, plus pooled).
 go test ./internal/difftest -run 'TestSmoke|TestCorpus|TestKernelOptInvariance' -count=1
-# Fault drill: fixed-seed fault plan covering every injection point, with
-# retry/degrade/quarantine accounting checked; deterministic and race-clean.
+# Fault drill: fixed-seed fault plan covering every non-serve injection
+# point; each faulted cell runs once and keeps its clean measurement or
+# fails with a typed injected error; deterministic and race-clean.
 # The serve drills prove injected admission faults (serve.admit/serve.shed)
 # surface as typed responses — 503/429 over HTTP — never hangs.
 go test ./internal/harness -run TestFaultSmoke -count=1 -race
@@ -36,3 +37,6 @@ go test ./internal/serve -run 'TestServeSmoke|TestServeDrainCancelsInFlight|Test
 go run ./cmd/benchserve -loadgen -self -requests 60 -rate 300 -queue 4 -serve-workers 2 \
   -loadgen-bench atax,bicg,mvt -loadgen-sizes XS -seed 7 \
   -faults 'wasm.stall:count=6,stall=150ms' -expect-shed
+# Input-boundary fuzz: the benchserve /run decoder never panics, returns
+# typed errors, and bounds every deadline; no kernel runs.
+go test ./internal/serve -run '^$' -fuzz FuzzRequestDecode -fuzztime 10s

@@ -1,12 +1,12 @@
 // Command benchserve runs the measurement harness as a long-running,
-// overload-safe service (ROADMAP item 2). Two modes:
+// overload-safe service. Two modes:
 //
 //	benchserve -addr :8080
 //	    Serve POST /run compile+measure requests through the shared
-//	    ArtifactCache + warm VM pools + resilient harness, with bounded
-//	    admission, explicit load-shedding (429 + Retry-After), per-cell
-//	    circuit breakers, live telemetry (/metrics, /debug/serve, ...),
-//	    and graceful drain on SIGTERM/SIGINT.
+//	    ArtifactCache + warm VM pools + harness, with per-request
+//	    deadlines, bounded admission, explicit load-shedding (429 +
+//	    Retry-After), per-cell circuit breakers, live telemetry (/metrics,
+//	    /debug/serve, ...), and graceful drain on SIGTERM/SIGINT.
 //
 //	benchserve -loadgen -self -requests 200 -rate 100
 //	    Open-loop Poisson load generation (over the kernel × profile
@@ -37,9 +37,6 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "default per-request deadline (0 = 30s)")
 	maxDeadline := flag.Duration("max-deadline", 0, "cap on any request deadline (0 = 2m)")
 	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on shed responses (0 = 1s)")
-	retries := flag.Int("retries", 0, "per-request cell retries")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base backoff between retries")
-	degrade := flag.Bool("degrade", false, "step retries down the degradation ladder")
 	breakerFailures := flag.Int("breaker-failures", 0, "trip a cell's circuit breaker after this many consecutive failures (0 = off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before the half-open probe (0 = 5s)")
 	stepLimit := flag.Uint64("step-limit", 0, "per-measurement dynamic instruction budget (0 = profile default)")
@@ -93,9 +90,6 @@ func main() {
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
 		RetryAfter:      *retryAfter,
-		Retries:         *retries,
-		RetryBackoff:    *retryBackoff,
-		DegradeOnRetry:  *degrade,
 		StepLimit:       *stepLimit,
 		BreakerFailures: *breakerFailures,
 		BreakerCooldown: *breakerCooldown,

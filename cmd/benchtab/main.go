@@ -22,23 +22,19 @@
 // Use -bench to restrict to a comma-separated benchmark subset and -sizes
 // to restrict input classes (e.g. -sizes XS,M).
 //
-// The -metrics grid run additionally supports a resilience tool kit:
-// -retries/-retry-backoff/-degrade re-attempt failed cells (optionally
-// stepping down the degradation ladder), -deadline and -step-limit bound
-// each attempt in wall-clock and virtual time, -quarantine skips
-// benchmarks that keep failing, -resume checkpoints completed cells to a
-// file and restores them on the next invocation, and -faults/-fault-seed
-// inject a deterministic fault plan for drills. -vm-pool serves Wasm cells
-// from per-artifact instance pools (snapshot clones/resets instead of cold
+// The -metrics grid run runs every cell once, under the configuration its
+// label names. -deadline and -step-limit bound each cell in wall-clock and
+// virtual time, -resume checkpoints completed cells to a file and restores
+// them on the next invocation, and -faults/-fault-seed inject a
+// deterministic fault plan for drills. -vm-pool serves Wasm cells from
+// per-artifact instance pools (snapshot clones/resets instead of cold
 // instantiation; host time only — every virtual metric is unchanged; each
-// pool holds at most workers+1 live instances). Any cell still failed or
-// quarantined at the end makes benchtab exit nonzero with a failure
-// summary on stderr.
+// pool holds at most workers+1 live instances). Any failed cell makes
+// benchtab exit nonzero with a failure summary on stderr.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -66,14 +62,10 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for -metrics (0 = default)")
 	compileCache := flag.Bool("compile-cache", true, "share one compiled artifact per unique (source, size, opt, toolchain, target); disable for cold-compile studies")
 	resume := flag.String("resume", "", "with -metrics: checkpoint file; completed cells are restored from it and new successes appended, so an interrupted run picks up where it left off")
-	retries := flag.Int("retries", 0, "with -metrics: re-attempt failed cells up to N times")
-	retryBackoff := flag.Duration("retry-backoff", 0, "with -metrics: base delay before retries (exponential with seeded jitter)")
-	degrade := flag.Bool("degrade", false, "with -metrics: step retries down the degradation ladder (wasm: noaot, O0; js: nojit, O0)")
-	deadline := flag.Duration("deadline", 0, "with -metrics: wall-clock budget per cell attempt (0 = none)")
+	deadline := flag.Duration("deadline", 0, "with -metrics: wall-clock budget per cell (0 = none)")
 	stepLimit := flag.Uint64("step-limit", 0, "with -metrics: dynamic instruction budget per measurement (0 = profile default)")
-	quarantine := flag.Int("quarantine", 0, "with -metrics: skip a benchmark's remaining cells after N consecutive failures (0 = never)")
 	faultSpec := flag.String("faults", "", "with -metrics: deterministic fault plan, e.g. 'wasm.stall:count=2,stall=100ms;harness.worker-panic:prob=0.05'")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed for the -faults plan and retry jitter")
+	faultSeed := flag.Uint64("fault-seed", 1, "seed for the -faults plan")
 	vmPool := flag.Bool("vm-pool", false, "with -metrics: serve Wasm measurements from per-artifact instance pools (post-init snapshot clones and resets instead of cold instantiation; virtual metrics are unchanged)")
 	telemetryAddr := flag.String("telemetry", "", "with -metrics: serve live telemetry on this address during the sweep (/metrics, /debug/trace, /debug/profile, /debug/cells, /healthz); ':0' picks a free port")
 	telemetrySnap := flag.String("telemetry-snapshot", "", "with -metrics: write a metrics snapshot when the sweep ends ('-' = text to stdout; a path ending in .json gets JSON)")
@@ -109,15 +101,11 @@ func main() {
 
 	if *metricsFlag || *traceOut != "" {
 		ropt := harness.RunOptions{
-			Workers:         *workers,
-			DisableCache:    !*compileCache,
-			Retries:         *retries,
-			RetryBackoff:    *retryBackoff,
-			DegradeOnRetry:  *degrade,
-			Deadline:        *deadline,
-			StepLimit:       *stepLimit,
-			QuarantineAfter: *quarantine,
-			VMPool:          *vmPool,
+			Workers:      *workers,
+			DisableCache: !*compileCache,
+			Deadline:     *deadline,
+			StepLimit:    *stepLimit,
+			VMPool:       *vmPool,
 		}
 		if *faultSpec != "" {
 			rules, err := faultinject.ParseSpec(*faultSpec)
@@ -251,8 +239,8 @@ type teleConfig struct {
 func (t teleConfig) enabled() bool { return t.addr != "" || t.snapshot != "" }
 
 // runMetrics executes the benchmark × language cell grid on desktop Chrome
-// under the instrumented harness (with whatever resilience options the
-// flags selected) and prints the run's wall-time metrics. Sizes default to
+// under the instrumented harness (with whatever budgets, checkpoint, and
+// fault plan the flags selected) and prints the run's wall-time metrics. Sizes default to
 // M alone (the study's reference class) to keep the grid manageable;
 // -sizes widens it. With -telemetry the sweep serves live endpoints while
 // it runs; trace and snapshot outputs are flushed even on SIGINT, so an
@@ -345,25 +333,15 @@ func runMetrics(opts core.Options, ropt harness.RunOptions, tele teleConfig, tra
 
 	results, metrics := harness.RunCellsWith(cells, ropt)
 	fmt.Println(metrics.Render())
-	// Failure summary: any cell still failed or quarantined after the
-	// retry/degrade budget makes the whole run exit nonzero, with one line
-	// per casualty so partial results are still auditable.
-	var failed, quarantined int
-	for _, r := range results {
-		if r.Err == nil {
-			continue
-		}
-		if errors.Is(r.Err, harness.ErrQuarantined) {
-			quarantined++
-		} else {
-			failed++
-		}
-		fmt.Fprintln(os.Stderr, "benchtab: cell failed:", r.Err)
+	// Failure summary: any failed cell makes the whole run exit nonzero,
+	// with one line per casualty so partial results are still auditable.
+	errs := harness.AllErrors(results)
+	for _, err := range errs {
+		fmt.Fprintln(os.Stderr, "benchtab: cell failed:", err)
 	}
 	flush()
-	if failed+quarantined > 0 {
-		return fmt.Errorf("%d of %d cells failed (%d quarantined) after retries",
-			failed+quarantined, len(cells), quarantined)
+	if len(errs) > 0 {
+		return fmt.Errorf("%d of %d cells failed", len(errs), len(cells))
 	}
 	return nil
 }

@@ -231,20 +231,14 @@ type Measurement struct {
 // MeasureOptions overrides engine parameters for one measurement without
 // mutating the profile. The zero value changes nothing, so measurements
 // through it are identical to the plain Measure methods — which is what
-// lets the harness's degradation ladder and fault plans ride through the
-// same code path the zero-fault sweep uses.
+// lets the harness's budgets and fault plans ride through the same code
+// path the zero-fault sweep uses.
 type MeasureOptions struct {
 	// Mode selects the engine tiers (the §4.4 experiments). On the Wasm
 	// engine a mode other than TierBoth replaces the profile's; on the JS
-	// engine TierBasicOnly pins the interpreter (DisableJIT) and
+	// engine TierBasicOnly pins the interpreter (--no-opt) and
 	// TierOptOnly fails with ErrTierMode.
 	Mode wasmvm.TierMode
-	// DisableAOTTier runs the Wasm VM's optimizing tier on the stack loop
-	// instead of AOT superblocks (results and metrics are unchanged by
-	// construction).
-	DisableAOTTier bool
-	// DisableJIT pins the JS engine to the interpreter tier.
-	DisableJIT bool
 	// StepLimit bounds dynamic instructions/steps for the run (a virtual-
 	// cycle budget; 0 keeps the profile's setting).
 	StepLimit uint64
@@ -266,14 +260,11 @@ func (p *Profile) MeasureWasm(art *compiler.Artifact) (*Measurement, error) {
 }
 
 // MeasureWasmWith measures under per-run engine overrides (tier modes,
-// deadlines, degradation rungs, fault plans).
+// step limits, fault plans, instance pools).
 func (p *Profile) MeasureWasmWith(art *compiler.Artifact, opts MeasureOptions) (*Measurement, error) {
 	cfg := p.Wasm
 	if opts.Mode != wasmvm.TierBoth {
 		cfg.Mode = opts.Mode
-	}
-	if opts.DisableAOTTier {
-		cfg.DisableAOTTier = true
 	}
 	if opts.StepLimit != 0 {
 		cfg.StepLimit = opts.StepLimit
@@ -308,12 +299,9 @@ func (p *Profile) MeasureJSWith(art *compiler.Artifact, opts MeasureOptions) (*M
 	cfg := p.JS
 	switch opts.Mode {
 	case wasmvm.TierBasicOnly:
-		opts.DisableJIT = true // --no-opt
+		cfg.JITEnabled = false // --no-opt
 	case wasmvm.TierOptOnly:
 		return nil, ErrTierMode
-	}
-	if opts.DisableJIT {
-		cfg.JITEnabled = false
 	}
 	if opts.StepLimit != 0 {
 		cfg.StepLimit = opts.StepLimit

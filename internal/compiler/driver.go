@@ -196,8 +196,8 @@ func Compile(src string, opts Options) (*Artifact, error) {
 		}
 	}
 	if opts.Faults != nil && opts.Faults.Fire(faultinject.CompilerPass, opts.ModuleName) {
-		// Transient optimization-pipeline failure: a retry advances the
-		// sequence number and can succeed.
+		// Injected optimization-pipeline failure: a later compile advances
+		// the sequence number and can succeed.
 		if opts.Tracer != nil {
 			opts.Tracer.Emit(obsv.Event{Kind: obsv.KindFault, TS: clock.ts,
 				Name: string(faultinject.CompilerPass), Track: "compile"})

@@ -10,7 +10,7 @@
 // the VMs, the compiler driver, and the harness worker pool. Every decision
 // is a pure function of (seed, point, key, sequence number), so the same
 // plan replayed over the same workload fires the same faults in the same
-// order — which is what makes retry/degrade/quarantine behavior testable.
+// order — which is what makes the harness's failure accounting testable.
 // A nil *Plan is inert: every method on it returns the zero decision, so
 // call sites pay one nil check and the zero-fault path stays byte-identical
 // to a build without fault injection.
@@ -55,13 +55,10 @@ const (
 	// cap, with Prob/Count a transient allocation failure. The engine
 	// reports ErrJSOOM, the analogue of a tab OOM kill.
 	JSHeapOOM Point = "js.heap-oom"
-	// CompilerPass fails a compilation in the optimization pipeline with a
-	// transient InjectedError (a retry with an advanced sequence number can
-	// succeed).
+	// CompilerPass fails a compilation in the optimization pipeline with an
+	// InjectedError (never cached, so a later compile of the same artifact
+	// runs the pipeline again).
 	CompilerPass Point = "compiler.pass"
-	// CompilerCache fails a harness artifact-cache lookup before it reaches
-	// the cache (the cache stays consistent; nothing is poisoned).
-	CompilerCache Point = "compiler.cache"
 	// HarnessPanic panics inside a harness worker while it runs a cell,
 	// exercising the worker recover() path.
 	HarnessPanic Point = "harness.worker-panic"
@@ -82,7 +79,7 @@ var AllPoints = []Point{
 	WasmGrowDeny, WasmAOTTranslate, WasmStall,
 	WasmSnapshotRestore,
 	JSJITCompile, JSHeapOOM,
-	CompilerPass, CompilerCache, HarnessPanic,
+	CompilerPass, HarnessPanic,
 	ServeAdmit, ServeShed,
 }
 
@@ -158,14 +155,6 @@ func NewPlan(seed uint64, rules ...Rule) *Plan {
 		rules: m,
 		state: &planState{seq: make(map[string]uint64), counts: make(map[Point]int)},
 	}
-}
-
-// Seed returns the plan's seed (0 for a nil plan).
-func (p *Plan) Seed() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
 }
 
 // Enabled reports whether the plan has any armed rules.
@@ -379,13 +368,6 @@ func hash01(seed uint64, pt Point, key string, n, rule uint64) float64 {
 	h = mix64(h ^ fnv1a(key))
 	h = mix64(h ^ n ^ rule<<32)
 	return float64(h>>11) / (1 << 53)
-}
-
-// Jitter01 is the seeded jitter source for retry backoff: a deterministic
-// value in [0, 1) for (seed, key, attempt). Exposed so the harness's
-// backoff schedule replays exactly under a fixed seed.
-func Jitter01(seed uint64, key string, attempt int) float64 {
-	return hash01(seed, "retry-backoff", key, uint64(attempt), 0)
 }
 
 // ParseSpec parses a compact rule-list syntax for CLI flags:

@@ -141,10 +141,10 @@ func TestStallBlocksAndCancels(t *testing.T) {
 }
 
 func TestRecordsAndCounts(t *testing.T) {
-	p := NewPlan(1, Rule{Point: CompilerPass, Count: 1}, Rule{Point: CompilerCache, Count: 1})
+	p := NewPlan(1, Rule{Point: CompilerPass, Count: 1}, Rule{Point: HarnessPanic, Count: 1})
 	c := p.Cell("atax/M", nil)
 	c.Fire(CompilerPass, "atax")
-	c.Fire(CompilerCache, "atax")
+	c.Fire(HarnessPanic, "atax")
 	c.Fire(CompilerPass, "atax") // exhausted
 	recs := p.Records()
 	if len(recs) != 2 {
@@ -154,7 +154,7 @@ func TestRecordsAndCounts(t *testing.T) {
 		t.Fatalf("record 0 = %+v", recs[0])
 	}
 	counts := p.Counts()
-	if counts[CompilerPass] != 1 || counts[CompilerCache] != 1 {
+	if counts[CompilerPass] != 1 || counts[HarnessPanic] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
 }
@@ -221,18 +221,5 @@ func TestParseSpec(t *testing.T) {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
-	}
-}
-
-func TestJitterDeterministic(t *testing.T) {
-	a := Jitter01(5, "cell", 1)
-	if a != Jitter01(5, "cell", 1) {
-		t.Fatal("jitter not deterministic")
-	}
-	if a < 0 || a >= 1 {
-		t.Fatalf("jitter out of range: %v", a)
-	}
-	if a == Jitter01(5, "cell", 2) && Jitter01(5, "cell", 3) == Jitter01(5, "cell", 4) {
-		t.Fatal("jitter constant across attempts")
 	}
 }

@@ -64,8 +64,10 @@ func (ac *ArtifactCache) CompileCell(c Cell) (art *compiler.Artifact, hit bool, 
 // compileCell is CompileCell with an optional fault plan threaded into the
 // toolchain. The plan never enters the cache key (Fingerprint hashes only
 // the compilation inputs), and injected failures are never cached: the
-// entry is removed before waiters are released, so a retry recompiles
-// instead of replaying a transient fault forever.
+// entry is removed before waiters are released, so a later request
+// recompiles instead of replaying an injected fault forever (serve
+// requests share one cache: a cached drill failure would poison every
+// request after it).
 func (ac *ArtifactCache) compileCell(c Cell, faults *faultinject.Plan) (art *compiler.Artifact, hit bool, err error) {
 	key := c.Fingerprint()
 	ac.mu.Lock()

@@ -7,6 +7,7 @@ import (
 
 	"wasmbench/internal/benchsuite"
 	"wasmbench/internal/browser"
+	"wasmbench/internal/faultinject"
 	"wasmbench/internal/ir"
 )
 
@@ -129,6 +130,18 @@ func TestArtifactCacheCachesErrors(t *testing.T) {
 	}
 	if s := ac.Stats(); s.Misses != 1 || s.Hits != 1 {
 		t.Errorf("stats = %+v, want 1 miss + 1 hit", s)
+	}
+
+	// An injected failure is never cached: the next lookup (a later serve
+	// request sharing the cache) compiles again and succeeds.
+	good := Cell{Bench: mustBench(t, "atax"), Size: benchsuite.XS, Level: ir.O2,
+		Lang: "wasm", Profile: browser.Chrome(browser.Desktop)}
+	plan := faultinject.NewPlan(7, faultinject.Rule{Point: faultinject.CompilerPass, Count: 1})
+	if _, _, err := ac.compileCell(good, plan); !faultinject.IsInjected(err) {
+		t.Fatalf("want injected compile failure, got %v", err)
+	}
+	if art, hit, err := ac.compileCell(good, plan); err != nil || hit || art == nil {
+		t.Errorf("after an injected failure: art %v, hit %v, err %v; want a fresh compile", art != nil, hit, err)
 	}
 }
 

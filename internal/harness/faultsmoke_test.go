@@ -14,34 +14,34 @@ import (
 )
 
 // TestFaultSmoke is the CI fault drill (`make faults-smoke`): one
-// fixed-seed sweep whose plan hits every injection point at least once,
-// with the retry/degrade/quarantine machinery absorbing all of it except
-// one deliberately unrecoverable benchmark. The run is deterministic: the
-// same seed replays the identical fault counts, outcomes, and robustness
-// accounting.
+// fixed-seed sweep whose plan hits every non-serve injection point at
+// least once. Each cell runs once: a fault either leaves the cell's
+// measurement identical to its clean run (the engine absorbs it below the
+// result) or fails the cell with an error that unwraps to an
+// InjectedError. The one exception is js.jit-compile, which models a
+// permanent deopt: the cell succeeds with the same program behaviour but
+// fewer tier-ups (and more interpreter cycles) than its clean run. No
+// result is measured under a configuration other than the one its label
+// names, and the same seed replays the identical fault counts and
+// outcomes.
 func TestFaultSmoke(t *testing.T) {
-	mkCells := func() []Cell {
-		chrome := browser.Chrome(browser.Desktop)
-		cell := func(name string, sz benchsuite.Size, lang string) Cell {
-			b, err := benchsuite.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return Cell{Bench: b, Size: sz, Level: ir.O2, Lang: lang, Profile: chrome}
+	chrome := browser.Chrome(browser.Desktop)
+	cell := func(name string, sz benchsuite.Size, lang string) Cell {
+		b, err := benchsuite.ByName(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return []Cell{
-			cell("atax", benchsuite.XS, "wasm"),    // wasm.stall
-			cell("atax", benchsuite.S, "js"),       // js.jit-compile (hot at S)
-			cell("bicg", benchsuite.XS, "js"),      // js.heap-oom → retry
-			cell("gemm", benchsuite.S, "wasm"),     // wasm.grow-deny (gemm/S grows)
-			cell("2mm", benchsuite.S, "wasm"),      // wasm.aot-translate → stack fallback
-			cell("mvt", benchsuite.XS, "wasm"),     // compiler.pass → retry+degrade
-			cell("trmm", benchsuite.XS, "wasm"),    // compiler.cache → retry
-			cell("gesummv", benchsuite.XS, "wasm"), // harness.worker-panic → retry
-			cell("syrk", benchsuite.XS, "wasm"),    // wasm.snapshot-restore → silent cold fallback
-			cell("doitgen", benchsuite.XS, "wasm"), // unrecoverable → fails
-			cell("doitgen", benchsuite.S, "wasm"),  // → quarantined
-		}
+		return Cell{Bench: b, Size: sz, Level: ir.O2, Lang: lang, Profile: chrome}
+	}
+	cells := []Cell{
+		cell("atax", benchsuite.XS, "wasm"),    // wasm.stall → absorbed
+		cell("atax", benchsuite.S, "js"),       // js.jit-compile (hot at S) → deopt
+		cell("bicg", benchsuite.XS, "js"),      // js.heap-oom → injected failure
+		cell("gemm", benchsuite.S, "wasm"),     // wasm.grow-deny (gemm/S grows) → injected failure
+		cell("2mm", benchsuite.S, "wasm"),      // wasm.aot-translate → stack fallback
+		cell("mvt", benchsuite.XS, "wasm"),     // compiler.pass → injected failure
+		cell("gesummv", benchsuite.XS, "wasm"), // harness.worker-panic → injected failure
+		cell("syrk", benchsuite.XS, "wasm"),    // wasm.snapshot-restore → silent cold fallback
 	}
 	rules := []faultinject.Rule{
 		{Point: faultinject.WasmStall, Count: 1, Stall: 5 * time.Millisecond, Match: "atax"},
@@ -53,35 +53,35 @@ func TestFaultSmoke(t *testing.T) {
 		// untouched — only the fault counter records the firing.
 		{Point: faultinject.WasmAOTTranslate, Count: 1, Match: "2mm"},
 		{Point: faultinject.CompilerPass, Count: 1, Match: "mvt"},
-		{Point: faultinject.CompilerCache, Count: 1, Match: "trmm"},
 		{Point: faultinject.HarnessPanic, Count: 1, Match: "gesummv"},
-		// Pool-checkout denial is absorbed below the retry machinery: the
-		// measurement silently instantiates cold, so the cell succeeds on its
-		// first attempt with byte-identical metrics.
+		// Pool-checkout denial instantiates cold instead: host time only,
+		// byte-identical metrics.
 		{Point: faultinject.WasmSnapshotRestore, Count: 1, Match: "syrk"},
-		{Point: faultinject.CompilerPass, Prob: 1, Match: "doitgen"}, // every attempt fails
 	}
 
+	clean, _ := RunCellsWith(cells, RunOptions{Workers: 1, VMPool: true})
+
 	type outcome struct {
-		counts  map[faultinject.Point]int
-		failed  []string
-		metrics *obsv.RunMetrics
+		counts   map[faultinject.Point]int
+		outcomes []string
+		results  []CellResult
+		metrics  *obsv.RunMetrics
 	}
 	sweep := func() outcome {
 		plan := faultinject.NewPlan(2026, rules...)
-		cells := mkCells()
 		res, m := RunCellsWith(cells, RunOptions{
-			Workers: 1, Retries: 2, DegradeOnRetry: true,
-			QuarantineAfter: 1, Deadline: time.Minute, Faults: plan,
+			Workers: 1, Deadline: time.Minute, Faults: plan,
 			VMPool: true, // arms the wasm.snapshot-restore injection site
 		})
-		var failed []string
+		outcomes := make([]string, len(res))
 		for i, r := range res {
 			if r.Err != nil {
-				failed = append(failed, cells[i].Label()+": "+r.Err.Error())
+				outcomes[i] = "err: " + r.Err.Error()
+			} else {
+				outcomes[i] = "ok"
 			}
 		}
-		return outcome{counts: plan.Counts(), failed: failed, metrics: m}
+		return outcome{counts: plan.Counts(), outcomes: outcomes, results: res, metrics: m}
 	}
 
 	o := sweep()
@@ -98,50 +98,46 @@ func TestFaultSmoke(t *testing.T) {
 		}
 	}
 
-	// Only the unrecoverable benchmark fails: once organically (retries
-	// exhausted), once by quarantine.
-	if len(o.failed) != 2 {
-		t.Fatalf("failed cells = %v, want exactly the doitgen pair", o.failed)
-	}
-	for _, f := range o.failed {
-		if !strings.Contains(f, "doitgen") {
-			t.Errorf("unexpected casualty: %s", f)
+	// A faulted cell is absorbed with its clean-run measurement or fails
+	// with an injected error; nothing in between.
+	const deoptCell = 1 // atax/S/js under js.jit-compile
+	failed := 0
+	for i, r := range o.results {
+		label := cells[i].Label()
+		if r.Err != nil {
+			failed++
+			if !faultinject.IsInjected(r.Err) {
+				t.Errorf("%s: failure is not typed as injected: %v", label, r.Err)
+			}
+			continue
+		}
+		got, want := keyOf(t, r), keyOf(t, clean[i])
+		if i == deoptCell {
+			// The pinned code object charges interpreter costs: same steps,
+			// memory and checksum, fewer tier-ups, more cycles.
+			got.ExecMS, got.Cycles, want.ExecMS, want.Cycles = 0, 0, 0, 0
+			if r.Meas.Result.TierUps >= clean[i].Meas.Result.TierUps {
+				t.Errorf("%s: %d tier-ups under a JIT-compile fault, clean run %d",
+					label, r.Meas.Result.TierUps, clean[i].Meas.Result.TierUps)
+			}
+		}
+		if got != want {
+			t.Errorf("%s: faulted run measured %+v, clean run %+v", label, got, want)
+		}
+		// Fidelity: the artifact was built under exactly the configuration
+		// the cell's label names.
+		opts := r.Art.Opts
+		opts.Faults, opts.Instruments = nil, nil
+		if !reflect.DeepEqual(opts, cellOptions(cells[i])) {
+			t.Errorf("%s: measured under %+v, label names %+v", label, opts, cellOptions(cells[i]))
 		}
 	}
-	if !strings.Contains(o.failed[1], ErrQuarantined.Error()) {
-		t.Errorf("second doitgen cell should be quarantined: %s", o.failed[1])
+	if failed == 0 {
+		t.Error("no cell failed: the drill no longer exercises the failure path")
 	}
-
-	// Robustness accounting: the metrics aggregate must agree with the
-	// per-cell records and the plan's own firing log.
 	m := o.metrics
-	var retries, degraded, quarantined int
-	for _, cm := range m.Cells {
-		if cm.Attempts > 1 {
-			retries += cm.Attempts - 1
-		}
-		if cm.Degraded != "" {
-			degraded++
-		}
-		if cm.Quarantined {
-			quarantined++
-		}
-	}
-	if m.Retries != retries || m.Degraded != degraded || m.Quarantined != quarantined {
-		t.Errorf("aggregate counters disagree with cells: %+v vs (%d,%d,%d)",
-			m, retries, degraded, quarantined)
-	}
-	if m.Quarantined != 1 {
-		t.Errorf("Quarantined = %d, want 1", m.Quarantined)
-	}
-	// Retried-and-recovered cells: bicg (OOM), mvt (pass), trmm (cache),
-	// gesummv (panic) each took at least one retry; the recovered ones that
-	// went through DegradeOnRetry are recorded as degraded.
-	if m.Retries < 4 {
-		t.Errorf("Retries = %d, want >= 4", m.Retries)
-	}
-	if m.Degraded < 3 {
-		t.Errorf("Degraded = %d, want >= 3", m.Degraded)
+	if m.Failed != failed {
+		t.Errorf("Failed = %d, results say %d", m.Failed, failed)
 	}
 	total := 0
 	for _, n := range o.counts {
@@ -150,18 +146,24 @@ func TestFaultSmoke(t *testing.T) {
 	if m.FaultsInjected != total {
 		t.Errorf("FaultsInjected = %d, plan log says %d", m.FaultsInjected, total)
 	}
+	if !strings.Contains(m.Render(), "robustness: ") {
+		t.Error("faulted run renders no robustness line")
+	}
 
 	// Determinism: a second sweep from the same seed replays identically.
 	o2 := sweep()
 	if !reflect.DeepEqual(o.counts, o2.counts) {
 		t.Errorf("fault counts diverge across identical seeds:\n%v\n%v", o.counts, o2.counts)
 	}
-	if !reflect.DeepEqual(o.failed, o2.failed) {
-		t.Errorf("failure sets diverge:\n%v\n%v", o.failed, o2.failed)
+	if !reflect.DeepEqual(o.outcomes, o2.outcomes) {
+		t.Errorf("outcomes diverge:\n%v\n%v", o.outcomes, o2.outcomes)
 	}
-	if o.metrics.Retries != o2.metrics.Retries || o.metrics.Degraded != o2.metrics.Degraded ||
-		o.metrics.Quarantined != o2.metrics.Quarantined ||
-		o.metrics.FaultsInjected != o2.metrics.FaultsInjected {
-		t.Errorf("robustness counters diverge: %+v vs %+v", o.metrics, o2.metrics)
+	if o.metrics.Failed != o2.metrics.Failed || o.metrics.FaultsInjected != o2.metrics.FaultsInjected {
+		t.Errorf("failure accounting diverges: %+v vs %+v", o.metrics, o2.metrics)
+	}
+	for i, r := range o.results {
+		if r.Err == nil && o2.results[i].Err == nil && keyOf(t, r) != keyOf(t, o2.results[i]) {
+			t.Errorf("%s: measurement diverges across identical seeds", cells[i].Label())
+		}
 	}
 }

@@ -182,12 +182,14 @@ func TestCellLangsAndModes(t *testing.T) {
 	if got := keyOf(t, res[1]); got.Cycles != wm.Result.Cycles || got.ExecMS != wm.ExecMS {
 		t.Errorf("basic-only wasm cell %+v, profile measures %v ms", got, wm.ExecMS)
 	}
-	jm, err := chrome.MeasureJSWith(all, browser.MeasureOptions{DisableJIT: true})
+	jsCfg := chrome.JS
+	jsCfg.JITEnabled = false
+	jr, err := compiler.RunJS(all, jsCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := keyOf(t, res[2]); got.Cycles != jm.Result.Cycles {
-		t.Errorf("basic-only js cell cycles %v, JIT-less engine %v", got.Cycles, jm.Result.Cycles)
+	if got := keyOf(t, res[2]); got.Cycles != jr.Cycles {
+		t.Errorf("basic-only js cell cycles %v, JIT-less engine %v", got.Cycles, jr.Cycles)
 	}
 	if !errors.Is(res[3].Err, browser.ErrTierMode) {
 		t.Errorf("opt-only js cell: err %v, want ErrTierMode", res[3].Err)

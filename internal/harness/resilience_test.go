@@ -55,10 +55,10 @@ func keyOf(t *testing.T, r CellResult) measKey {
 
 // TestZeroFaultByteIdentical proves the inertness guarantee: running with
 // no fault plan and running with an armed-but-empty plan produce
-// byte-identical traces and identical results, and a run through the full
-// resilience machinery (deadline, retries, quarantine enabled, zero
-// faults) produces the same measurement as the plain path with no
-// robustness lines in the metrics rendering.
+// byte-identical traces and identical results, and a run under a
+// wall-clock deadline (the guarded path, zero faults) produces the same
+// measurement as the plain path with no robustness line in the metrics
+// rendering.
 func TestZeroFaultByteIdentical(t *testing.T) {
 	c := resCell(t, "atax", benchsuite.XS, "wasm")
 	art, err := CompileCell(c)
@@ -91,120 +91,27 @@ func TestZeroFaultByteIdentical(t *testing.T) {
 
 	cells := []Cell{c, resCell(t, "atax", benchsuite.XS, "js")}
 	plain, _ := RunCellsWith(cells, RunOptions{Workers: 1})
-	hard, m := RunCellsWith(cells, RunOptions{
-		Workers: 1, Retries: 2, DegradeOnRetry: true,
-		QuarantineAfter: 3, Deadline: time.Minute,
-	})
+	hard, m := RunCellsWith(cells, RunOptions{Workers: 1, Deadline: time.Minute})
 	for i := range cells {
 		if keyOf(t, plain[i]) != keyOf(t, hard[i]) {
-			t.Errorf("%s: resilience machinery changed the measurement", cells[i].Label())
+			t.Errorf("%s: the deadline guard changed the measurement", cells[i].Label())
 		}
 	}
-	if m.FaultsInjected != 0 || m.Retries != 0 || m.Degraded != 0 || m.Quarantined != 0 {
+	if m.FaultsInjected != 0 || m.Failed != 0 {
 		t.Errorf("zero-fault run has robustness counters: %+v", m)
 	}
 	if strings.Contains(m.Render(), "robustness:") {
 		t.Error("zero-fault Render emits a robustness line")
 	}
 	for _, cm := range m.Cells {
-		if cm.Attempts != 1 || cm.Degraded != "" || cm.Quarantined || cm.Resumed {
+		if cm.Status != "ok" || cm.Failed || cm.Resumed {
 			t.Errorf("cell %s metric polluted: %+v", cm.Label, cm)
 		}
 	}
 }
 
-// TestRetryRecoversTransientFault: an injected transient compiler failure
-// fails the first attempt; the retry recompiles (the cache must not replay
-// the injected error) and produces the exact clean-run measurement.
-func TestRetryRecoversTransientFault(t *testing.T) {
-	c := resCell(t, "atax", benchsuite.XS, "wasm")
-	want := keyOf(t, RunCell(c))
-
-	plan := faultinject.NewPlan(7, faultinject.Rule{Point: faultinject.CompilerPass, Count: 1})
-	res, m := RunCellsWith([]Cell{c}, RunOptions{Workers: 1, Retries: 2, Faults: plan})
-	if got := keyOf(t, res[0]); got != want {
-		t.Errorf("recovered measurement differs: %+v vs %+v", got, want)
-	}
-	if m.Cells[0].Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", m.Cells[0].Attempts)
-	}
-	if m.Retries != 1 || m.FaultsInjected < 1 {
-		t.Errorf("counters: retries=%d faults=%d", m.Retries, m.FaultsInjected)
-	}
-	if plan.Counts()[faultinject.CompilerPass] != 1 {
-		t.Errorf("fired %v", plan.Counts())
-	}
-}
-
-// TestDegradeLadder: one injected failure walks a wasm cell down to the
-// noaot rung, which by construction still yields the full-configuration
-// measurement.
-func TestDegradeLadder(t *testing.T) {
-	c := resCell(t, "atax", benchsuite.XS, "wasm")
-	want := keyOf(t, RunCell(c))
-
-	plan := faultinject.NewPlan(13, faultinject.Rule{Point: faultinject.CompilerPass, Count: 1})
-	res, m := RunCellsWith([]Cell{c}, RunOptions{
-		Workers: 1, Retries: 3, DegradeOnRetry: true, Faults: plan,
-	})
-	if got := keyOf(t, res[0]); got != want {
-		t.Errorf("degraded measurement differs: %+v vs %+v", got, want)
-	}
-	if m.Cells[0].Attempts != 2 || m.Cells[0].Degraded != "noaot" {
-		t.Errorf("cell metric: %+v", m.Cells[0])
-	}
-	if m.Degraded != 1 || m.Retries != 1 {
-		t.Errorf("counters: %+v", m)
-	}
-
-	// x86 has no engine tiers: its only rung is O0.
-	x := resCell(t, "atax", benchsuite.XS, "x86")
-	x.Profile = nil
-	plan = faultinject.NewPlan(13, faultinject.Rule{Point: faultinject.CompilerPass, Count: 1})
-	res, m = RunCellsWith([]Cell{x}, RunOptions{
-		Workers: 1, Retries: 3, DegradeOnRetry: true, Faults: plan,
-	})
-	if res[0].Err != nil || m.Cells[0].Attempts != 2 || m.Cells[0].Degraded != "O0" {
-		t.Errorf("x86 cell: err %v, metric %+v", res[0].Err, m.Cells[0])
-	}
-}
-
-// TestQuarantine: a benchmark whose cells always fail trips the
-// consecutive-failure threshold; subsequent cells of that benchmark are
-// skipped with ErrQuarantined while other benchmarks still run.
-func TestQuarantine(t *testing.T) {
-	bad1 := resCell(t, "atax", benchsuite.XS, "wasm")
-	bad2 := resCell(t, "atax", benchsuite.S, "wasm")
-	good := resCell(t, "bicg", benchsuite.XS, "wasm")
-
-	plan := faultinject.NewPlan(3, faultinject.Rule{
-		Point: faultinject.CompilerPass, Prob: 1, Match: "atax",
-	})
-	res, m := RunCellsWith([]Cell{bad1, bad2, good}, RunOptions{
-		Workers: 1, Retries: 1, QuarantineAfter: 1, Faults: plan,
-	})
-	if res[0].Err == nil || errors.Is(res[0].Err, ErrQuarantined) {
-		t.Errorf("first cell should fail organically: %v", res[0].Err)
-	}
-	if !errors.Is(res[1].Err, ErrQuarantined) {
-		t.Errorf("second cell should be quarantined: %v", res[1].Err)
-	}
-	if res[2].Err != nil {
-		t.Errorf("unrelated benchmark affected: %v", res[2].Err)
-	}
-	if !m.Cells[1].Quarantined || m.Cells[1].Attempts != 0 {
-		t.Errorf("quarantined cell metric: %+v", m.Cells[1])
-	}
-	if m.Quarantined != 1 {
-		t.Errorf("Quarantined = %d, want 1", m.Quarantined)
-	}
-	if !strings.Contains(m.Render(), "QUARANTINED") {
-		t.Error("Render missing QUARANTINED status")
-	}
-}
-
 // TestWorkerPanicRecovered: an injected worker panic is converted to a
-// CellResult error rather than crashing the pool, and a retry succeeds.
+// typed CellResult error rather than crashing the pool.
 func TestWorkerPanicRecovered(t *testing.T) {
 	c := resCell(t, "atax", benchsuite.XS, "wasm")
 
@@ -215,15 +122,6 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	}
 	if !faultinject.IsInjected(res[0].Err) {
 		t.Error("injected panic should unwrap to InjectedError")
-	}
-
-	plan2 := faultinject.NewPlan(11, faultinject.Rule{Point: faultinject.HarnessPanic, Count: 1})
-	res2, m2 := RunCellsWith([]Cell{c}, RunOptions{Workers: 1, Retries: 1, Faults: plan2})
-	if res2[0].Err != nil {
-		t.Fatalf("retry after panic failed: %v", res2[0].Err)
-	}
-	if m2.Cells[0].Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", m2.Cells[0].Attempts)
 	}
 }
 
@@ -281,10 +179,7 @@ func TestContextCancelAbandonsRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, _ := RunCellsWith(cells, RunOptions{
-		Workers: 1, Context: ctx, Faults: plan,
-		Retries: 3, // must not retry a canceled cell
-	})
+	res, _ := RunCellsWith(cells, RunOptions{Workers: 1, Context: ctx, Faults: plan})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancel did not bound the run: %v", elapsed)
 	}
@@ -306,8 +201,8 @@ func TestContextCancelAbandonsRun(t *testing.T) {
 }
 
 // TestSameSeedSameSequences: two fresh plans with the same seed drive a
-// retrying sweep to identical fault records, identical outcomes, and
-// identical robustness counters.
+// sweep to identical fault records, identical outcomes, and identical
+// robustness counters.
 func TestSameSeedSameSequences(t *testing.T) {
 	cells := []Cell{
 		resCell(t, "atax", benchsuite.XS, "wasm"),
@@ -320,15 +215,13 @@ func TestSameSeedSameSequences(t *testing.T) {
 	}
 	run := func() ([]faultinject.Record, []string, *obsv.RunMetrics) {
 		plan := faultinject.NewPlan(42, rules...)
-		res, m := RunCellsWith(cells, RunOptions{
-			Workers: 1, Retries: 2, DegradeOnRetry: true, Faults: plan,
-		})
+		res, m := RunCellsWith(cells, RunOptions{Workers: 1, Faults: plan})
 		outcomes := make([]string, len(res))
 		for i, r := range res {
 			if r.Err != nil {
 				outcomes[i] = "err:" + r.Err.Error()
 			} else {
-				outcomes[i] = fmt.Sprintf("%s/%s/%+v", r.Label(), m.Cells[i].Degraded, keyOf(t, r))
+				outcomes[i] = fmt.Sprintf("%s/%+v", r.Label(), keyOf(t, r))
 			}
 		}
 		return plan.Records(), outcomes, m
@@ -341,8 +234,7 @@ func TestSameSeedSameSequences(t *testing.T) {
 	if !reflect.DeepEqual(out1, out2) {
 		t.Errorf("outcomes diverge:\n%v\n%v", out1, out2)
 	}
-	if m1.Retries != m2.Retries || m1.Degraded != m2.Degraded ||
-		m1.FaultsInjected != m2.FaultsInjected || m1.Quarantined != m2.Quarantined {
+	if m1.Failed != m2.Failed || m1.FaultsInjected != m2.FaultsInjected {
 		t.Errorf("counters diverge: %+v vs %+v", m1, m2)
 	}
 }
@@ -405,7 +297,7 @@ func TestCheckpointResume(t *testing.T) {
 			t.Errorf("%s: resumed table differs: %+v vs %+v", cells[i].Label(), got, want[i])
 		}
 	}
-	if !m2.Cells[0].Resumed || m2.Cells[0].Attempts != 0 {
+	if !m2.Cells[0].Resumed || m2.Cells[0].Status != "resumed" {
 		t.Errorf("wasm cell should be resumed: %+v", m2.Cells[0])
 	}
 	if m2.Cells[1].Resumed {
@@ -461,26 +353,5 @@ func TestCheckpointResumesBothToolchains(t *testing.T) {
 		if got, want := keyOf(t, res2[i]), keyOf(t, res1[i]); got != want {
 			t.Errorf("%s: resumed %+v, measured %+v", c.Label(), got, want)
 		}
-	}
-}
-
-// TestBackoffDeterministicAndBounded: the retry schedule is a pure
-// function of (seed, label, attempt) and grows exponentially with jitter
-// in [0, 100%) of the base delay.
-func TestBackoffDeterministicAndBounded(t *testing.T) {
-	base := 10 * time.Millisecond
-	for attempt := 1; attempt <= 4; attempt++ {
-		d1 := backoffDelay(base, 42, "atax/XS/wasm", attempt)
-		d2 := backoffDelay(base, 42, "atax/XS/wasm", attempt)
-		if d1 != d2 {
-			t.Errorf("attempt %d: %v != %v", attempt, d1, d2)
-		}
-		lo := base << uint(attempt-1)
-		if d1 < lo || d1 >= 2*lo {
-			t.Errorf("attempt %d: %v outside [%v, %v)", attempt, d1, lo, 2*lo)
-		}
-	}
-	if backoffDelay(0, 42, "x", 1) != 0 {
-		t.Error("zero base must not sleep")
 	}
 }

@@ -104,16 +104,8 @@ func CompileCell(c Cell) (*compiler.Artifact, error) {
 
 // RunCell compiles and measures one cell.
 func RunCell(c Cell) CellResult {
-	r, _, _, _ := runCellTimed(c, nil)
+	r, _ := runAttempt(c, nil, RunOptions{}, nil)
 	return r
-}
-
-// runCellTimed is RunCell with the wall-clock compile/measure split the
-// harness metrics report. A non-nil cache deduplicates the compile step;
-// hit reports that the artifact came from it without compiling here.
-func runCellTimed(c Cell, cache *ArtifactCache) (res CellResult, compile, measure time.Duration, hit bool) {
-	r, info := runAttempt(c, cache, RunOptions{}, "", nil)
-	return r, info.compile, info.measure, info.hit
 }
 
 // RunOptions configures a parallel harness run.
@@ -161,15 +153,12 @@ type RunOptions struct {
 	// Context, when set, cancels the run cooperatively: cells not yet
 	// started fail fast with ErrCellCanceled, in-flight attempts are
 	// abandoned (their goroutines exit on their own, aborting injected
-	// stalls), and retry backoff sleeps wake early. nil means
-	// context.Background() — no cancelation. Deadlines carried by the
-	// context compose with the per-cell Deadline budget.
+	// stalls). nil means context.Background() — no cancelation.
+	// Deadlines carried by the context compose with the per-cell Deadline
+	// budget.
 	Context context.Context
 
-	// --- Resilience (all zero values preserve the pre-resilience
-	// behavior exactly; see resilience.go) ---
-
-	// Deadline is the wall-clock budget per cell attempt. When exceeded,
+	// Deadline is the wall-clock budget per cell. When exceeded,
 	// the attempt is abandoned with ErrCellDeadline; its goroutine exits on
 	// its own (the result channel is buffered) and any injected stall it is
 	// sleeping in is cancelled. 0 means no deadline.
@@ -177,20 +166,6 @@ type RunOptions struct {
 	// StepLimit bounds each measurement's dynamic instruction count (a
 	// virtual-cycle budget against runaway cells). 0 keeps profile limits.
 	StepLimit uint64
-	// Retries is how many times a failed cell is re-attempted (0 = one
-	// attempt only).
-	Retries int
-	// RetryBackoff is the base delay before retry k: base·2^(k−1) plus
-	// deterministic jitter seeded from the fault plan. 0 retries instantly.
-	RetryBackoff time.Duration
-	// DegradeOnRetry steps retries down the degradation ladder
-	// (wasm: noaot → O0; js: nojit → O0; x86: O0) instead of
-	// repeating the identical configuration.
-	DegradeOnRetry bool
-	// QuarantineAfter skips further cells of a benchmark after that many
-	// consecutive failures (counting retries exhausted, not attempts).
-	// 0 disables quarantine.
-	QuarantineAfter int
 	// Faults is the deterministic fault-injection plan threaded through
 	// the toolchain and both engines. nil (the default) is fully inert.
 	Faults *faultinject.Plan
@@ -198,7 +173,7 @@ type RunOptions struct {
 	// re-running them and records each new success as it finishes.
 	Checkpoint *Checkpoint
 	// Telemetry, when set, publishes the run live: harness instruments
-	// (cell latency histograms, queue-depth gauge, robustness counters) on
+	// (cell latency histograms, queue-depth gauge, fault counter) on
 	// the hub's registry, the run's cell record as the hub's "cells"
 	// provider (a RunState), merged VM profiles, harness trace events teed
 	// into the hub's flight window, and a flight dump frozen on every cell
@@ -263,7 +238,6 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 			opt.vmPools = newVMPoolSet(workers+1, pi)
 		}
 	}
-	quar := newQuarantine(opt.QuarantineAfter)
 	ctx := opt.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -328,22 +302,19 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 						Track: "harness", A: float64(worker), B: float64(depth)})
 				}
 				rec.claim(i, worker, idx)
-				r, oc := runCellResilient(ctx, c, opt, cache, quar, start)
+				r, info := runAttemptGuarded(ctx, c, opt, cache)
 				wall := time.Since(start) - cellStart
 				out[i] = r
 				cm := obsv.CellMetric{
-					Label:       c.Label(),
-					Worker:      worker,
-					QueueDepth:  depth,
-					Start:       cellStart,
-					Compile:     oc.compile,
-					Measure:     oc.measure,
-					Wall:        wall,
-					Failed:      r.Err != nil,
-					CacheHit:    oc.hit,
-					Attempts:    oc.attempts,
-					Degraded:    oc.degraded,
-					Quarantined: oc.quarantined,
+					Label:      c.Label(),
+					Worker:     worker,
+					QueueDepth: depth,
+					Start:      cellStart,
+					Compile:    info.compile,
+					Measure:    info.measure,
+					Wall:       wall,
+					Failed:     r.Err != nil,
+					CacheHit:   info.hit,
 				}
 				recordResult(&cm, r)
 				rec.finish(i, r, cm)

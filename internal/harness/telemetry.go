@@ -5,7 +5,7 @@ package harness
 // the RunMetrics a run returns and the hub's live "cells" provider
 // (/debug/cells) are both copies tallied by snapshot. With a hub attached
 // the run also feeds the harness instruments (cell latency histograms,
-// queue depth, robustness counters), freezes a flight dump on every failed
+// queue depth, fault counter), freezes a flight dump on every failed
 // cell, and merges VM profiles. Without one every hub hook is skipped.
 
 import (
@@ -103,15 +103,6 @@ func (r *runRecord) snapshot() obsv.RunMetrics {
 		if c.Resumed {
 			m.Resumed++
 		}
-		if c.Attempts > 1 {
-			m.Retries += c.Attempts - 1
-		}
-		if c.Degraded != "" {
-			m.Degraded++
-		}
-		if c.Quarantined {
-			m.Quarantined++
-		}
 	}
 	if r.plan != nil {
 		m.FaultsInjected = r.plan.TotalFired() - r.faultBase
@@ -180,16 +171,12 @@ func (r *runRecord) claim(i, worker int, queue chan int) {
 }
 
 // finish stores cell i's final record and, with a hub, observes the
-// latency histograms and robustness counters, merges the cell's profiles,
+// latency histograms and fault counter, merges the cell's profiles,
 // and freezes a flight dump on failure.
 func (r *runRecord) finish(i int, res CellResult, cm obsv.CellMetric) {
-	switch {
-	case cm.Quarantined:
-		cm.Status = "quarantined"
-	case cm.Failed:
+	cm.Status = "ok"
+	if cm.Failed {
 		cm.Status = "failed"
-	default:
-		cm.Status = "ok"
 	}
 	r.mu.Lock()
 	r.m.Cells[i] = cm
@@ -206,15 +193,6 @@ func (r *runRecord) finish(i int, res CellResult, cm obsv.CellMetric) {
 	r.inst.CellWall.Observe(cm.Wall.Seconds())
 	r.inst.CellCompile.Observe(cm.Compile.Seconds())
 	r.inst.CellMeasure.Observe(cm.Measure.Seconds())
-	if cm.Attempts > 1 {
-		r.inst.Retries.Add(float64(cm.Attempts - 1))
-	}
-	if cm.Degraded != "" {
-		r.inst.Degraded.Inc()
-	}
-	if cm.Quarantined {
-		r.inst.Quarantined.Inc()
-	}
 	if newFaults > 0 {
 		r.inst.Faults.Add(float64(newFaults))
 	}

@@ -562,11 +562,13 @@ func (vm *VM) CallFunction(fn Value, args []Value) (_ Value, err error) {
 }
 
 // recoverOOM converts an injected-OOM panic unwinding through an engine
-// entry point into ErrJSOOM; every other panic is re-raised.
+// entry point into ErrJSOOM, wrapped with the injected fault that caused
+// it; every other panic is re-raised.
 func (vm *VM) recoverOOM(err *error) {
 	if r := recover(); r != nil {
 		if _, ok := r.(oomPanic); ok {
-			*err = ErrJSOOM
+			*err = fmt.Errorf("%w: %w", ErrJSOOM,
+				faultinject.Errorf(faultinject.JSHeapOOM, "allocation denied"))
 			return
 		}
 		panic(r)

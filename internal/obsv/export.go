@@ -104,7 +104,7 @@ func WriteChromeTrace(w io.Writer, events []Event, profiles []FuncProfile) error
 		case KindCellDone:
 			emit(fmt.Sprintf(`{"name":%s,"cat":"cell","ph":"X","pid":1,"tid":%d,"ts":%s,"dur":%s,"args":{"worker":%s}}`,
 				jstr(e.Name), tid, jnum(usFromCycles(e.TS-e.Dur)), jnum(usFromCycles(e.Dur)), jnum(e.A)))
-		case KindFault, KindRetry, KindDegrade, KindQuarantine:
+		case KindFault:
 			emit(fmt.Sprintf(`{"name":%s,"cat":%s,"ph":"i","s":"t","pid":1,"tid":%d,"ts":%s,"args":{"a":%s,"b":%s}}`,
 				jstr(e.Kind.String()+" "+e.Name), jstr(e.Kind.String()), tid, ts, jnum(e.A), jnum(e.B)))
 		case KindTruncation:

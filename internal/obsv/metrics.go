@@ -12,7 +12,7 @@ import (
 type CellMetric struct {
 	Label string `json:"label"`
 	// Status is the cell's place in the run: pending, running, ok, failed,
-	// quarantined, or resumed.
+	// or resumed.
 	Status string `json:"status"`
 	Worker int    `json:"worker"`
 	// QueueDepth is how many cells were queued at the moment this one was
@@ -43,18 +43,8 @@ type CellMetric struct {
 	BasicCycles float64 `json:"basic_cycles,omitempty"`
 	OptCycles   float64 `json:"opt_cycles,omitempty"`
 	AOTCycles   float64 `json:"aot_cycles,omitempty"`
-	// Attempts is how many times the harness ran the cell (1 = first try
-	// succeeded; retries and degradation rungs each add one).
-	Attempts int `json:"attempts,omitempty"`
-	// Degraded names the degradation-ladder rung that finally produced the
-	// cell's result ("noaot", "nojit", "O0"); "" when the
-	// cell ran at full configuration.
-	Degraded string `json:"degraded,omitempty"`
-	// Quarantined reports the cell was skipped because its benchmark
-	// exceeded the consecutive-failure quarantine threshold.
-	Quarantined bool `json:"quarantined,omitempty"`
 	// Resumed reports the cell's result was restored from a checkpoint
-	// file instead of being executed (Attempts is 0 for such cells).
+	// file instead of being executed.
 	Resumed bool `json:"resumed,omitempty"`
 	// VMPooled reports the cell's Wasm run was served through the harness
 	// instance pool (snapshot clone or recycled instance); VMPoolHit
@@ -74,10 +64,9 @@ type RunMetrics struct {
 	// the live /debug/cells view reports the time since run start.
 	Span  time.Duration `json:"span_ns"`
 	Cells []CellMetric  `json:"cells"`
-	// Cell counts by status: Total cells, Done finished (ok, failed,
-	// quarantined, or resumed), Running claimed by a worker, QueueDepth
-	// not yet claimed, Failed finished with an error (quarantined cells
-	// included), Resumed restored from a checkpoint.
+	// Cell counts by status: Total cells, Done finished (ok, failed, or
+	// resumed), Running claimed by a worker, QueueDepth not yet claimed,
+	// Failed finished with an error, Resumed restored from a checkpoint.
 	Total      int `json:"total"`
 	Done       int `json:"done"`
 	Running    int `json:"running"`
@@ -92,16 +81,9 @@ type RunMetrics struct {
 	CacheHits       int  `json:"cache_hits"`
 	CacheMisses     int  `json:"cache_misses"`
 	CacheDedupWaits int  `json:"cache_dedup_waits"`
-	// Robustness counters (all zero on a fault-free run, keeping Render's
-	// output byte-identical to a harness without the resilience layer):
-	// FaultsInjected totals fault-plan firings observed by the run,
-	// Retries counts re-executions of failed cells, Degraded counts cells
-	// whose result came from a degradation rung, and Quarantined counts
-	// cells skipped after their benchmark tripped the quarantine threshold.
+	// FaultsInjected totals fault-plan firings observed by the run (zero
+	// and hidden on a fault-free run, keeping Render's output byte-stable).
 	FaultsInjected int `json:"faults_injected"`
-	Retries        int `json:"retries"`
-	Degraded       int `json:"degraded"`
-	Quarantined    int `json:"quarantined"`
 	// Instance-pool counters (zero and hidden when RunOptions.VMPool was
 	// off, keeping Render's output byte-identical): checkout hits served by
 	// recycled instances, misses that cloned from the snapshot, recycles
@@ -147,16 +129,8 @@ func (m *RunMetrics) Render() string {
 		"cell", "wkr", "queue", "start", "compile", "measure", "wall", "cache", "tierups", "opt%", "aot%")
 	for _, c := range m.Cells {
 		status := ""
-		if c.Quarantined {
-			status = "  QUARANTINED"
-		} else if c.Failed {
+		if c.Failed {
 			status = "  FAILED"
-		}
-		if c.Attempts > 1 {
-			status += fmt.Sprintf("  retries:%d", c.Attempts-1)
-		}
-		if c.Degraded != "" {
-			status += "  degraded:" + c.Degraded
 		}
 		if c.Resumed {
 			status += "  resumed"
@@ -197,9 +171,8 @@ func (m *RunMetrics) Render() string {
 		fmt.Fprintf(&b, "vm pool: %d hits  %d misses  %d recycles  %d cold-fallbacks\n",
 			m.VMPoolHits, m.VMPoolMisses, m.VMPoolRecycles, m.VMPoolColdFallbacks)
 	}
-	if m.FaultsInjected > 0 || m.Retries > 0 || m.Degraded > 0 || m.Quarantined > 0 {
-		fmt.Fprintf(&b, "robustness: %d faults injected  %d retries  %d degraded  %d quarantined\n",
-			m.FaultsInjected, m.Retries, m.Degraded, m.Quarantined)
+	if m.FaultsInjected > 0 {
+		fmt.Fprintf(&b, "robustness: %d faults injected\n", m.FaultsInjected)
 	}
 	return b.String()
 }

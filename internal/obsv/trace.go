@@ -56,18 +56,6 @@ const (
 	// KindFault marks one injected fault firing (internal/faultinject).
 	// Name is the injection point, Track the emitting layer.
 	KindFault
-	// KindRetry marks one harness retry of a failed cell. Name is the cell
-	// label; A is the attempt number being started (1-based), B the seeded
-	// backoff in milliseconds that preceded it.
-	KindRetry
-	// KindDegrade marks the harness re-running a cell one rung down the
-	// graceful-degradation ladder. Name is the cell label; Track carries
-	// the rung ("noaot", "nojit", "O0").
-	KindDegrade
-	// KindQuarantine marks a benchmark being quarantined after N
-	// consecutive failures. Name is the cell label; A is the consecutive
-	// failure count that tripped it.
-	KindQuarantine
 	// KindTruncation is a synthetic marker that leads a bounded
 	// Collector's window once the ring has overwritten older events
 	// (see Collector.Events). Name describes the loss; A is the number of
@@ -85,7 +73,7 @@ const (
 var kindNames = [numKinds]string{
 	"call-enter", "call-exit", "tier-up", "gc-cycle", "mem-grow",
 	"compile-pass", "cell-start", "cell-done", "divergence",
-	"fault", "retry", "degrade", "quarantine", "truncation",
+	"fault", "truncation",
 	"aot-compile",
 }
 

@@ -1,13 +1,13 @@
 package serve
 
-// Per-cell circuit breakers. The resilience layer inside the harness
-// already retries and degrades a failing cell; the breaker sits one level
-// up and protects the *service*: once a given (artifact, profile) cell
-// has burned its full retry ladder several times in a row, further
-// requests for it are refused immediately — cheap, typed, with a
-// Retry-After — instead of occupying a worker for another doomed
-// deadline. A half-open probe readmits one request after the cooldown;
-// its outcome decides whether the breaker closes or re-opens.
+// Per-cell circuit breakers. The harness runs each cell once and reports
+// a typed failure; the breaker sits one level up and protects the
+// *service*: once a given (artifact, profile) cell has failed several
+// requests in a row, further requests for it are refused immediately —
+// cheap, typed, with a Retry-After — instead of occupying a worker for
+// another doomed deadline. A half-open probe readmits one request after
+// the cooldown; its outcome decides whether the breaker closes or
+// re-opens.
 
 import (
 	"sync"

@@ -6,6 +6,7 @@ package serve
 // byte-identical on the zero-fault path — to the one-shot numbers.
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -38,6 +39,10 @@ type Request struct {
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 }
 
+// ErrInvalidRequest wraps every error decoding a request into its cell;
+// the server answers it with StatusInvalid.
+var ErrInvalidRequest = errors.New("invalid request")
+
 // Response statuses. Every admitted request terminates with exactly one.
 const (
 	StatusOK          = "ok"
@@ -46,7 +51,7 @@ const (
 	StatusRejected    = "rejected"     // refused at admission by an injected fault
 	StatusDraining    = "draining"     // refused at admission during graceful drain
 	StatusBreakerOpen = "breaker-open" // refused by an open circuit breaker
-	StatusFailed      = "failed"       // ran and exhausted the resilience ladder
+	StatusFailed      = "failed"       // ran once and failed with a typed error
 	StatusTimeout     = "timeout"      // exceeded its deadline (queued or running)
 	StatusCanceled    = "canceled"     // canceled by drain before completing
 )
@@ -72,8 +77,6 @@ type Response struct {
 	MemChecksum uint64  `json:"mem_checksum,omitempty"`
 
 	// Execution metadata.
-	Attempts   int     `json:"attempts,omitempty"`
-	Degraded   string  `json:"degraded,omitempty"`
 	CacheHit   bool    `json:"cache_hit,omitempty"`
 	VMPooled   bool    `json:"vm_pooled,omitempty"`
 	VMRecycled bool    `json:"vm_recycled,omitempty"`
@@ -124,8 +127,13 @@ func parseToolchain(s string) (compiler.Toolchain, error) {
 // cell decodes the request into the harness cell it denotes, resolving
 // profiles against the server's shared profile table (one instance per
 // name, so pooled instruments and warm state are shared across requests).
-func (req *Request) cell(profiles map[string]*browser.Profile) (harness.Cell, error) {
-	var c harness.Cell
+// Every error wraps ErrInvalidRequest.
+func (req *Request) cell(profiles map[string]*browser.Profile) (c harness.Cell, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+		}
+	}()
 	if req.Bench == "" {
 		return c, fmt.Errorf("missing bench name")
 	}
@@ -174,10 +182,16 @@ func (req *Request) cell(profiles map[string]*browser.Profile) (harness.Cell, er
 	}, nil
 }
 
-// deadline resolves the request's deadline against the server bounds.
+// deadline resolves the request's deadline against the server bounds:
+// deadline_ms when positive, else def, capped at max. deadline_ms is
+// compared with the cap before it is converted, so a huge value cannot
+// overflow time.Duration into a negative, already expired deadline.
 func (req *Request) deadline(def, max time.Duration) time.Duration {
 	d := def
 	if req.DeadlineMS > 0 {
+		if max > 0 && int64(req.DeadlineMS) > max.Milliseconds() {
+			return max
+		}
 		d = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
 	if max > 0 && d > max {

@@ -4,7 +4,7 @@ package serve
 // top of the existing measurement stack. The flow is
 //
 //	admission → bounded queue → worker group → ArtifactCache + VMPools
-//	                                           → resilient harness run
+//	                                           → one guarded harness run
 //
 // with three robustness properties the tests pin down:
 //
@@ -57,11 +57,9 @@ type Config struct {
 	// RetryAfter is the hint attached to shed responses; <=0 selects 1s.
 	RetryAfter time.Duration
 
-	// Resilience knobs forwarded to the per-request harness run.
-	Retries        int
-	RetryBackoff   time.Duration
-	DegradeOnRetry bool
-	StepLimit      uint64
+	// StepLimit is the per-measurement dynamic instruction budget
+	// forwarded to the harness; 0 keeps the profile's setting.
+	StepLimit uint64
 
 	// BreakerFailures trips a cell's circuit breaker after that many
 	// consecutive failed (not canceled) requests; 0 disables breakers.
@@ -372,18 +370,15 @@ func (s *Server) handle(j *job) {
 	}
 	t0 := time.Now()
 	res, m := harness.RunCellsWith([]harness.Cell{j.cell}, harness.RunOptions{
-		Workers:        1,
-		Context:        j.ctx,
-		Cache:          s.cache,
-		DisableCache:   s.cfg.DisableCache,
-		VMPool:         !s.cfg.DisableVMPool,
-		SharedVMPools:  s.pools,
-		Retries:        s.cfg.Retries,
-		RetryBackoff:   s.cfg.RetryBackoff,
-		DegradeOnRetry: s.cfg.DegradeOnRetry,
-		StepLimit:      s.cfg.StepLimit,
-		Faults:         s.cfg.Faults,
-		Checkpoint:     s.cfg.Checkpoint,
+		Workers:       1,
+		Context:       j.ctx,
+		Cache:         s.cache,
+		DisableCache:  s.cfg.DisableCache,
+		VMPool:        !s.cfg.DisableVMPool,
+		SharedVMPools: s.pools,
+		StepLimit:     s.cfg.StepLimit,
+		Faults:        s.cfg.Faults,
+		Checkpoint:    s.cfg.Checkpoint,
 		// Cell events feed the hub's flight window (/debug/trace).
 		// Telemetry stays unset: every one-cell request would republish
 		// /debug/cells over the last.
@@ -411,8 +406,7 @@ func (s *Server) handle(j *job) {
 // classify maps a harness result onto the response wire type.
 func (s *Server) classify(r harness.CellResult, cm obsv.CellMetric) *Response {
 	resp := &Response{
-		Attempts: cm.Attempts, Degraded: cm.Degraded, CacheHit: cm.CacheHit,
-		VMPooled: cm.VMPooled, VMRecycled: cm.VMPoolHit,
+		CacheHit: cm.CacheHit, VMPooled: cm.VMPooled, VMRecycled: cm.VMPoolHit,
 	}
 	switch {
 	case r.Err == nil:

@@ -321,10 +321,7 @@ type HarnessInstruments struct {
 	CellMeasure    *Histogram // wall seconds spent measuring per cell
 	CellCycles     *Histogram // virtual cycles per cell (sum over reps)
 	QueueDepth     *Gauge
-	Retries        *Counter
 	Faults         *Counter
-	Degraded       *Counter
-	Quarantined    *Counter
 	Checkpoints    *Counter
 	FlightFailures *Counter
 }
@@ -335,16 +332,13 @@ func NewHarnessInstruments(r *Registry) *HarnessInstruments {
 		return nil
 	}
 	return &HarnessInstruments{
-		CellsDone:      r.Counter("harness_cells_done_total", "matrix cells completed (ok, failed, or quarantined)"),
+		CellsDone:      r.Counter("harness_cells_done_total", "matrix cells completed (ok or failed)"),
 		CellWall:       r.Histogram("harness_cell_wall_seconds", "end-to-end wall time per cell", TimeBuckets()),
 		CellCompile:    r.Histogram("harness_cell_compile_seconds", "compile wall time per cell", TimeBuckets()),
 		CellMeasure:    r.Histogram("harness_cell_measure_seconds", "measurement wall time per cell", TimeBuckets()),
 		CellCycles:     r.Histogram("harness_cell_cycles", "virtual cycles per cell across reps", CycleBuckets()),
 		QueueDepth:     r.Gauge("harness_queue_depth", "cells enqueued but not yet claimed by a worker"),
-		Retries:        r.Counter("harness_retries_total", "measurement attempts retried after a failure"),
 		Faults:         r.Counter("harness_faults_total", "injected faults observed during attempts"),
-		Degraded:       r.Counter("harness_degraded_total", "cells that completed on a degraded config rung"),
-		Quarantined:    r.Counter("harness_quarantined_total", "cells marked quarantined after exhausting the ladder"),
 		Checkpoints:    r.Counter("harness_checkpoints_total", "cells restored from a JSONL checkpoint"),
 		FlightFailures: r.Counter("harness_flight_dumps_total", "flight-recorder dumps frozen on cell failure"),
 	}
@@ -383,7 +377,7 @@ func NewServeInstruments(r *Registry) *ServeInstruments {
 		Shed:         r.Counter("serve_shed_total", "requests load-shed with 429 + Retry-After"),
 		Rejected:     r.Counter("serve_rejected_total", "requests refused at admission (drain or injected fault)"),
 		Served:       r.Counter("serve_served_total", "requests completed successfully"),
-		Failed:       r.Counter("serve_failed_total", "requests that exhausted the resilience ladder"),
+		Failed:       r.Counter("serve_failed_total", "requests that ran and failed"),
 		Timeouts:     r.Counter("serve_timeouts_total", "requests that exceeded their deadline"),
 		Canceled:     r.Counter("serve_canceled_total", "requests canceled by drain or client disconnect"),
 		BreakerOpen:  r.Counter("serve_breaker_open_total", "requests refused by an open circuit breaker"),

@@ -760,6 +760,7 @@ func (b *aotBuilder) mkOp(in *rop, next aotFn, rb *aotAgg) aotFn {
 			var g int32
 			if vm.faults != nil && vm.faults.DenyGrow(name, mem.Pages(), d) {
 				g = -1
+				vm.growDenied = true
 				vm.emitFault(faultinject.WasmGrowDeny, cy)
 			} else {
 				g = mem.Grow(d)

@@ -292,6 +292,7 @@ func (vm *VM) runStack(fi int, cf *compiledFunc, localBase, stackBase int, costs
 				// failure: grow returns −1, memory is untouched, the JS
 				// boundary charge still applies.
 				r = -1
+				vm.growDenied = true
 				vm.emitFault(faultinject.WasmGrowDeny, cycles)
 			} else {
 				r = mem.Grow(d)

@@ -83,7 +83,7 @@ type Config struct {
 	// AOT tier never changes virtual cycles, step counts, stats (apart
 	// from the AOTCycles sub-split), profiles, or traces — only wall-clock
 	// dispatch speed — so this is the stack reference for equivalence
-	// tests and the degrade ladder's "noaot" rung. The tier is also off
+	// tests and wasmrun -no-aot. The tier is also off
 	// whenever StepLimit is set: a translated pair charges both of its
 	// components before the budget check, which could overshoot the exact
 	// trip instruction.
@@ -258,6 +258,10 @@ type VM struct {
 	lastFlush Stats
 	// faults is the armed fault plan (nil = inert; see Config.Faults).
 	faults *faultinject.Plan
+	// growDenied records that the plan denied a memory.grow during the
+	// current exported call, so a failure that follows is typed as
+	// injected (see injectedCause).
+	growDenied bool
 	// childCycles accumulates callee cycles for the frame currently being
 	// profiled, so selfCycles = total − children.
 	childCycles float64
@@ -443,9 +447,7 @@ func (vm *VM) Call(name string, args ...uint64) ([]uint64, error) {
 	if !ok {
 		return nil, fmt.Errorf("wasmvm: no exported function %q", name)
 	}
-	res, err := vm.callIndex(idx, args)
-	vm.flushInstruments()
-	return res, err
+	return vm.CallIndex(idx, args...)
 }
 
 // CallIndex invokes a function by combined index space position.
@@ -453,9 +455,21 @@ func (vm *VM) CallIndex(idx uint32, args ...uint64) ([]uint64, error) {
 	if !vm.inited {
 		return nil, errors.New("wasmvm: module not instantiated")
 	}
+	vm.growDenied = false
 	res, err := vm.callIndex(idx, args)
 	vm.flushInstruments()
-	return res, err
+	return res, vm.injectedCause(err)
+}
+
+// injectedCause wraps a failed call's error with the injected grow denial
+// that preceded it: the program saw memory.grow return −1 only because the
+// fault plan said so, so the failure unwraps to a faultinject error.
+func (vm *VM) injectedCause(err error) error {
+	if err != nil && vm.growDenied {
+		return fmt.Errorf("%w (after %w)", err,
+			faultinject.Errorf(faultinject.WasmGrowDeny, "memory.grow denied"))
+	}
+	return err
 }
 
 // flushInstruments publishes the bulk counters accumulated since the last
