@@ -11,14 +11,23 @@ import (
 	"testing"
 
 	"wasmbench/internal/benchsuite"
+	"wasmbench/internal/codegen"
 	"wasmbench/internal/compiler"
 	"wasmbench/internal/ir"
+	"wasmbench/internal/jsvm"
 	"wasmbench/internal/wasmvm"
 )
 
 var updateLedger = flag.Bool("update", false, "regenerate testdata/wasm_ledger.txt")
 
+// wasmLedgerFile holds every ledger section: the Wasm cells first, then the
+// JS cells (keys carry a /js/ field), then the x86 cells (keys end in /x86).
 const wasmLedgerFile = "testdata/wasm_ledger.txt"
+
+// ledgerRaceStride thins the JS and x86 sections under -race: only every
+// ledgerRaceStride-th kernel runs there. The Wasm section always runs in
+// full, and `go test ./...` without -race checks every cell.
+const ledgerRaceStride = 8
 
 // wasmLedgerModes are the Table 7 tier settings; each one drives a
 // different path through the VM's tier and dispatch machinery.
@@ -31,21 +40,116 @@ var wasmLedgerModes = []struct {
 	{"opt", wasmvm.TierOptOnly},
 }
 
-// wasmLedgerLine renders one cell's virtual metrics. Floats use the
-// shortest round-trippable form, so any change to a charge or to the order
-// of float additions shows up. Stats.AOTCycles is left out: it records
-// which dispatcher served the optimizing tier, not what the run cost.
-func wasmLedgerLine(key string, r *compiler.Result) string {
-	s := r.WasmStats
+// jsLedgerModes are the JS engine's tier settings: tier-up on, and the
+// interpreter pinned (--no-opt).
+var jsLedgerModes = []struct {
+	name  string
+	basic bool
+}{
+	{"both", false},
+	{"basic", true},
+}
+
+// ledgerFloat renders a float in the shortest round-trippable form, so any
+// change to a charge or to the order of float additions shows up.
+func ledgerFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+
+// outputHash is FNV-1a over the rendered output channel.
+func outputHash(out []codegen.OutputEvent) uint64 {
 	h := fnv.New64a()
-	for _, o := range r.OutputStrings() {
-		h.Write([]byte(o))
+	for _, o := range out {
+		h.Write([]byte(o.String()))
 		h.Write([]byte{'\n'})
 	}
-	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+	return h.Sum64()
+}
+
+// wasmLedgerLine renders one cell's virtual metrics. Stats.AOTCycles is
+// left out: it records which dispatcher served the optimizing tier, not
+// what the run cost.
+func wasmLedgerLine(key string, r *compiler.Result) string {
+	s := r.WasmStats
 	return fmt.Sprintf("%s cycles=%s steps=%d basic=%s opt=%s tierups=%d growops=%d mem=%d memsum=%016x exit=%d out=%016x",
-		key, g(r.Cycles), r.Steps, g(s.BasicCycles), g(s.OptCycles),
-		s.TierUps, s.GrowOps, r.MemoryBytes, r.MemChecksum, r.Exit, h.Sum64())
+		key, ledgerFloat(r.Cycles), r.Steps, ledgerFloat(s.BasicCycles), ledgerFloat(s.OptCycles),
+		s.TierUps, s.GrowOps, r.MemoryBytes, r.MemChecksum, r.Exit, outputHash(r.Output))
+}
+
+// jsLedgerLine runs one JS cell the way MeasureJSWith does and renders its
+// virtual metrics, including the Table 12 arithmetic-operator counts.
+func jsLedgerLine(key string, p *Profile, art *compiler.Artifact, basic bool) (string, error) {
+	cfg := p.JS
+	if basic {
+		cfg.JITEnabled = false
+	}
+	vm := jsvm.New(cfg)
+	if _, err := vm.Run(art.JS); err != nil {
+		return "", err
+	}
+	var exit int32
+	if v, ok := vm.Global("__exit"); ok {
+		exit = v.ToInt32()
+	}
+	out := make([]codegen.OutputEvent, len(vm.Output))
+	for i, o := range vm.Output {
+		out[i] = toCodegenEvent(o)
+	}
+	ops := vm.ArithOps()
+	return fmt.Sprintf("%s cycles=%s steps=%d heap=%d ext=%d gcs=%d tierups=%d arith=%d,%d,%d,%d,%d,%d,%d exit=%d out=%016x",
+		key, ledgerFloat(vm.Cycles()), vm.Steps(), vm.PeakHeapBytes(), vm.PeakExternalBytes(),
+		vm.GCCount(), vm.TierUps(),
+		ops["ADD"], ops["MUL"], ops["DIV"], ops["REM"], ops["SHIFT"], ops["AND"], ops["OR"],
+		exit, outputHash(out)), nil
+}
+
+// x86LedgerLine renders one native cell's virtual metrics.
+func x86LedgerLine(key string, r *compiler.Result) string {
+	return fmt.Sprintf("%s cycles=%s steps=%d mem=%d memsum=%016x exit=%d out=%016x",
+		key, ledgerFloat(r.Cycles), r.Steps, r.MemoryBytes, r.MemChecksum, r.Exit, outputHash(r.Output))
+}
+
+// ledgerSection names the section a ledger key belongs to.
+func ledgerSection(key string) string {
+	parts := strings.Split(key, "/")
+	switch {
+	case len(parts) > 4 && parts[4] == "js":
+		return "js"
+	case len(parts) > 4 && parts[4] == "x86":
+		return "x86"
+	}
+	return "wasm"
+}
+
+// ledgerCompile builds one kernel at -O2 and size XS for one target.
+func ledgerCompile(t *testing.T, b *benchsuite.Benchmark, tc compiler.Toolchain, target compiler.Target) *compiler.Artifact {
+	t.Helper()
+	art, err := compiler.Compile(b.Source, compiler.Options{
+		Opt:        ir.O2,
+		Toolchain:  tc,
+		Defines:    b.Defines(benchsuite.XS),
+		HeapLimit:  b.HeapLimitBytes(benchsuite.XS),
+		ModuleName: b.Name,
+		Targets:    []compiler.Target{target},
+	})
+	if err != nil {
+		t.Fatalf("%s/%s: %v", b.Name, tc, err)
+	}
+	return art
+}
+
+// ledgerKernels lists the kernels a section runs; thin sections keep every
+// ledgerRaceStride-th kernel under -race.
+func ledgerKernels(thin bool) []*benchsuite.Benchmark {
+	all := benchsuite.All()
+	if !thin || !raceEnabled {
+		return all
+	}
+	var out []*benchsuite.Benchmark
+	for i, b := range all {
+		if i%ledgerRaceStride == 0 {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // TestWasmLedger recomputes the golden Wasm virtual-metrics ledger — the
@@ -56,19 +160,9 @@ func wasmLedgerLine(key string, r *compiler.Result) string {
 func TestWasmLedger(t *testing.T) {
 	profiles := []*Profile{Chrome(Desktop), Firefox(Desktop)}
 	var lines []string
-	for _, b := range benchsuite.All() {
+	for _, b := range ledgerKernels(false) {
 		for _, tc := range []compiler.Toolchain{compiler.Cheerp, compiler.Emscripten} {
-			art, err := compiler.Compile(b.Source, compiler.Options{
-				Opt:        ir.O2,
-				Toolchain:  tc,
-				Defines:    b.Defines(benchsuite.XS),
-				HeapLimit:  b.HeapLimitBytes(benchsuite.XS),
-				ModuleName: b.Name,
-				Targets:    []compiler.Target{compiler.TargetWasm},
-			})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", b.Name, tc, err)
-			}
+			art := ledgerCompile(t, b, tc, compiler.TargetWasm)
 			for _, m := range wasmLedgerModes {
 				for _, p := range profiles {
 					key := fmt.Sprintf("%s/%s/O2/XS/%s/%s", b.Name, tc, m.name, p.Name())
@@ -81,37 +175,118 @@ func TestWasmLedger(t *testing.T) {
 			}
 		}
 	}
-	got := strings.Join(lines, "\n") + "\n"
+	checkLedger(t, "wasm", lines, true)
+}
 
+// TestJSLedger is the JS section: 41 kernels × {cheerp, emscripten} at -O2
+// and size XS, with tier-up on and with the interpreter pinned, on both
+// desktop profiles — cycles, steps, peak heap, external bytes, GCs,
+// tier-ups, the Table 12 operator counts, the exit code and the output.
+func TestJSLedger(t *testing.T) {
+	profiles := []*Profile{Chrome(Desktop), Firefox(Desktop)}
+	var lines []string
+	for _, b := range ledgerKernels(true) {
+		for _, tc := range []compiler.Toolchain{compiler.Cheerp, compiler.Emscripten} {
+			art := ledgerCompile(t, b, tc, compiler.TargetJS)
+			for _, m := range jsLedgerModes {
+				for _, p := range profiles {
+					key := fmt.Sprintf("%s/%s/O2/XS/js/%s/%s", b.Name, tc, m.name, p.Name())
+					line, err := jsLedgerLine(key, p, art, m.basic)
+					if err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+					lines = append(lines, line)
+				}
+			}
+		}
+	}
+	checkLedger(t, "js", lines, !raceEnabled)
+}
+
+// TestX86Ledger is the native section: the 41 kernels' Cheerp builds at -O2
+// and size XS on the x86 VM. Emscripten builds are absent because their
+// 256-page malloc chunk does not fit the x86 VM's stack-plus-heap limit.
+func TestX86Ledger(t *testing.T) {
+	var lines []string
+	for _, b := range ledgerKernels(true) {
+		art := ledgerCompile(t, b, compiler.Cheerp, compiler.TargetX86)
+		key := fmt.Sprintf("%s/%s/O2/XS/x86", b.Name, compiler.Cheerp)
+		r, err := compiler.RunX86(art, codegen.DefaultX86Config())
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		lines = append(lines, x86LedgerLine(key, r))
+	}
+	checkLedger(t, "x86", lines, !raceEnabled)
+}
+
+// checkLedger diffs one section's recomputed lines against the committed
+// file, in order. With full unset (a thinned -race run) each recomputed
+// line is matched by key instead and the section's size is not checked.
+// Under -update it rewrites the section in place, keeping the others.
+func checkLedger(t *testing.T, section string, lines []string, full bool) {
+	t.Helper()
 	path := filepath.FromSlash(wasmLedgerFile)
+	var file []string
+	if b, err := os.ReadFile(path); err == nil {
+		file = strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	} else if !*updateLedger {
+		t.Fatalf("%v (regenerate with go test -run Ledger -update)", err)
+	}
+	bySection := map[string][]string{}
+	for _, l := range file {
+		if l == "" {
+			continue
+		}
+		key, _, _ := strings.Cut(l, " ")
+		s := ledgerSection(key)
+		bySection[s] = append(bySection[s], l)
+	}
 	if *updateLedger {
+		if !full {
+			t.Fatalf("-update needs a full run (without -race)")
+		}
+		bySection[section] = lines
+		var all []string
+		for _, s := range []string{"wasm", "js", "x86"} {
+			all = append(all, bySection[s]...)
+		}
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(all, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d cells to %s", len(lines), path)
+		t.Logf("wrote %d %s cells to %s", len(lines), section, path)
 		return
 	}
-	wantBytes, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with go test -run TestWasmLedger -update)", err)
+	want := bySection[section]
+	if !full {
+		byKey := map[string]string{}
+		for _, l := range want {
+			key, _, _ := strings.Cut(l, " ")
+			byKey[key] = l
+		}
+		picked := make([]string, len(lines))
+		for i, l := range lines {
+			key, _, _ := strings.Cut(l, " ")
+			picked[i] = byKey[key]
+		}
+		want = picked
 	}
-	want := strings.Split(strings.TrimSuffix(string(wantBytes), "\n"), "\n")
 	if len(want) != len(lines) {
-		t.Errorf("ledger has %d cells, recomputed %d", len(want), len(lines))
+		t.Errorf("%s ledger has %d cells, recomputed %d", section, len(want), len(lines))
 	}
 	diffs := 0
 	for i := 0; i < len(want) && i < len(lines); i++ {
 		if want[i] != lines[i] {
 			if diffs < 10 {
-				t.Errorf("ledger cell %d changed:\n  want %s\n  got  %s", i, want[i], lines[i])
+				t.Errorf("%s ledger cell %d changed:\n  want %s\n  got  %s", section, i, want[i], lines[i])
 			}
 			diffs++
 		}
 	}
 	if diffs > 0 {
-		t.Errorf("%d of %d ledger cells changed", diffs, len(lines))
+		t.Errorf("%d of %d %s ledger cells changed", diffs, len(lines), section)
 	}
 }
