@@ -144,15 +144,22 @@ func (o OutputEvent) String() string {
 
 // X86VM executes x86-like bytecode with cycle accounting.
 type X86VM struct {
-	p       *X86Program
-	cfg     X86Config
-	globals []uint64
-	mem     []byte
-	memPeak uint32
-	cycles  float64
-	steps   uint64
-	depth   int
-	Output  []OutputEvent
+	p   *X86Program
+	cfg X86Config
+	// costs holds each instruction's cycle charge, per function,
+	// resolved from its cost class once at load.
+	costs [][]float64
+	// regs is the register-file stack: each activation takes its
+	// function's NRegs slots from the top and pops them on return.
+	regs      []uint64
+	stepLimit uint64
+	globals   []uint64
+	mem       []byte
+	memPeak   uint32
+	cycles    float64
+	steps     uint64
+	depth     int
+	Output    []OutputEvent
 }
 
 // Errors.
@@ -174,7 +181,17 @@ func NewX86VM(p *X86Program, cfg X86Config) *X86VM {
 	if cfg.MemLimit == 0 {
 		cfg.MemLimit = p.StackTop + p.HeapLimit
 	}
-	vm := &X86VM{p: p, cfg: cfg}
+	vm := &X86VM{p: p, cfg: cfg, stepLimit: cfg.StepLimit}
+	if vm.stepLimit == 0 {
+		vm.stepLimit = math.MaxUint64
+	}
+	vm.costs = make([][]float64, len(p.Funcs))
+	for i, f := range p.Funcs {
+		vm.costs[i] = make([]float64, len(f.Code))
+		for pc := range f.Code {
+			vm.costs[i][pc] = cfg.Cost[x86Class(&f.Code[pc])]
+		}
+	}
 	vm.globals = append([]uint64(nil), p.Globals...)
 	vm.mem = make([]byte, p.StackTop)
 	vm.memPeak = p.StackTop
@@ -208,26 +225,53 @@ func (vm *X86VM) Call(idx int, args []uint64) (uint64, error) {
 }
 
 func (vm *X86VM) call(idx int, args []uint64) (uint64, error) {
-	f := vm.p.Funcs[idx]
-	vm.depth++
-	if vm.depth > vm.cfg.DepthLimit {
-		vm.depth--
+	base := len(vm.regs)
+	regs := vm.pushFrame(idx)
+	copy(regs, args)
+	v, err := vm.exec(idx, regs)
+	vm.regs = vm.regs[:base]
+	return v, err
+}
+
+// pushFrame takes a zeroed register file for function idx from the top of
+// the register stack; the caller pops back to the previous height.
+func (vm *X86VM) pushFrame(idx int) []uint64 {
+	n := vm.p.Funcs[idx].NRegs
+	base := len(vm.regs)
+	if cap(vm.regs)-base < n {
+		grown := make([]uint64, base, 2*cap(vm.regs)+n)
+		copy(grown, vm.regs)
+		vm.regs = grown
+	}
+	vm.regs = vm.regs[:base+n]
+	regs := vm.regs[base : base+n : base+n]
+	clear(regs)
+	return regs
+}
+
+// exec runs one activation of function idx over its register file.
+func (vm *X86VM) exec(idx int, regs []uint64) (uint64, error) {
+	if vm.depth >= vm.cfg.DepthLimit {
 		return 0, ErrX86Depth
 	}
-	defer func() { vm.depth-- }()
+	vm.depth++
+	v, err := vm.run(idx, regs)
+	vm.depth--
+	return v, err
+}
 
-	regs := make([]uint64, f.NRegs)
-	copy(regs, args)
+func (vm *X86VM) run(idx int, regs []uint64) (uint64, error) {
+	f := vm.p.Funcs[idx]
 	var result uint64
 
-	cost := &vm.cfg.Cost
+	costs := vm.costs[idx]
 	code := f.Code
 	pc := 0
 	for pc < len(code) {
 		in := &code[pc]
-		vm.cycles += cost[x86Class(in)]
+		vm.cycles += costs[pc]
 		vm.steps++
-		if vm.cfg.StepLimit != 0 && vm.steps > vm.cfg.StepLimit {
+		if vm.steps > vm.stepLimit {
 			return 0, ErrX86StepLimit
 		}
 		switch in.Kind {
@@ -293,11 +337,13 @@ func (vm *X86VM) call(idx int, args []uint64) (uint64, error) {
 			}
 			continue
 		case XCall:
-			callArgs := make([]uint64, len(in.Args))
-			for i, r := range in.Args {
-				callArgs[i] = vm.read(regs, &result, r)
+			base := len(vm.regs)
+			callee := vm.pushFrame(int(in.Imm))
+			for i, r := range in.Args[:min(len(in.Args), len(callee))] {
+				callee[i] = vm.read(regs, &result, r)
 			}
-			v, err := vm.call(int(in.Imm), callArgs)
+			v, err := vm.exec(int(in.Imm), callee)
+			vm.regs = vm.regs[:base]
 			if err != nil {
 				return 0, err
 			}

@@ -1,9 +1,6 @@
 package jsvm
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 func (c *jsCompiler) exprList(list []jsExpr) ([]exprFn, error) {
 	out := make([]exprFn, len(list))
@@ -17,46 +14,36 @@ func (c *jsCompiler) exprList(list []jsExpr) ([]exprFn, error) {
 	return out, nil
 }
 
+// expr compiles e in the boxed tier: its closure returns the value itself.
 func (c *jsCompiler) expr(e jsExpr) (exprFn, error) {
 	c.node()
+	return c.exprBody(e)
+}
+
+func (c *jsCompiler) exprBody(e jsExpr) (exprFn, error) {
 	switch x := e.(type) {
 	case *eNum:
 		v := Num(x.v)
 		return func(vm *VM, e *env) (Value, error) {
-			if err := vm.step(e, JConst); err != nil {
-				return Undefined, err
-			}
-			return v, nil
+			return v, vm.step(e, JConst)
 		}, nil
 	case *eStr:
 		v := Str(x.v)
 		return func(vm *VM, e *env) (Value, error) {
-			if err := vm.step(e, JConst); err != nil {
-				return Undefined, err
-			}
-			return v, nil
+			return v, vm.step(e, JConst)
 		}, nil
 	case *eBool:
 		v := Bool(x.v)
 		return func(vm *VM, e *env) (Value, error) {
-			if err := vm.step(e, JConst); err != nil {
-				return Undefined, err
-			}
-			return v, nil
+			return v, vm.step(e, JConst)
 		}, nil
 	case *eNull:
 		return func(vm *VM, e *env) (Value, error) {
-			if err := vm.step(e, JConst); err != nil {
-				return Undefined, err
-			}
-			return Null, nil
+			return Null, vm.step(e, JConst)
 		}, nil
 	case *eUndefined:
 		return func(vm *VM, e *env) (Value, error) {
-			if err := vm.step(e, JConst); err != nil {
-				return Undefined, err
-			}
-			return Undefined, nil
+			return Undefined, vm.step(e, JConst)
 		}, nil
 	case *eThis:
 		slot := c.scope.cf.thisSlot
@@ -64,26 +51,17 @@ func (c *jsCompiler) expr(e jsExpr) (exprFn, error) {
 			return func(vm *VM, e *env) (Value, error) { return Undefined, nil }, nil
 		}
 		return func(vm *VM, e *env) (Value, error) {
-			if err := vm.step(e, JVarRead); err != nil {
-				return Undefined, err
-			}
-			return e.slots[slot], nil
+			return e.slots[slot], vm.step(e, JVarRead)
 		}, nil
 	case *eIdent:
 		d, slot := c.scope.resolve(x.name)
 		if d == 0 {
 			return func(vm *VM, e *env) (Value, error) {
-				if err := vm.step(e, JVarRead); err != nil {
-					return Undefined, err
-				}
-				return e.slots[slot], nil
+				return e.slots[slot], vm.step(e, JVarRead)
 			}, nil
 		}
 		return func(vm *VM, e *env) (Value, error) {
-			if err := vm.step(e, JVarRead); err != nil {
-				return Undefined, err
-			}
-			return envAt(e, d).slots[slot], nil
+			return envAt(e, d).slots[slot], vm.step(e, JVarRead)
 		}, nil
 	case *eArray:
 		elems, err := c.exprList(x.elems)
@@ -158,13 +136,7 @@ func (c *jsCompiler) expr(e jsExpr) (exprFn, error) {
 			if err != nil {
 				return Undefined, err
 			}
-			if and {
-				if !lv.IsTruthy() {
-					return lv, nil
-				}
-				return r(vm, e)
-			}
-			if lv.IsTruthy() {
+			if lv.IsTruthy() != and {
 				return lv, nil
 			}
 			return r(vm, e)
@@ -172,7 +144,7 @@ func (c *jsCompiler) expr(e jsExpr) (exprFn, error) {
 	case *eAssign:
 		return c.assign(x)
 	case *eCond:
-		cc, err := c.expr(x.c)
+		cc, err := c.truth(x.c)
 		if err != nil {
 			return nil, err
 		}
@@ -188,11 +160,11 @@ func (c *jsCompiler) expr(e jsExpr) (exprFn, error) {
 			if err := vm.step(e, JBranch); err != nil {
 				return Undefined, err
 			}
-			cv, err := cc(vm, e)
+			b, err := cc(vm, e)
 			if err != nil {
 				return Undefined, err
 			}
-			if cv.IsTruthy() {
+			if b {
 				return tt(vm, e)
 			}
 			return ff(vm, e)
@@ -223,48 +195,31 @@ func (c *jsCompiler) expr(e jsExpr) (exprFn, error) {
 }
 
 func (c *jsCompiler) unary(x *eUnary) (exprFn, error) {
-	if x.op == "++" || x.op == "--" {
-		return c.incDec(x)
+	switch x.op {
+	case "!":
+		t, err := c.truthBody(x)
+		if err != nil {
+			return nil, err
+		}
+		return boxTruth(t), nil
+	case "typeof":
+		xf, err := c.expr(x.x)
+		if err != nil {
+			return nil, err
+		}
+		return func(vm *VM, e *env) (Value, error) {
+			v, err := xf(vm, e)
+			if err != nil {
+				return Undefined, err
+			}
+			return Str(typeOf(v)), vm.step(e, JCmp)
+		}, nil
 	}
-	xf, err := c.expr(x.x)
+	f, err := c.numUnary(x)
 	if err != nil {
 		return nil, err
 	}
-	op := x.op
-	return func(vm *VM, e *env) (Value, error) {
-		v, err := xf(vm, e)
-		if err != nil {
-			return Undefined, err
-		}
-		switch op {
-		case "-":
-			if err := vm.step(e, JArith); err != nil {
-				return Undefined, err
-			}
-			return Num(-v.ToNumber()), nil
-		case "+":
-			if err := vm.step(e, JArith); err != nil {
-				return Undefined, err
-			}
-			return Num(v.ToNumber()), nil
-		case "!":
-			if err := vm.step(e, JCmp); err != nil {
-				return Undefined, err
-			}
-			return Bool(!v.IsTruthy()), nil
-		case "~":
-			if err := vm.step(e, JBitop); err != nil {
-				return Undefined, err
-			}
-			return Num(float64(^v.ToInt32())), nil
-		case "typeof":
-			if err := vm.step(e, JCmp); err != nil {
-				return Undefined, err
-			}
-			return Str(typeOf(v)), nil
-		}
-		return Undefined, fmt.Errorf("jsvm: unhandled unary %s", op)
-	}, nil
+	return boxNum(f), nil
 }
 
 func typeOf(v Value) string {
@@ -288,7 +243,7 @@ func typeOf(v Value) string {
 }
 
 // incDec compiles ++/-- via read-modify-write of a reference.
-func (c *jsCompiler) incDec(x *eUnary) (exprFn, error) {
+func (c *jsCompiler) incDec(x *eUnary) (numFn, error) {
 	read, write, err := c.reference(x.x)
 	if err != nil {
 		return nil, err
@@ -298,23 +253,76 @@ func (c *jsCompiler) incDec(x *eUnary) (exprFn, error) {
 		delta = -1
 	}
 	postfix := x.postfix
-	return func(vm *VM, e *env) (Value, error) {
+	return func(vm *VM, e *env) (float64, error) {
 		if err := vm.step(e, JArith); err != nil {
-			return Undefined, err
+			return 0, err
 		}
 		old, err := read(vm, e)
 		if err != nil {
-			return Undefined, err
+			return 0, err
 		}
 		n := old.ToNumber()
 		if err := write(vm, e, Num(n+delta)); err != nil {
-			return Undefined, err
+			return 0, err
 		}
 		if postfix {
-			return Num(n), nil
+			return n, nil
 		}
-		return Num(n + delta), nil
+		return n + delta, nil
 	}, nil
+}
+
+// elemReference compiles a computed member obj[idx] into read and write
+// closures, with typed-array element access inline.
+func (c *jsCompiler) elemReference(x *eMember) (exprFn, refFn, error) {
+	obj, err := c.valArg(x.obj)
+	if err != nil {
+		return nil, nil, err
+	}
+	idx, err := c.numArg(x.computed)
+	if err != nil {
+		return nil, nil, err
+	}
+	read := func(vm *VM, e *env) (Value, error) {
+		ov, err := obj.get(vm, e)
+		if err != nil {
+			return Undefined, err
+		}
+		i, iv, err := idx.eval(vm, e)
+		if err != nil {
+			return Undefined, err
+		}
+		if ov.Kind == KindObject && ov.Obj.Kind == ObjTypedArray {
+			if err := vm.step(e, JTARead); err != nil {
+				return Undefined, err
+			}
+			o, k := ov.Obj, int(i)
+			if k < 0 || k >= o.TA.Len {
+				return Undefined, nil
+			}
+			return Num(o.TAGet(k)), nil
+		}
+		return vm.getElement(e, ov, idx.value(i, iv))
+	}
+	write := func(vm *VM, e *env, v Value) error {
+		ov, err := obj.get(vm, e)
+		if err != nil {
+			return err
+		}
+		i, iv, err := idx.eval(vm, e)
+		if err != nil {
+			return err
+		}
+		if ov.Kind == KindObject && ov.Obj.Kind == ObjTypedArray {
+			if err := vm.step(e, JTAWrite); err != nil {
+				return err
+			}
+			ov.Obj.TASet(int(i), v.ToNumber())
+			return nil
+		}
+		return vm.setElement(e, ov, idx.value(i, iv), v)
+	}
+	return read, write, nil
 }
 
 // reference compiles an assignable expression into read and write closures.
@@ -323,10 +331,7 @@ func (c *jsCompiler) reference(e jsExpr) (exprFn, refFn, error) {
 	case *eIdent:
 		d, slot := c.scope.resolve(x.name)
 		read := func(vm *VM, e *env) (Value, error) {
-			if err := vm.step(e, JVarRead); err != nil {
-				return Undefined, err
-			}
-			return envAt(e, d).slots[slot], nil
+			return envAt(e, d).slots[slot], vm.step(e, JVarRead)
 		}
 		write := func(vm *VM, e *env, v Value) error {
 			if err := vm.step(e, JVarWrite); err != nil {
@@ -337,53 +342,27 @@ func (c *jsCompiler) reference(e jsExpr) (exprFn, refFn, error) {
 		}
 		return read, write, nil
 	case *eMember:
+		if x.computed != nil {
+			return c.elemReference(x)
+		}
 		objF, err := c.expr(x.obj)
 		if err != nil {
 			return nil, nil, err
 		}
-		if x.computed == nil {
-			name := x.name
-			read := func(vm *VM, e *env) (Value, error) {
-				ov, err := objF(vm, e)
-				if err != nil {
-					return Undefined, err
-				}
-				return vm.getMember(e, ov, name)
-			}
-			write := func(vm *VM, e *env, v Value) error {
-				ov, err := objF(vm, e)
-				if err != nil {
-					return err
-				}
-				return vm.setMember(e, ov, name, v)
-			}
-			return read, write, nil
-		}
-		idxF, err := c.expr(x.computed)
-		if err != nil {
-			return nil, nil, err
-		}
+		name := x.name
 		read := func(vm *VM, e *env) (Value, error) {
 			ov, err := objF(vm, e)
 			if err != nil {
 				return Undefined, err
 			}
-			iv, err := idxF(vm, e)
-			if err != nil {
-				return Undefined, err
-			}
-			return vm.getElement(e, ov, iv)
+			return vm.getMember(e, ov, name)
 		}
 		write := func(vm *VM, e *env, v Value) error {
 			ov, err := objF(vm, e)
 			if err != nil {
 				return err
 			}
-			iv, err := idxF(vm, e)
-			if err != nil {
-				return err
-			}
-			return vm.setElement(e, ov, iv, v)
+			return vm.setMember(e, ov, name, v)
 		}
 		return read, write, nil
 	}
@@ -391,6 +370,9 @@ func (c *jsCompiler) reference(e jsExpr) (exprFn, refFn, error) {
 }
 
 func (c *jsCompiler) assign(x *eAssign) (exprFn, error) {
+	if core, ok, err := c.assignCore(x); ok || err != nil {
+		return boxMixed(core), err
+	}
 	read, write, err := c.reference(x.lhs)
 	if err != nil {
 		return nil, err
@@ -405,13 +387,10 @@ func (c *jsCompiler) assign(x *eAssign) (exprFn, error) {
 			if err != nil {
 				return Undefined, err
 			}
-			if err := write(vm, e, v); err != nil {
-				return Undefined, err
-			}
-			return v, nil
+			return v, write(vm, e, v)
 		}, nil
 	}
-	op := x.op[:len(x.op)-1] // strip '='
+	op := binOpFn(x.op[:len(x.op)-1]) // strip '='
 	return func(vm *VM, e *env) (Value, error) {
 		old, err := read(vm, e)
 		if err != nil {
@@ -421,40 +400,35 @@ func (c *jsCompiler) assign(x *eAssign) (exprFn, error) {
 		if err != nil {
 			return Undefined, err
 		}
-		nv, err := vm.binOp(e, op, old, rv)
+		nv, err := op(vm, e, old, rv)
 		if err != nil {
 			return Undefined, err
 		}
-		if err := write(vm, e, nv); err != nil {
-			return Undefined, err
-		}
-		return nv, nil
+		return nv, write(vm, e, nv)
 	}, nil
 }
 
 func (c *jsCompiler) binary(x *eBinary) (exprFn, error) {
-	// asm.js-style coercion idioms (`expr|0`, `expr>>>0`) are type
-	// annotations, not arithmetic: optimizing engines erase them entirely
-	// and even the interpreter treats them as cheap tag checks.
-	if z, ok := x.y.(*eNum); ok && z.v == 0 && (x.op == "|" || x.op == ">>>") {
-		inner, err := c.expr(x.x)
+	if c.numNative(x) {
+		if _, ok := numCmps[x.op]; ok {
+			t, err := c.truthBody(x)
+			if err != nil {
+				return nil, err
+			}
+			return boxTruth(t), nil
+		}
+		f, err := c.numBinary(x)
 		if err != nil {
 			return nil, err
 		}
-		unsigned := x.op == ">>>"
-		return func(vm *VM, e *env) (Value, error) {
-			v, err := inner(vm, e)
-			if err != nil {
-				return Undefined, err
-			}
-			if err := vm.step(e, JConst); err != nil {
-				return Undefined, err
-			}
-			if unsigned {
-				return Num(float64(toUint32(v.ToNumber()))), nil
-			}
-			return Num(float64(v.ToInt32())), nil
-		}, nil
+		return boxNum(f), nil
+	}
+	if x.op == "+" {
+		core, err := c.dynAdd(x)
+		if err != nil {
+			return nil, err
+		}
+		return boxMixed(core), nil
 	}
 	l, err := c.expr(x.x)
 	if err != nil {
@@ -464,7 +438,7 @@ func (c *jsCompiler) binary(x *eBinary) (exprFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	op := x.op
+	op := binOpFn(x.op)
 	return func(vm *VM, e *env) (Value, error) {
 		lv, err := l(vm, e)
 		if err != nil {
@@ -474,183 +448,124 @@ func (c *jsCompiler) binary(x *eBinary) (exprFn, error) {
 		if err != nil {
 			return Undefined, err
 		}
-		return vm.binOp(e, op, lv, rv)
+		return op(vm, e, lv, rv)
 	}, nil
 }
 
-// binOp evaluates a binary operator with coercions and cost accounting.
-func (vm *VM) binOp(e *env, op string, a, b Value) (Value, error) {
+// binFn evaluates one binary operator over boxed operands, with its
+// coercions and cost accounting.
+type binFn func(vm *VM, e *env, a, b Value) (Value, error)
+
+// binOpFn picks an operator's boxed closure at compile time.
+func binOpFn(op string) binFn {
 	switch op {
 	case "+":
-		if err := vm.step(e, JAdd); err != nil {
-			return Undefined, err
-		}
-		vm.arith[opADD]++
-		if a.Kind == KindString || b.Kind == KindString {
-			if err := vm.step(e, JStrOp); err != nil {
+		return func(vm *VM, e *env, a, b Value) (Value, error) {
+			if err := vm.step(e, JAdd); err != nil {
 				return Undefined, err
 			}
-			return Str(a.ToString() + b.ToString()), nil
-		}
-		return Num(a.ToNumber() + b.ToNumber()), nil
-	case "-":
-		if err := vm.step(e, JArith); err != nil {
-			return Undefined, err
-		}
-		vm.arith[opADD]++
-		return Num(a.ToNumber() - b.ToNumber()), nil
-	case "*":
-		if err := vm.step(e, JArith); err != nil {
-			return Undefined, err
-		}
-		vm.arith[opMUL]++
-		return Num(a.ToNumber() * b.ToNumber()), nil
-	case "/":
-		if err := vm.step(e, JArith); err != nil {
-			return Undefined, err
-		}
-		vm.arith[opDIV]++
-		return Num(a.ToNumber() / b.ToNumber()), nil
-	case "%":
-		if err := vm.step(e, JArith); err != nil {
-			return Undefined, err
-		}
-		vm.arith[opREM]++
-		return Num(math.Mod(a.ToNumber(), b.ToNumber())), nil
-	case "&":
-		if err := vm.step(e, JBitop); err != nil {
-			return Undefined, err
-		}
-		vm.arith[opAND]++
-		return Num(float64(a.ToInt32() & b.ToInt32())), nil
-	case "|":
-		if err := vm.step(e, JBitop); err != nil {
-			return Undefined, err
-		}
-		vm.arith[opOR]++
-		return Num(float64(a.ToInt32() | b.ToInt32())), nil
-	case "^":
-		if err := vm.step(e, JBitop); err != nil {
-			return Undefined, err
-		}
-		vm.arith[opOR]++
-		return Num(float64(a.ToInt32() ^ b.ToInt32())), nil
-	case "<<":
-		if err := vm.step(e, JBitop); err != nil {
-			return Undefined, err
-		}
-		vm.arith[opSHIFT]++
-		return Num(float64(a.ToInt32() << (uint32(b.ToInt32()) & 31))), nil
-	case ">>":
-		if err := vm.step(e, JBitop); err != nil {
-			return Undefined, err
-		}
-		vm.arith[opSHIFT]++
-		return Num(float64(a.ToInt32() >> (uint32(b.ToInt32()) & 31))), nil
-	case ">>>":
-		if err := vm.step(e, JBitop); err != nil {
-			return Undefined, err
-		}
-		vm.arith[opSHIFT]++
-		return Num(float64(toUint32(a.ToNumber()) >> (uint32(b.ToInt32()) & 31))), nil
-	case "==":
-		if err := vm.step(e, JCmp); err != nil {
-			return Undefined, err
-		}
-		return Bool(LooseEquals(a, b)), nil
-	case "!=":
-		if err := vm.step(e, JCmp); err != nil {
-			return Undefined, err
-		}
-		return Bool(!LooseEquals(a, b)), nil
-	case "===":
-		if err := vm.step(e, JCmp); err != nil {
-			return Undefined, err
-		}
-		return Bool(StrictEquals(a, b)), nil
-	case "!==":
-		if err := vm.step(e, JCmp); err != nil {
-			return Undefined, err
-		}
-		return Bool(!StrictEquals(a, b)), nil
-	case "<", ">", "<=", ">=":
-		if err := vm.step(e, JCmp); err != nil {
-			return Undefined, err
-		}
-		if a.Kind == KindString && b.Kind == KindString {
-			switch op {
-			case "<":
-				return Bool(a.Str < b.Str), nil
-			case ">":
-				return Bool(a.Str > b.Str), nil
-			case "<=":
-				return Bool(a.Str <= b.Str), nil
-			default:
-				return Bool(a.Str >= b.Str), nil
+			vm.arith[opADD]++
+			if a.Kind == KindString || b.Kind == KindString {
+				if err := vm.step(e, JStrOp); err != nil {
+					return Undefined, err
+				}
+				return vm.concat(a.ToString(), b.ToString())
 			}
+			return Num(a.ToNumber() + b.ToNumber()), nil
 		}
-		an, bn := a.ToNumber(), b.ToNumber()
+	case "==", "!=":
+		want := op == "=="
+		return func(vm *VM, e *env, a, b Value) (Value, error) {
+			return Bool(LooseEquals(a, b) == want), vm.step(e, JCmp)
+		}
+	case "===", "!==":
+		want := op == "==="
+		return func(vm *VM, e *env, a, b Value) (Value, error) {
+			return Bool(StrictEquals(a, b) == want), vm.step(e, JCmp)
+		}
+	case "<", ">", "<=", ">=":
+		cmp := numCmps[op]
+		var strCmp func(a, b string) bool
 		switch op {
 		case "<":
-			return Bool(an < bn), nil
+			strCmp = func(a, b string) bool { return a < b }
 		case ">":
-			return Bool(an > bn), nil
+			strCmp = func(a, b string) bool { return a > b }
 		case "<=":
-			return Bool(an <= bn), nil
+			strCmp = func(a, b string) bool { return a <= b }
 		default:
-			return Bool(an >= bn), nil
+			strCmp = func(a, b string) bool { return a >= b }
+		}
+		return func(vm *VM, e *env, a, b Value) (Value, error) {
+			if err := vm.step(e, JCmp); err != nil {
+				return Undefined, err
+			}
+			if a.Kind == KindString && b.Kind == KindString {
+				return Bool(strCmp(a.Str, b.Str)), nil
+			}
+			return Bool(cmp(a.ToNumber(), b.ToNumber())), nil
 		}
 	}
-	return Undefined, fmt.Errorf("jsvm: unhandled operator %q", op)
+	no, ok := numOps[op]
+	if !ok {
+		return func(vm *VM, e *env, a, b Value) (Value, error) {
+			return Undefined, fmt.Errorf("jsvm: unhandled operator %q", op)
+		}
+	}
+	return func(vm *VM, e *env, a, b Value) (Value, error) {
+		if err := vm.step(e, no.cls); err != nil {
+			return Undefined, err
+		}
+		vm.arith[no.group]++
+		return Num(no.f(a.ToNumber(), b.ToNumber())), nil
+	}
 }
 
 func (c *jsCompiler) member(x *eMember) (exprFn, error) {
+	if x.computed != nil {
+		read, _, err := c.reference(x)
+		return read, err
+	}
 	objF, err := c.expr(x.obj)
 	if err != nil {
 		return nil, err
 	}
-	if x.computed == nil {
-		name := x.name
-		return func(vm *VM, e *env) (Value, error) {
-			ov, err := objF(vm, e)
-			if err != nil {
-				return Undefined, err
-			}
-			return vm.getMember(e, ov, name)
-		}, nil
-	}
-	idxF, err := c.expr(x.computed)
-	if err != nil {
-		return nil, err
-	}
+	name := x.name
 	return func(vm *VM, e *env) (Value, error) {
 		ov, err := objF(vm, e)
 		if err != nil {
 			return Undefined, err
 		}
-		iv, err := idxF(vm, e)
-		if err != nil {
-			return Undefined, err
-		}
-		return vm.getElement(e, ov, iv)
+		return vm.getMember(e, ov, name)
 	}, nil
 }
 
+// pushArgs evaluates call arguments onto the VM's argument stack and
+// returns the stack height before them; the caller pops back to it.
+func pushArgs(vm *VM, e *env, args []exprFn) (int, error) {
+	base := len(vm.argStack)
+	for _, af := range args {
+		v, err := af(vm, e)
+		if err != nil {
+			vm.argStack = vm.argStack[:base]
+			return base, err
+		}
+		vm.argStack = append(vm.argStack, v)
+	}
+	return base, nil
+}
+
 func (c *jsCompiler) call(x *eCall) (exprFn, error) {
-	args, err := c.exprList(x.args)
+	core, ok, err := c.intrinsic(x)
 	if err != nil {
 		return nil, err
 	}
-	evalArgs := func(vm *VM, e *env) ([]Value, error) {
-		vals := make([]Value, len(args))
-		for i, af := range args {
-			v, err := af(vm, e)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		return vals, nil
+	if ok {
+		return boxMixed(core), nil
+	}
+	args, err := c.exprList(x.args)
+	if err != nil {
+		return nil, err
 	}
 	// Method call: callee is a member expression — `this` is the object.
 	if m, ok := x.callee.(*eMember); ok {
@@ -679,11 +594,13 @@ func (c *jsCompiler) call(x *eCall) (exprFn, error) {
 				}
 				n = iv.ToString()
 			}
-			argv, err := evalArgs(vm, e)
+			base, err := pushArgs(vm, e, args)
 			if err != nil {
 				return Undefined, err
 			}
-			return vm.invokeMethod(e, ov, n, argv)
+			v, err := vm.invokeMethod(e, ov, n, vm.argStack[base:])
+			vm.argStack = vm.argStack[:base]
+			return v, err
 		}, nil
 	}
 	calleeF, err := c.expr(x.callee)
@@ -695,22 +612,29 @@ func (c *jsCompiler) call(x *eCall) (exprFn, error) {
 		if err != nil {
 			return Undefined, err
 		}
-		argv, err := evalArgs(vm, e)
+		base, err := pushArgs(vm, e, args)
 		if err != nil {
 			return Undefined, err
 		}
-		if cv.Kind != KindObject || cv.Obj.Kind != ObjFunction {
-			return Undefined, &jsThrow{v: Str("TypeError: not a function")}
-		}
-		cls := JCall
-		if cv.Obj.Fn.Native != nil {
-			cls = JCallNative
-		}
-		if err := vm.step(e, cls); err != nil {
-			return Undefined, err
-		}
-		return vm.callFuncObj(cv.Obj, Undefined, argv)
+		v, err := vm.callValue(e, cv, vm.argStack[base:])
+		vm.argStack = vm.argStack[:base]
+		return v, err
 	}, nil
+}
+
+// callValue calls a function value with no receiver.
+func (vm *VM) callValue(e *env, cv Value, args []Value) (Value, error) {
+	if cv.Kind != KindObject || cv.Obj.Kind != ObjFunction {
+		return Undefined, &jsThrow{v: Str("TypeError: not a function")}
+	}
+	cls := JCall
+	if cv.Obj.Fn.Native != nil {
+		cls = JCallNative
+	}
+	if err := vm.step(e, cls); err != nil {
+		return Undefined, err
+	}
+	return vm.callFuncObj(cv.Obj, Undefined, args)
 }
 
 func (c *jsCompiler) newExpr(x *eNew) (exprFn, error) {
@@ -727,34 +651,37 @@ func (c *jsCompiler) newExpr(x *eNew) (exprFn, error) {
 		if err != nil {
 			return Undefined, err
 		}
-		argv := make([]Value, len(args))
-		for i, af := range args {
-			v, err := af(vm, e)
-			if err != nil {
-				return Undefined, err
-			}
-			argv[i] = v
-		}
-		if cv.Kind != KindObject || cv.Obj.Kind != ObjFunction {
-			return Undefined, &jsThrow{v: Str("TypeError: not a constructor")}
-		}
-		if err := vm.step(e, JAlloc); err != nil {
-			return Undefined, err
-		}
-		fn := cv.Obj.Fn
-		if fn.Native != nil {
-			// Native constructors (typed arrays, ArrayBuffer) return the
-			// instance directly.
-			return fn.Native(vm, Undefined, argv)
-		}
-		this := vm.NewPlainObject()
-		ret, err := vm.callFuncObj(cv.Obj, ObjVal(this), argv)
+		base, err := pushArgs(vm, e, args)
 		if err != nil {
 			return Undefined, err
 		}
-		if ret.Kind == KindObject {
-			return ret, nil
-		}
-		return ObjVal(this), nil
+		v, err := vm.construct(e, cv, vm.argStack[base:])
+		vm.argStack = vm.argStack[:base]
+		return v, err
 	}, nil
+}
+
+// construct runs `new cv(args)`.
+func (vm *VM) construct(e *env, cv Value, args []Value) (Value, error) {
+	if cv.Kind != KindObject || cv.Obj.Kind != ObjFunction {
+		return Undefined, &jsThrow{v: Str("TypeError: not a constructor")}
+	}
+	if err := vm.step(e, JAlloc); err != nil {
+		return Undefined, err
+	}
+	fn := cv.Obj.Fn
+	if fn.Native != nil {
+		// Native constructors (typed arrays, ArrayBuffer) return the
+		// instance directly.
+		return fn.Native(vm, Undefined, args)
+	}
+	this := vm.NewPlainObject()
+	ret, err := vm.callFuncObj(cv.Obj, ObjVal(this), args)
+	if err != nil {
+		return Undefined, err
+	}
+	if ret.Kind == KindObject {
+		return ret, nil
+	}
+	return ObjVal(this), nil
 }
