@@ -84,7 +84,6 @@ const (
 type Artifact struct {
 	Opts      Options
 	Transform *minic.TransformReport
-	IR        *ir.Program
 
 	Module     *wasm.Module
 	WasmBinary []byte
@@ -151,8 +150,16 @@ func (c *passClock) stage(name string, work, before, after int) {
 	c.ts += float64(work)
 }
 
-// Compile runs the pipeline on minic source.
-func Compile(src string, opts Options) (*Artifact, error) {
+// BuildIR runs the front half of Compile: preprocessing, parsing,
+// checking, runtime linking, IR lowering and the optimization pipeline at
+// opts.Opt. Compile generates code from the program it returns and does
+// not keep it.
+func BuildIR(src string, opts Options) (*ir.Program, error) {
+	prog, _, err := buildIR(src, opts, &passClock{tracer: opts.Tracer, inst: opts.Instruments})
+	return prog, err
+}
+
+func buildIR(src string, opts Options, clock *passClock) (*ir.Program, *minic.TransformReport, error) {
 	chunkPages := "1"
 	if opts.Toolchain == Emscripten {
 		chunkPages = "256"
@@ -161,18 +168,17 @@ func Compile(src string, opts Options) (*Artifact, error) {
 	for k, v := range opts.Defines {
 		defines[k] = v
 	}
-	clock := &passClock{tracer: opts.Tracer, inst: opts.Instruments}
 
 	full := runtimeSource + "\n" + src
 	file, err := minic.ParseSource(full, defines)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	clock.stage("parse", len(full), len(full), len(full))
 	report := minic.Transform(file)
 	clock.stage("transform", len(full), len(full), len(full))
 	if err := minic.Check(file, minic.CheckOptions{}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	clock.stage("check", len(full), len(full), len(full))
 
@@ -185,7 +191,7 @@ func Compile(src string, opts Options) (*Artifact, error) {
 	}
 	prog, err := ir.Build(file, bopts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var hook ir.PassHook
 	if opts.Tracer != nil || opts.Instruments != nil {
@@ -202,15 +208,25 @@ func Compile(src string, opts Options) (*Artifact, error) {
 			opts.Tracer.Emit(obsv.Event{Kind: obsv.KindFault, TS: clock.ts,
 				Name: string(faultinject.CompilerPass), Track: "compile"})
 		}
-		return nil, faultinject.Errorf(faultinject.CompilerPass,
+		return nil, nil, faultinject.Errorf(faultinject.CompilerPass,
 			"optimization pipeline failed for %q at -O%d", opts.ModuleName, opts.Opt)
 	}
 	ir.OptimizeWithHook(prog, opts.Opt, hook)
 	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("compiler: post-optimization IR invalid: %w", err)
+		return nil, nil, fmt.Errorf("compiler: post-optimization IR invalid: %w", err)
 	}
 
-	art := &Artifact{Opts: opts, Transform: report, IR: prog}
+	return prog, report, nil
+}
+
+// Compile runs the pipeline on minic source.
+func Compile(src string, opts Options) (*Artifact, error) {
+	clock := &passClock{tracer: opts.Tracer, inst: opts.Instruments}
+	prog, report, err := buildIR(src, opts, clock)
+	if err != nil {
+		return nil, err
+	}
+	art := &Artifact{Opts: opts, Transform: report}
 
 	if wantTarget(opts, TargetWasm) {
 		wopts := codegen.WasmOptions{

@@ -33,6 +33,10 @@ type Result struct {
 	GrowOps   int
 	GCs       int
 	TierUps   int
+	// Deopts counts JS code objects pinned to the interpreter for good
+	// (only an injected JIT-compile failure does that), so a non-zero
+	// count marks a measurement a fault plan altered.
+	Deopts int
 	// Profiles carries the VM's per-function virtual-cycle profiles when
 	// profiling was enabled (Config.Profile or a non-nil Tracer); nil
 	// otherwise. The harness merges these into the live telemetry hub.
@@ -262,6 +266,7 @@ func RunJS(art *Artifact, cfg jsvm.Config) (*Result, error) {
 		ExternalBytes: vm.PeakExternalBytes(),
 		GCs:           vm.GCCount(),
 		TierUps:       vm.TierUps(),
+		Deopts:        vm.Deopts(),
 		Profiles:      vm.Profile(),
 	}
 	for _, o := range vm.Output {

@@ -55,14 +55,10 @@ func TestPassIdempotence(t *testing.T) {
 		t.Run(ps.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 8; seed++ {
 				src := Generate(seed, GenOptions{FloatFree: seed%2 == 0}).Render()
-				art, err := compiler.Compile(src, compiler.Options{
-					Opt: ir.O0, ModuleName: "irprop",
-					Targets: []compiler.Target{compiler.TargetWasm},
-				})
+				p, err := compiler.BuildIR(src, compiler.Options{Opt: ir.O0, ModuleName: "irprop"})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				p := art.IR
 				ps.fn(p)
 				once := wasmBytes(t, p)
 				ps.fn(p)

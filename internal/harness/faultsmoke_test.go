@@ -120,6 +120,16 @@ func TestFaultSmoke(t *testing.T) {
 				t.Errorf("%s: %d tier-ups under a JIT-compile fault, clean run %d",
 					label, r.Meas.Result.TierUps, clean[i].Meas.Result.TierUps)
 			}
+			// The deopt marks the row as fault-altered, in the result and
+			// in the cell record.
+			if d := r.Meas.Result.Deopts; d != 1 {
+				t.Errorf("%s: deopts=%d under a JIT-compile fault, want 1", label, d)
+			}
+			if d := cellMetric(t, o.metrics, label).Deopts; d != 1 {
+				t.Errorf("%s: cell record deopts=%d, want 1", label, d)
+			}
+		} else if d := r.Meas.Result.Deopts; d != 0 {
+			t.Errorf("%s: deopts=%d without a JIT-compile fault", label, d)
 		}
 		if got != want {
 			t.Errorf("%s: faulted run measured %+v, clean run %+v", label, got, want)
@@ -166,4 +176,16 @@ func TestFaultSmoke(t *testing.T) {
 			t.Errorf("%s: measurement diverges across identical seeds", cells[i].Label())
 		}
 	}
+}
+
+// cellMetric finds a cell's record in a run's metrics.
+func cellMetric(t *testing.T, m *obsv.RunMetrics, label string) obsv.CellMetric {
+	t.Helper()
+	for _, c := range m.Cells {
+		if c.Label == label {
+			return c
+		}
+	}
+	t.Fatalf("no cell record for %s", label)
+	return obsv.CellMetric{}
 }

@@ -62,7 +62,8 @@ type Response struct {
 	Cell   string `json:"cell,omitempty"`
 	Error  string `json:"error,omitempty"`
 	// Injected marks errors that came from the deterministic fault plan
-	// (drills), distinguishing them from organic failures.
+	// (drills), distinguishing them from organic failures, and "ok"
+	// measurements a fault altered (a JS run that deopted).
 	Injected bool `json:"injected,omitempty"`
 	// RetryAfterMS accompanies shed / breaker-open / draining responses.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`

@@ -419,6 +419,9 @@ func (s *Server) classify(r harness.CellResult, cm obsv.CellMetric) *Response {
 				resp.Steps = r.Meas.Result.Steps
 				resp.MemoryBytes = r.Meas.Result.MemoryBytes
 				resp.MemChecksum = r.Meas.Result.MemChecksum
+				// A deopt only comes from an injected JIT-compile
+				// failure: the measurement is fault-altered.
+				resp.Injected = s.cfg.Faults != nil && r.Meas.Result.Deopts > 0
 			}
 		}
 	case errors.Is(r.Err, harness.ErrCellDeadline):

@@ -279,6 +279,28 @@ func TestServeFaultDrill(t *testing.T) {
 	}
 }
 
+// TestServeDeoptMarkedInjected: a JS measurement a JIT-compile fault
+// altered (the code object deopted) is "ok" but marked injected; the same
+// cell without the fault is not.
+func TestServeDeoptMarkedInjected(t *testing.T) {
+	plan := faultinject.NewPlan(5, faultinject.Rule{Point: faultinject.JSJITCompile, Count: 1})
+	s := NewServer(Config{Workers: 1, Faults: plan})
+	defer drain(t, s, 10*time.Second)
+	req := &Request{Bench: "atax", Size: "S", Lang: "js"}
+	faulted := s.Submit(req)
+	if faulted.Status != StatusOK || !faulted.Injected {
+		t.Fatalf("deopted run: want injected %s, got %+v", StatusOK, faulted)
+	}
+	clean := s.Submit(req)
+	if clean.Status != StatusOK || clean.Injected {
+		t.Fatalf("clean run: want uninjected %s, got %+v", StatusOK, clean)
+	}
+	if faulted.Steps != clean.Steps || faulted.Cycles <= clean.Cycles {
+		t.Errorf("deopted run: steps %d cycles %g, clean run steps %d cycles %g",
+			faulted.Steps, faulted.Cycles, clean.Steps, clean.Cycles)
+	}
+}
+
 // TestServeFaultDrillHTTP: same drill through the HTTP surface — status
 // codes and Retry-After, not just wire structs.
 func TestServeFaultDrillHTTP(t *testing.T) {
