@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race e2ebench-test bench bench-e2e experiments-check bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz fuzz
+.PHONY: check fmt build vet test race e2ebench-test bench bench-e2e experiments-check bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz js-fuzz fuzz
 
-check: fmt vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz
+check: fmt vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz js-fuzz
 
 # Formatting gate: every Go file (e2ebench/ included) is gofmt-clean.
 fmt:
@@ -107,6 +107,14 @@ serve-smoke:
 # errors, and must resolve every deadline into (0, max]. No kernel runs.
 serve-fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRequestDecode -fuzztime 10s
+
+# Input-boundary fuzz: arbitrary source through the JS engine (parse →
+# compile → run under a step limit) must never panic, must fail only with
+# typed errors, and must stay within the engine maxima per step. Seeded
+# with the kernels' emitted JS; minimizing a new input is capped so the
+# short run keeps fuzzing.
+js-fuzz:
+	$(GO) test ./internal/jsvm -run '^$$' -fuzz FuzzJSRun -fuzztime 10s -fuzzminimizetime 100x
 
 # Open-ended differential fuzzing (not part of check). Override FUZZTIME
 # and FUZZ to steer, e.g. make fuzz FUZZ=FuzzDiffOptLevels FUZZTIME=5m.

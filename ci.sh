@@ -40,3 +40,6 @@ go run ./cmd/benchserve -loadgen -self -requests 60 -rate 300 -queue 4 -serve-wo
 # Input-boundary fuzz: the benchserve /run decoder never panics, returns
 # typed errors, and bounds every deadline; no kernel runs.
 go test ./internal/serve -run '^$' -fuzz FuzzRequestDecode -fuzztime 10s
+# The JS engine's input boundary: never panics, fails only with typed
+# errors, stays within the engine maxima per step.
+go test ./internal/jsvm -run '^$' -fuzz FuzzJSRun -fuzztime 10s -fuzzminimizetime 100x

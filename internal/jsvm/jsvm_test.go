@@ -401,3 +401,38 @@ var __exit = s | 0;
 		t.Errorf("ADD undercounted: %v", ops)
 	}
 }
+
+// TestEngineMaxima: operations that would do O(n) work in O(1) steps past
+// an engine maximum throw a RangeError (catchable, like V8's) instead.
+func TestEngineMaxima(t *testing.T) {
+	for _, src := range []string{
+		`var a = []; a[2000000] = 1;`,
+		`var a = []; a.length = 1e9;`,
+		`var b = new Float64Array(1e9);`,
+		`var b = new ArrayBuffer(-1);`,
+		`var b = new Uint8Array(new ArrayBuffer(4), 0, 100);`,
+		`var s = 'ab'; for (;;) s = s + s;`,
+		`var s = 'ab'; for (;;) s += s;`,
+		`var s = 'x'; for (;;) s = s.concat(s);`,
+		`var a = [1]; for (;;) a = a.concat(a);`,
+		`var a = [1]; for (var i = 0; i < 40; i++) a = [a, a]; var s = '' + a;`,
+	} {
+		cfg := DefaultConfig()
+		cfg.StepLimit = 1 << 20
+		_, err := New(cfg).Run(src)
+		v, thrown := ThrownValue(err)
+		if !thrown || !strings.HasPrefix(v.ToString(), "RangeError") {
+			t.Errorf("%s: want a thrown RangeError, got %v", src, err)
+		}
+	}
+	// The error is a thrown value: try/catch sees it.
+	vm, _ := run(t, `var r = 0; try { new Float64Array(-5); } catch (e) { r = 1; } var __exit = r;`)
+	if exitOf(t, vm) != 1 {
+		t.Error("RangeError not catchable")
+	}
+	// An array nested in itself converts as "", as in V8.
+	vm, _ = run(t, `var a = [1, 2]; a.push(a); var __exit = ('' + a).length;`)
+	if got := exitOf(t, vm); got != 4 {
+		t.Errorf("cyclic array string length %d, want 4 (\"1,2,\")", got)
+	}
+}

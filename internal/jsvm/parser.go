@@ -1,28 +1,56 @@
 package jsvm
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // jsParse parses a program (list of statements).
 func jsParse(src string) ([]jsStmt, error) {
 	toks, err := jsLex(src)
 	if err != nil {
-		return nil, err
+		return nil, &syntaxError{err}
 	}
 	p := &jsParser{toks: toks}
 	var body []jsStmt
 	for !p.at(jtEOF) {
 		s, err := p.stmt()
 		if err != nil {
-			return nil, err
+			return nil, &syntaxError{err}
 		}
 		body = append(body, s)
 	}
 	return body, nil
 }
 
+// ErrJSSyntax matches (errors.Is) every error that rejects a program before
+// it runs: lexing, parsing and compilation errors.
+var ErrJSSyntax = errors.New("jsvm: syntax error")
+
+// syntaxError types a load-time error without changing its message.
+type syntaxError struct{ err error }
+
+func (e *syntaxError) Error() string        { return e.err.Error() }
+func (e *syntaxError) Unwrap() error        { return e.err }
+func (e *syntaxError) Is(target error) bool { return target == ErrJSSyntax }
+
 type jsParser struct {
-	toks []jsTok
-	pos  int
+	toks  []jsTok
+	pos   int
+	depth int
+}
+
+// maxNesting bounds the parse tree's depth, so that parsing, compiling and
+// evaluating a program never recurse deeper than that.
+const maxNesting = 1000
+
+// nest enters one level of the parse tree; the caller restores p.depth.
+func (p *jsParser) nest() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return fmt.Errorf("jsvm: line %d: nesting deeper than %d", p.cur().line, maxNesting)
+	}
+	return nil
 }
 
 func (p *jsParser) cur() jsTok          { return p.toks[p.pos] }
@@ -73,6 +101,10 @@ func (p *jsParser) ident() (string, error) {
 func (p *jsParser) eatSemi() { p.eatP(";") }
 
 func (p *jsParser) stmt() (jsStmt, error) {
+	defer func(d int) { p.depth = d }(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	t := p.cur()
 	switch {
 	case p.atP("{"):
@@ -467,6 +499,10 @@ func (p *jsParser) expr() (jsExpr, error) {
 }
 
 func (p *jsParser) assignExpr() (jsExpr, error) {
+	defer func(d int) { p.depth = d }(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	lhs, err := p.condExpr()
 	if err != nil {
 		return nil, err
@@ -518,6 +554,7 @@ var jsBinPrec = map[string]int{
 }
 
 func (p *jsParser) binExpr(minPrec int) (jsExpr, error) {
+	defer func(d int) { p.depth = d }(p.depth)
 	lhs, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
@@ -532,6 +569,9 @@ func (p *jsParser) binExpr(minPrec int) (jsExpr, error) {
 			return lhs, nil
 		}
 		p.pos++
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		rhs, err := p.binExpr(prec + 1)
 		if err != nil {
 			return nil, err
@@ -545,6 +585,10 @@ func (p *jsParser) binExpr(minPrec int) (jsExpr, error) {
 }
 
 func (p *jsParser) unaryExpr() (jsExpr, error) {
+	defer func(d int) { p.depth = d }(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	t := p.cur()
 	if t.kind == jtPunct {
 		switch t.text {
@@ -589,6 +633,7 @@ func (p *jsParser) postfixExpr() (jsExpr, error) {
 }
 
 func (p *jsParser) callExpr() (jsExpr, error) {
+	defer func(d int) { p.depth = d }(p.depth)
 	var x jsExpr
 	var err error
 	if p.atKw("new") {
@@ -612,6 +657,9 @@ func (p *jsParser) callExpr() (jsExpr, error) {
 		}
 	}
 	for {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		switch {
 		case p.eatP("."):
 			name, err := p.ident()
@@ -642,11 +690,15 @@ func (p *jsParser) callExpr() (jsExpr, error) {
 
 // memberOnly parses member chains without call suffixes (for `new X.Y(...)`).
 func (p *jsParser) memberOnly() (jsExpr, error) {
+	defer func(d int) { p.depth = d }(p.depth)
 	x, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
 	for p.eatP(".") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
@@ -675,6 +727,10 @@ func (p *jsParser) argList() ([]jsExpr, error) {
 }
 
 func (p *jsParser) primary() (jsExpr, error) {
+	defer func(d int) { p.depth = d }(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	t := p.cur()
 	switch t.kind {
 	case jtNumber:
