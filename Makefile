@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race e2ebench-test bench bench-e2e experiments-check bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz js-fuzz fuzz
+.PHONY: check fmt build vet test race e2ebench-test bench bench-e2e experiments-check bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz js-fuzz wasm-fuzz fuzz
 
-check: fmt vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz js-fuzz
+check: fmt vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz js-fuzz wasm-fuzz
 
 # Formatting gate: every Go file (e2ebench/ included) is gofmt-clean.
 fmt:
@@ -115,6 +115,15 @@ serve-fuzz:
 # short run keeps fuzzing.
 js-fuzz:
 	$(GO) test ./internal/jsvm -run '^$$' -fuzz FuzzJSRun -fuzztime 10s -fuzzminimizetime 100x
+
+# Input-boundary fuzz: arbitrary bytes through the Wasm front end, as
+# wasmrun reads them (decode → validate → instantiate → main under a step
+# limit and a small page cap) must never panic and must fail only with
+# typed errors; a run that passes cold must report identical virtual
+# metrics on a pooled capture and on the reset instance. Seeded with the
+# kernels' Wasm builds; minimization capped as for js-fuzz.
+wasm-fuzz:
+	$(GO) test ./internal/wasmvm -run '^$$' -fuzz FuzzWasmDecode -fuzztime 10s -fuzzminimizetime 100x
 
 # Open-ended differential fuzzing (not part of check). Override FUZZTIME
 # and FUZZ to steer, e.g. make fuzz FUZZ=FuzzDiffOptLevels FUZZTIME=5m.

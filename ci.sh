@@ -43,3 +43,6 @@ go test ./internal/serve -run '^$' -fuzz FuzzRequestDecode -fuzztime 10s
 # The JS engine's input boundary: never panics, fails only with typed
 # errors, stays within the engine maxima per step.
 go test ./internal/jsvm -run '^$' -fuzz FuzzJSRun -fuzztime 10s -fuzzminimizetime 100x
+# The Wasm input boundary: never panics, fails only with typed errors, and
+# a pooled capture and its reset instance match the cold run.
+go test ./internal/wasmvm -run '^$' -fuzz FuzzWasmDecode -fuzztime 10s -fuzzminimizetime 100x

@@ -104,9 +104,10 @@ func main() {
 	var vm *wasmvm.VM
 	if *snapshotFlag {
 		// Drive a pool of one through a full checkout/recycle cycle so the
-		// measured run executes on a snapshot-reset instance: the first Get
-		// captures the post-init snapshot, the warm-up run dirties it, and
-		// Put resets it for the reported run.
+		// measured run executes on a reset instance: the first Get captures
+		// the post-init snapshot, the warm-up run dirties the instance, Put
+		// parks it without its linear memory, and the second Get resets it
+		// (fresh zero pages plus the data segments) for the reported run.
 		pool := wasmvm.NewInstancePool(mod, len(bin), wasmvm.PoolOptions{MaxInstances: 1})
 		// The warm-up checkout runs detached (no tracer, profile, or
 		// instruments) so the reported run's observability streams only see

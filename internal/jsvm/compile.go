@@ -191,19 +191,10 @@ func hoist(body []jsStmt, sc *cscope) {
 	}
 }
 
-// walk flags.
-const (
-	// walkInto enters nested function bodies.
-	walkInto = 1 << iota
-	// walkLabeled enters labeled statements.
-	walkLabeled
-)
-
 // walk calls fs on every statement and fe on every expression of body, in
-// source order, entering nested functions and labeled statements as flags
-// say. (The `this` and `arguments` scans leave labeled statements out, and
-// slot layout and per-call allocation depend on what they find.)
-func walk(body []jsStmt, flags int, fs func(jsStmt), fe func(jsExpr)) {
+// source order, labeled statements included; into says whether it enters
+// nested function bodies.
+func walk(body []jsStmt, into bool, fs func(jsStmt), fe func(jsExpr)) {
 	var ve func(e jsExpr)
 	var vs func(s jsStmt)
 	ves := func(list []jsExpr) {
@@ -229,7 +220,7 @@ func walk(body []jsStmt, flags int, fs func(jsStmt), fe func(jsExpr)) {
 		case *eObject:
 			ves(x.vals)
 		case *eFunc:
-			if flags&walkInto != 0 {
+			if into {
 				vss(x.body)
 			}
 		case *eUnary:
@@ -272,7 +263,7 @@ func walk(body []jsStmt, flags int, fs func(jsStmt), fe func(jsExpr)) {
 		case *sVar:
 			ves(st.inits)
 		case *sFunc:
-			if flags&walkInto != 0 {
+			if into {
 				vss(st.body)
 			}
 		case *sExpr:
@@ -306,9 +297,7 @@ func walk(body []jsStmt, flags int, fs func(jsStmt), fe func(jsExpr)) {
 			vss(st.catch)
 			vss(st.finally)
 		case *sLabeled:
-			if flags&walkLabeled != 0 {
-				vs(st.body)
-			}
+			vs(st.body)
 		}
 	}
 	vss(body)
@@ -318,7 +307,7 @@ func walk(body []jsStmt, flags int, fs func(jsStmt), fe func(jsExpr)) {
 // included (used to bind host globals lazily).
 func identNames(body []jsStmt) map[string]bool {
 	names := map[string]bool{}
-	walk(body, walkInto, nil, func(e jsExpr) {
+	walk(body, true, nil, func(e jsExpr) {
 		if id, ok := e.(*eIdent); ok {
 			names[id.name] = true
 		}
@@ -330,7 +319,7 @@ func identNames(body []jsStmt) map[string]bool {
 // excluded) uses `this`.
 func referencesThis(body []jsStmt) bool {
 	found := false
-	walk(body, 0, nil, func(e jsExpr) {
+	walk(body, false, nil, func(e jsExpr) {
 		if _, ok := e.(*eThis); ok {
 			found = true
 		}

@@ -166,6 +166,19 @@ var __exit = r;
 	}
 }
 
+// TestThisAndArgumentsInsideLabels: a function that uses `arguments` or
+// `this` only inside a labeled statement still gets their slots.
+func TestThisAndArgumentsInsideLabels(t *testing.T) {
+	vm, _ := run(t, `
+function f(a) { L: while (1) { return arguments.length; } }
+function F() { L: while (1) { this.x = 7; break L; } }
+var __exit = f(1, 2) * 10 + new F().x;
+`)
+	if got := exitOf(t, vm); got != 27 {
+		t.Errorf("labeled arguments/this: got %d, want 27", got)
+	}
+}
+
 func TestTryCatchFinally(t *testing.T) {
 	vm, _ := run(t, `
 var log = 0;

@@ -152,7 +152,7 @@ func analyzeProgram(vm *VM, body []jsStmt) *programFacts {
 		for _, p := range params {
 			pf.local[p] = true
 		}
-		walk(fbody, walkLabeled, func(s jsStmt) {
+		walk(fbody, false, func(s jsStmt) {
 			switch st := s.(type) {
 			case *sVar:
 				for _, n := range st.names {
@@ -182,7 +182,7 @@ func analyzeProgram(vm *VM, body []jsStmt) *programFacts {
 		}
 		bound[name] = true
 	}
-	walk(body, walkInto|walkLabeled, func(s jsStmt) {
+	walk(body, true, func(s jsStmt) {
 		switch st := s.(type) {
 		case *sVar:
 			for i, n := range st.names {
@@ -328,7 +328,7 @@ func (c *jsCompiler) inferNumSlots(body []jsStmt) {
 			writes = append(writes, slotWrite{idx, op, x})
 		}
 	}
-	walk(body, walkLabeled, func(s jsStmt) {
+	walk(body, false, func(s jsStmt) {
 		switch st := s.(type) {
 		case *sVar:
 			for i, n := range st.names {
@@ -338,7 +338,7 @@ func (c *jsCompiler) inferNumSlots(body []jsStmt) {
 			}
 		case *sFunc:
 			exclude(st.name)
-			walk(st.body, walkInto|walkLabeled, nil, excludeIdents)
+			walk(st.body, true, nil, excludeIdents)
 		case *sTry:
 			if st.param != "" {
 				exclude(st.param)
@@ -351,7 +351,7 @@ func (c *jsCompiler) inferNumSlots(body []jsStmt) {
 				write(id.name, x.op, x.rhs)
 			}
 		case *eFunc:
-			walk(x.body, walkInto|walkLabeled, nil, excludeIdents)
+			walk(x.body, true, nil, excludeIdents)
 		}
 	})
 	c.fixSlots(num, writes)

@@ -125,6 +125,10 @@ const (
 	ExportGlobal ExportKind = 3
 )
 
+// MaxPages is the largest memory limit a 32-bit linear memory may declare
+// (64 Ki pages of 64 KiB: 4 GiB).
+const MaxPages = 65536
+
 // MemType declares the linear memory limits in 64 KiB pages.
 type MemType struct {
 	Min    uint32

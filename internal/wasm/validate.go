@@ -34,6 +34,9 @@ func Validate(m *Module) error {
 			return fmt.Errorf("wasm: export %q: bad kind %d", e.Name, e.Kind)
 		}
 	}
+	if m.Mem != nil && (m.Mem.Min > MaxPages || m.Mem.HasMax && m.Mem.Max > MaxPages) {
+		return fmt.Errorf("wasm: memory limits exceed %d pages", MaxPages)
+	}
 	if m.Mem != nil && m.Mem.HasMax && m.Mem.Max < m.Mem.Min {
 		return fmt.Errorf("wasm: memory max %d < min %d", m.Mem.Max, m.Mem.Min)
 	}
@@ -82,6 +85,9 @@ func validateBody(m *Module, f *Function) error {
 	}
 	v.ctrls = append(v.ctrls, ctrlFrame{op: OpEnd, blockType: resultBT})
 	for pc := range f.Body {
+		if len(v.ctrls) == 0 {
+			return fmt.Errorf("instr %d (%v): code after the function's closing end", pc, f.Body[pc].Op)
+		}
 		if err := v.step(&f.Body[pc]); err != nil {
 			return fmt.Errorf("instr %d (%v): %w", pc, f.Body[pc].Op, err)
 		}

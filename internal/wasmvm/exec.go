@@ -19,6 +19,7 @@ var (
 	ErrCallDepth      = errors.New("wasmvm: call depth limit exceeded")
 	ErrUnboundImport  = errors.New("wasmvm: unbound import called")
 	ErrMemoryExceeded = errors.New("wasmvm: memory limit exceeded")
+	ErrSignature      = errors.New("wasmvm: signature mismatch")
 )
 
 func (vm *VM) callIndex(idx uint32, args []uint64) ([]uint64, error) {

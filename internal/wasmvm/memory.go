@@ -27,13 +27,18 @@ func NewMemory(minPages, maxPages, granularity uint32) *Memory {
 	if granularity == 0 {
 		granularity = 1
 	}
-	m := &Memory{
-		data:        make([]byte, int(minPages)*PageSize),
-		maxPages:    maxPages,
-		peakPages:   minPages,
-		granularity: granularity,
-	}
+	m := &Memory{maxPages: maxPages, granularity: granularity}
+	m.reset(minPages)
 	return m
+}
+
+// reset replaces the buffer with pages fresh zero pages and rewinds the
+// grow counters, keeping the page cap and granularity (they belong to the
+// instance's config, which survives recycling).
+func (m *Memory) reset(pages uint32) {
+	m.data = make([]byte, int(pages)*PageSize)
+	m.peakPages = pages
+	m.growCount = 0
 }
 
 // Pages returns the current committed size in pages.
@@ -63,19 +68,9 @@ func (m *Memory) Grow(delta uint32) int32 {
 			return -1
 		}
 	}
-	newBytes := int(newPages) * PageSize
-	if cap(m.data) >= newBytes {
-		// Reuse backing capacity retained across a snapshot restore: the
-		// exposed region may hold a previous run's bytes, and memory.grow
-		// must hand out zero pages.
-		prev := len(m.data)
-		m.data = m.data[:newBytes]
-		clear(m.data[prev:])
-	} else {
-		grown := make([]byte, newBytes)
-		copy(grown, m.data)
-		m.data = grown
-	}
+	grown := make([]byte, int(newPages)*PageSize)
+	copy(grown, m.data)
+	m.data = grown
 	m.growCount++
 	if uint32(newPages) > m.peakPages {
 		m.peakPages = uint32(newPages)
@@ -86,22 +81,6 @@ func (m *Memory) Grow(delta uint32) int32 {
 // Bytes exposes the raw buffer (used by the host boundary and data
 // segment initialization).
 func (m *Memory) Bytes() []byte { return m.data }
-
-// restore rewinds the memory to a snapshot image in place: the buffer
-// truncates to the image size — keeping any grown backing array as an
-// arena for the instance's next run — and the grow counters rewind to the
-// post-init state. The page cap and granularity are untouched (they belong
-// to the instance's config, which survives recycling).
-func (m *Memory) restore(image []byte) {
-	if cap(m.data) < len(image) {
-		m.data = make([]byte, len(image))
-	} else {
-		m.data = m.data[:len(image)]
-	}
-	copy(m.data, image)
-	m.peakPages = uint32(len(image) / PageSize)
-	m.growCount = 0
-}
 
 // TrapOOB is the error for out-of-bounds memory accesses.
 type TrapOOB struct {

@@ -67,7 +67,7 @@ func shapeOf(cfg Config) configShape {
 	// Mirror the defaults New/NewVM/NewMemory resolve, so Config{} and its
 	// resolved form land in the same bucket.
 	if s.maxPages == 0 {
-		s.maxPages = 65536
+		s.maxPages = wasm.MaxPages
 	}
 	if s.callDepthLimit == 0 {
 		s.callDepthLimit = 10000
@@ -82,10 +82,10 @@ func shapeOf(cfg Config) configShape {
 type PoolStats struct {
 	Hits          int // checkouts served by a recycled instance
 	Misses        int // checkouts that cloned (or captured) a fresh instance
-	Recycles      int // instances reset to the snapshot and returned to the pool
+	Recycles      int // instances returned to the pool for reuse (reset on their next checkout)
 	ColdFallbacks int // checkouts served untracked because the pool was full
 	Evictions     int // idle instances dropped to make room for another shape
-	Discards      int // instances dropped on a failed reset or clone
+	Discards      int // instances dropped because they could not be reset
 	Live          int // tracked instances currently alive (checked out + idle)
 	Idle          int // recycled instances currently waiting in the pool
 }
@@ -164,6 +164,15 @@ func (p *InstancePool) Get(cfg Config) (vm *VM, recycled bool, err error) {
 			vm = list[len(list)-1]
 			list[len(list)-1] = nil
 			p.free[shape] = list[:len(list)-1]
+			p.mu.Unlock()
+			// Idle instances hold no linear memory: the reset that rebuilds
+			// it happens here, on reuse, outside the lock.
+			resetErr := vm.Reset()
+			p.mu.Lock()
+			if resetErr != nil {
+				p.discardLocked(vm)
+				continue // its slot is free: clone instead
+			}
 			p.stats.Hits++
 			p.publishLocked(func(pi *telemetry.PoolInstruments) {
 				pi.Hits.Inc()
@@ -212,12 +221,13 @@ func (p *InstancePool) makeLocked(cfg Config, shape configShape) (*VM, bool, err
 			p.mu.Unlock()
 			return nil, false, err
 		}
-		if _, err := vm.Snapshot(); err != nil {
+		snap, err := vm.Snapshot()
+		if err != nil {
 			p.releaseLocked()
 			p.mu.Unlock()
 			return nil, false, err
 		}
-		p.snap = vm.snap
+		p.snap = snap
 		vm.pool = p
 		p.mu.Unlock()
 		return vm, false, nil
@@ -253,20 +263,23 @@ func (p *InstancePool) makeLocked(cfg Config, shape configShape) (*VM, bool, err
 }
 
 // Put returns a checked-out instance to the pool. Instances the pool does
-// not own (cold fallbacks, nil) are dropped silently. A failed Reset
-// discards the instance and frees its slot rather than poisoning the pool.
+// not own (cold fallbacks, nil) are dropped silently. An instance still
+// inside a call cannot be reset, so it is discarded and its slot freed
+// rather than poisoning the pool. Otherwise the instance is parked without
+// its linear memory (an idle instance holds none) and reset by the Get
+// that reuses it.
 func (p *InstancePool) Put(vm *VM) {
 	if vm == nil || vm.pool != p {
 		return
 	}
-	if err := vm.Reset(); err != nil {
-		vm.pool = nil
+	if vm.depth != 0 {
 		p.mu.Lock()
-		p.stats.Discards++
-		p.publishLocked(func(pi *telemetry.PoolInstruments) { pi.Discards.Inc() })
-		p.releaseLocked()
+		p.discardLocked(vm)
 		p.mu.Unlock()
 		return
+	}
+	if vm.mem != nil {
+		vm.mem.data = nil
 	}
 	vm.attach(Config{}) // drop per-run attachments while idle
 	shape := shapeOf(vm.cfg)
@@ -280,6 +293,15 @@ func (p *InstancePool) Put(vm *VM) {
 	})
 	p.cond.Signal()
 	p.mu.Unlock()
+}
+
+// discardLocked drops an instance the pool cannot recycle and frees its
+// slot.
+func (p *InstancePool) discardLocked(vm *VM) {
+	vm.pool = nil
+	p.stats.Discards++
+	p.publishLocked(func(pi *telemetry.PoolInstruments) { pi.Discards.Inc() })
+	p.releaseLocked()
 }
 
 // donateLocked stores the instance's translated register bodies in the

@@ -4,11 +4,18 @@ package wasmvm
 // pre-initialization answer to the paper's Finding 4: Wasm linear memory
 // never shrinks, so at service scale the per-request cost that matters is
 // instantiation, not compilation. A Snapshot captures a freshly
-// instantiated VM's state once — post-init linear memory, globals, and the
-// validated/lowered function bodies — and NewVM clones runnable instances
-// from it by arena copy, skipping wasm.Validate and lowerFunc entirely.
-// Reset returns a finished instance to the snapshot state in place, so
-// pools recycle instances instead of discarding them.
+// instantiated VM's validated/lowered function bodies once, and NewVM
+// clones runnable instances from it, skipping wasm.Validate and lowerFunc
+// entirely. Reset returns a finished instance to the post-init state in
+// place, so pools recycle instances instead of discarding them.
+//
+// The post-init image is the module itself: a module has no start
+// function and nothing runs before Snapshot, so post-init linear memory is
+// always Mem.Min zero pages with the data segments written over them, and
+// every global holds its initializer. The snapshot therefore holds no
+// memory image; Instantiate, NewVM and Reset all write the image from the
+// module (initImage), which costs a fresh zeroed allocation plus the data
+// segments instead of copying the whole heap.
 //
 // Determinism contract (the same one regalloc.go and aot.go established):
 // snapshot restore is a *host-time* optimization only. Every clone and
@@ -27,7 +34,7 @@ package wasmvm
 //     instances of the same config shape (the pool's warm-body store).
 //   - AOT superblock closures capture the owning VM's globals slice and
 //     *Memory at translation time — instance-bound, never shared. Reset
-//     therefore restores globals and memory IN PLACE, which keeps a
+//     therefore rewrites globals and memory IN PLACE, which keeps a
 //     recycled instance's retained AOT body valid.
 
 import (
@@ -36,34 +43,22 @@ import (
 	"wasmbench/internal/wasm"
 )
 
-// snapFunc is the per-function slice of a snapshot: the immutable lowered
-// body shared by every clone, plus the identity fields New() derives.
-type snapFunc struct {
-	name    string
-	typ     wasm.FuncType
-	nLocals int
-	code    []lop
-	heights []int32
-}
-
 // Snapshot is an immutable post-init image of an instantiated module,
 // valid for cloning under any Config (the lowered code it shares is
 // config-independent; everything in a Config is applied per clone).
 // Snapshots are safe for concurrent use.
 type Snapshot struct {
-	module   *wasm.Module
-	binSize  int
-	funcs    []snapFunc
-	hasMem   bool
-	memBytes []byte // private copy of the post-init linear memory
-	globals  []uint64
+	module  *wasm.Module
+	binSize int
+	// funcs are the lowered functions as New() left them; their code and
+	// heights are shared by every clone, and no translated form exists
+	// yet (nothing has run).
+	funcs []compiledFunc
 }
 
 // Snapshot captures the VM's post-init state. It is valid only on a
 // freshly instantiated VM — after Instantiate() and before any call — so
-// the image is exactly what every cold instance starts from. The capture
-// also marks the VM itself as resettable (Reset restores it to this
-// image), so the origin instance can join a pool alongside its clones.
+// the image is exactly what every cold instance starts from.
 func (vm *VM) Snapshot() (*Snapshot, error) {
 	if !vm.inited {
 		return nil, errors.New("wasmvm: snapshot of an uninstantiated module")
@@ -71,100 +66,64 @@ func (vm *VM) Snapshot() (*Snapshot, error) {
 	if vm.depth != 0 || vm.stats.Steps != 0 {
 		return nil, errors.New("wasmvm: snapshot requires a freshly instantiated VM (no calls yet)")
 	}
-	s := &Snapshot{
+	return &Snapshot{
 		module:  vm.module,
 		binSize: vm.binSize,
-		funcs:   make([]snapFunc, len(vm.funcs)),
-		globals: append([]uint64(nil), vm.globals...),
-	}
-	for i := range vm.funcs {
-		cf := &vm.funcs[i]
-		s.funcs[i] = snapFunc{
-			name:    cf.name,
-			typ:     cf.typ,
-			nLocals: cf.nLocals,
-			code:    cf.code,
-			heights: cf.heights,
-		}
-	}
-	if vm.mem != nil {
-		s.hasMem = true
-		s.memBytes = append([]byte(nil), vm.mem.Bytes()...)
-	}
-	vm.snap = s
-	return s, nil
+		funcs:   append([]compiledFunc(nil), vm.funcs...),
+	}, nil
 }
 
 // NewVM clones a runnable instance from the snapshot under cfg,
 // byte-identical in every virtual metric to New() + Instantiate() with the
-// same cfg. The clone shares the snapshot's lowered code and copies only
-// the mutable arenas (linear memory, globals); everything in cfg (cost
-// tables, tier policy, page caps, attachments) is applied fresh here.
+// same cfg. The clone shares the snapshot's lowered code and writes its
+// own post-init memory and globals; everything in cfg (cost tables, tier
+// policy, page caps, attachments) is applied fresh here.
 func (s *Snapshot) NewVM(cfg Config) (*VM, error) {
 	if cfg.CallDepthLimit == 0 {
 		cfg.CallDepthLimit = 10000
 	}
 	if cfg.MaxPages == 0 {
-		cfg.MaxPages = 65536
+		cfg.MaxPages = wasm.MaxPages
 	}
-	vm := &VM{module: s.module, cfg: cfg, binSize: s.binSize, snap: s}
+	vm := &VM{module: s.module, cfg: cfg, binSize: s.binSize}
 	vm.tracer = cfg.Tracer
 	vm.faults = cfg.Faults
 	vm.inst = cfg.Instruments
 	vm.profiling = cfg.Profile || cfg.Tracer != nil
-	vm.funcs = make([]compiledFunc, len(s.funcs))
-	for i := range s.funcs {
-		sf := &s.funcs[i]
-		vm.funcs[i] = compiledFunc{
-			name:    sf.name,
-			typ:     sf.typ,
-			nLocals: sf.nLocals,
-			code:    sf.code,
-			heights: sf.heights,
-		}
-	}
+	vm.funcs = append([]compiledFunc(nil), s.funcs...)
 	if vm.profiling {
 		vm.profs = make([]funcProf, len(vm.funcs))
 	}
 	vm.aotEnabled = !cfg.DisableAOTTier && cfg.StepLimit == 0
 	vm.imports = make([]HostFunc, len(s.module.Imports))
-	if s.hasMem {
-		m := s.module.Mem
-		maxP := cfg.MaxPages
-		if m.HasMax && m.Max < maxP {
-			maxP = m.Max
-		}
-		vm.mem = NewMemory(uint32(len(s.memBytes)/PageSize), maxP, cfg.GrowGranularityPages)
-		copy(vm.mem.Bytes(), s.memBytes)
+	if err := vm.initImage(); err != nil {
+		return nil, err
 	}
-	vm.globals = append([]uint64(nil), s.globals...)
 	vm.applyInstantiateCharges()
 	vm.inited = true
 	return vm, nil
 }
 
-// Reset restores a snapshot-backed VM to its post-init image in place:
-// linear memory truncates back to the snapshot page count (retaining the
-// grown backing array as an arena for the next run), globals are copied
-// into the same backing slice, and every execution counter returns to the
+// Reset returns an instantiated VM to its post-init state in place:
+// linear memory is rebuilt from the module (fresh zero pages and the data
+// segments) inside the same *Memory, globals are rewritten into the same
+// backing slice, and every execution counter returns to the
 // post-Instantiate state, including the re-applied virtual instantiation
 // charge. Translated register and AOT bodies are retained — AOT closures
 // captured this instance's globals slice and *Memory, which is exactly why
-// the restore is in-place — but the tried flag clears, so the next run
+// the rewrite is in-place — but the tried flag clears, so the next run
 // replays translation counters, fault checks, and trace events
 // byte-identically to a cold instance while skipping the translation work.
 func (vm *VM) Reset() error {
-	s := vm.snap
-	if s == nil {
-		return errors.New("wasmvm: Reset on a VM without a snapshot")
+	if !vm.inited {
+		return errors.New("wasmvm: Reset on an uninstantiated VM")
 	}
 	if vm.depth != 0 {
 		return errors.New("wasmvm: Reset during an active call")
 	}
-	if vm.mem != nil {
-		vm.mem.restore(s.memBytes)
+	if err := vm.initImage(); err != nil {
+		return err
 	}
-	copy(vm.globals, s.globals)
 	for i := range vm.funcs {
 		cf := &vm.funcs[i]
 		cf.hotness = 0

@@ -4,7 +4,8 @@ import "testing"
 
 // BenchmarkSnapshotRestore compares the three ways to obtain a runnable
 // instance: a cold decode+instantiate, a clone from a post-init snapshot
-// (arena copy, no module init), and an in-place Reset of a used instance.
+// (shared lowered code, no validation or lowering), and an in-place Reset
+// of a used instance (fresh zero pages plus the data segments).
 // This is the host-time win the pool trades on; the virtual instantiation
 // charge is identical on every path.
 func BenchmarkSnapshotRestore(b *testing.B) {

@@ -265,6 +265,40 @@ func TestResetAfterTrap(t *testing.T) {
 	pool.Put(vm2)
 }
 
+// TestPoolIdleHoldsNoMemory: a returned instance parks without its linear
+// memory, and the checkout that reuses it rebuilds the post-init image:
+// the module's page count, the data segment, and none of the last run's
+// stores.
+func TestPoolIdleHoldsNoMemory(t *testing.T) {
+	cfg := DefaultConfig()
+	pool := NewInstancePool(snapModule(), 0, PoolOptions{MaxInstances: 1})
+	vm, _, err := pool.Get(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call1(t, vm, "poke", I32(16), I32(0x5EED))
+	call1(t, vm, "grow", I32(2))
+	pool.Put(vm)
+	if b := vm.Memory().Bytes(); b != nil {
+		t.Fatalf("idle instance holds %d bytes of linear memory", len(b))
+	}
+	vm2, recycled, err := pool.Get(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recycled || vm2 != vm {
+		t.Fatalf("expected the parked instance back (recycled=%v)", recycled)
+	}
+	b := vm2.Memory().Bytes()
+	if want := int(snapModule().Mem.Min) * PageSize; len(b) != want {
+		t.Errorf("reset memory is %d bytes, want %d", len(b), want)
+	}
+	if b[16] != 0 || string(b[64:64+len("post-init image")]) != "post-init image" {
+		t.Error("reset memory is not the post-init image")
+	}
+	pool.Put(vm2)
+}
+
 // TestPoolExhaustionBlocks: a bounded pool without ColdFallback parks Get
 // until Put frees a slot — it never errors.
 func TestPoolExhaustionBlocks(t *testing.T) {

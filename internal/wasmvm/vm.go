@@ -125,7 +125,7 @@ func DefaultConfig() Config {
 		InstantiateCost:      9000,
 		GrowBoundaryCost:     350,
 		GrowGranularityPages: 1,
-		MaxPages:             65536,
+		MaxPages:             wasm.MaxPages,
 	}
 }
 
@@ -284,10 +284,6 @@ type VM struct {
 	// off, so the dispatch loop increments unconditionally instead of
 	// branching on every instruction. Never read.
 	scratchClass [256]uint64
-	// snap is the post-init image this instance restores to on Reset: set
-	// by Snapshot() on the origin VM and inherited by every clone (see
-	// snapshot.go). nil for ordinary cold instances.
-	snap *Snapshot
 	// pool is the InstancePool that owns this instance, if any; Put uses it
 	// to reject instances it does not track (e.g. cold fallbacks).
 	pool *InstancePool
@@ -308,7 +304,7 @@ func New(m *wasm.Module, binarySize int, cfg Config) (*VM, error) {
 		cfg.CallDepthLimit = 10000
 	}
 	if cfg.MaxPages == 0 {
-		cfg.MaxPages = 65536
+		cfg.MaxPages = wasm.MaxPages
 	}
 	vm := &VM{module: m, cfg: cfg, binSize: binarySize}
 	vm.tracer = cfg.Tracer
@@ -373,10 +369,17 @@ func (vm *VM) Profile() []obsv.FuncProfile {
 	return out
 }
 
-// BindImport installs a host function for the import module.field.
-func (vm *VM) BindImport(module, field string, fn HostFunc) error {
+// BindImport installs a host function of signature typ for the import
+// module.field. An import declared with another signature stays unbound
+// (calling it fails with ErrUnboundImport): fn reads its arguments and
+// writes its results as typ says.
+func (vm *VM) BindImport(module, field string, typ wasm.FuncType, fn HostFunc) error {
 	for i, imp := range vm.module.Imports {
 		if imp.Module == module && imp.Field == field {
+			if decl := vm.module.Types[imp.Type]; !decl.Equal(typ) {
+				return fmt.Errorf("%w: import %s.%s is %v, host function is %v",
+					ErrSignature, module, field, decl, typ)
+			}
 			vm.imports[i] = fn
 			return nil
 		}
@@ -387,21 +390,45 @@ func (vm *VM) BindImport(module, field string, fn HostFunc) error {
 // Instantiate allocates memory and globals, copies data segments, applies
 // the tier policy's up-front compilation charges, and charges startup costs.
 func (vm *VM) Instantiate() error {
+	if err := vm.initImage(); err != nil {
+		return err
+	}
+	vm.applyInstantiateCharges()
+	vm.inited = true
+	return nil
+}
+
+// initImage writes the module's post-init state: Mem.Min fresh zero pages
+// with the data segments copied over them, and every global at its
+// initial value. A module has no start function, so this is the whole
+// post-init image; Instantiate, snapshot clones and Reset all build it
+// here. An existing *Memory and globals slice are rewritten in place,
+// because retained AOT closures captured them.
+func (vm *VM) initImage() error {
 	m := vm.module
 	if m.Mem != nil {
 		maxP := vm.cfg.MaxPages
 		if m.Mem.HasMax && m.Mem.Max < maxP {
 			maxP = m.Mem.Max
 		}
-		vm.mem = NewMemory(m.Mem.Min, maxP, vm.cfg.GrowGranularityPages)
+		if m.Mem.Min > maxP {
+			return fmt.Errorf("%w: %d initial pages, cap %d", ErrMemoryExceeded, m.Mem.Min, maxP)
+		}
+		if vm.mem == nil {
+			vm.mem = NewMemory(m.Mem.Min, maxP, vm.cfg.GrowGranularityPages)
+		} else {
+			vm.mem.reset(m.Mem.Min)
+		}
 		for _, d := range m.Data {
-			if int(d.Offset)+len(d.Bytes) > len(vm.mem.Bytes()) {
-				return fmt.Errorf("wasmvm: data segment at %d overflows memory", d.Offset)
+			if int(d.Offset)+len(d.Bytes) > len(vm.mem.data) {
+				return fmt.Errorf("wasmvm: data segment: %w", &TrapOOB{Addr: uint64(d.Offset), Size: len(d.Bytes)})
 			}
-			copy(vm.mem.Bytes()[d.Offset:], d.Bytes)
+			copy(vm.mem.data[d.Offset:], d.Bytes)
 		}
 	}
-	vm.globals = make([]uint64, len(m.Globals))
+	if vm.globals == nil {
+		vm.globals = make([]uint64, len(m.Globals))
+	}
 	for i, g := range m.Globals {
 		if g.Type == wasm.I32 {
 			vm.globals[i] = uint64(uint32(int32(g.Init)))
@@ -409,8 +436,6 @@ func (vm *VM) Instantiate() error {
 			vm.globals[i] = uint64(g.Init)
 		}
 	}
-	vm.applyInstantiateCharges()
-	vm.inited = true
 	return nil
 }
 
@@ -454,6 +479,12 @@ func (vm *VM) Call(name string, args ...uint64) ([]uint64, error) {
 func (vm *VM) CallIndex(idx uint32, args ...uint64) ([]uint64, error) {
 	if !vm.inited {
 		return nil, errors.New("wasmvm: module not instantiated")
+	}
+	if ft, err := vm.module.FuncTypeOf(idx); err != nil {
+		return nil, err
+	} else if len(args) != len(ft.Params) {
+		return nil, fmt.Errorf("%w: function %d takes %d arguments, got %d",
+			ErrSignature, idx, len(ft.Params), len(args))
 	}
 	vm.growDenied = false
 	res, err := vm.callIndex(idx, args)

@@ -354,7 +354,7 @@ func TestHostImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.BindImport("env", "twice", func(_ *VM, args []uint64) ([]uint64, error) {
+	if err := vm.BindImport("env", "twice", m2.Types[m2.Imports[0].Type], func(_ *VM, args []uint64) ([]uint64, error) {
 		return []uint64{I32(2 * AsI32(args[0]))}, nil
 	}); err != nil {
 		t.Fatal(err)
