@@ -30,7 +30,8 @@ e2ebench-test:
 # Performance numbers behind BENCH_perf.json: observability overhead
 # (nil-tracer guard on the interpreter hot path), wasmvm optimizing-tier
 # dispatch (AOT superblocks vs the stack loop), instantiation (cold vs
-# snapshot clone vs reset), the memory checksum, and the parallel harness
+# snapshot clone vs reset, on a small and a 273-page module), the memory
+# checksum, and the parallel harness
 # grid (compile cache on/off, instance pools fresh and steady-state).
 bench:
 	$(GO) test -bench 'Interp|RegistryCounter' -benchtime 5x -run xxx ./internal/obsv/
@@ -85,10 +86,12 @@ telemetry-smoke:
 	$(GO) test ./internal/obsv -run 'TestNilTelemetryAllocationFree|TestInstrumentsPreserveVirtualMetrics' -count=1
 
 # Pool drill: snapshot/pool determinism (clone, reset, and pooled sweeps
-# byte-identical to cold instantiation) plus concurrent checkout under the
-# race detector and the pooled differential-oracle configs.
+# byte-identical to cold instantiation), linear memory that commits on
+# touch (a flat-buffer model, traps at the size, instantiation that commits
+# only the data segments), plus concurrent checkout under the race detector
+# and the pooled differential-oracle configs.
 pool-smoke:
-	$(GO) test ./internal/wasmvm -run 'TestSnapshot|TestPool|TestReset' -count=1 -race
+	$(GO) test ./internal/wasmvm -run 'TestSnapshot|TestPool|TestReset|TestMemory' -count=1 -race
 	$(GO) test ./internal/harness -run 'TestPoolSmoke|TestPoolSharedAcrossRuns|TestPoolTelemetry' -count=1 -race
 
 # Serve smoke: the overload-safety and measurement-honesty proofs under

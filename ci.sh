@@ -26,8 +26,9 @@ go test ./internal/serve -run 'TestServeFaultDrill|TestServeFaultDrillHTTP' -cou
 go test ./internal/telemetry -run TestTelemetrySmoke -count=1
 go test ./internal/obsv -run 'TestNilTelemetryAllocationFree|TestInstrumentsPreserveVirtualMetrics' -count=1
 # Pool drill: snapshot/pool determinism (clone, reset, pooled sweeps
-# byte-identical to cold instantiation) and concurrent checkout, race-clean.
-go test ./internal/wasmvm -run 'TestSnapshot|TestPool|TestReset' -count=1 -race
+# byte-identical to cold instantiation), commit-on-touch linear memory, and
+# concurrent checkout, race-clean.
+go test ./internal/wasmvm -run 'TestSnapshot|TestPool|TestReset|TestMemory' -count=1 -race
 go test ./internal/harness -run 'TestPoolSmoke|TestPoolSharedAcrossRuns|TestPoolTelemetry' -count=1 -race
 # Serve smoke: overload safety (fixed-seed burst past the queue bound must
 # shed explicitly while /healthz stays live and every request terminates),

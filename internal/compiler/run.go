@@ -109,6 +109,14 @@ func memChecksum(b []byte) uint64 {
 	return h
 }
 
+// wasmMemChecksum is memChecksum over a whole linear memory. Past the
+// committed prefix the memory is zero bytes, which advance the hash by
+// prime^n, so the zero tail is folded in without being read.
+func wasmMemChecksum(mem *wasmvm.Memory) uint64 {
+	b := mem.Bytes()
+	return memChecksum(b) * fnvPrimePow(int(mem.Size())-len(b))
+}
+
 // fnvPrimePow returns fnvPrime**n (mod 2^64) by binary exponentiation.
 func fnvPrimePow(n int) uint64 {
 	r, p := uint64(1), fnvPrime
@@ -238,7 +246,7 @@ func runWasmMain(vm *wasmvm.VM, out *[]codegen.OutputEvent) (*Result, error) {
 		WasmStats:   vm.Stats(),
 	}
 	if mem := vm.Memory(); mem != nil {
-		r.MemChecksum = memChecksum(mem.Bytes())
+		r.MemChecksum = wasmMemChecksum(mem)
 	}
 	r.Steps = r.WasmStats.Steps
 	r.GrowOps = r.WasmStats.GrowOps

@@ -351,6 +351,29 @@ func TestToInt32Properties(t *testing.T) {
 	if toInt32(4294967296+5) != 5 {
 		t.Error("ToInt32 must wrap mod 2^32")
 	}
+	// Past ±2^63 the int64 conversion is undefined in Go; the spec's
+	// modulo still applies (values as node prints them).
+	for _, c := range []struct {
+		f    float64
+		i32  int32
+		ui32 uint32
+	}{
+		{1e20, 1661992960, 1661992960},
+		{-1e19, 1981284352, 1981284352},
+		{0x1p64 + 8192, 8192, 8192},
+		{-0x1p64 - 8192, -8192, 4294959104},
+		{0x1p63, 0, 0},
+		{-0x1p63, 0, 0},
+		{math.Inf(-1), 0, 0},
+		{math.MaxFloat64, 0, 0},
+	} {
+		if got := toInt32(c.f); got != c.i32 {
+			t.Errorf("toInt32(%g) = %d, want %d", c.f, got, c.i32)
+		}
+		if got := toUint32(c.f); got != c.ui32 {
+			t.Errorf("toUint32(%g) = %d, want %d", c.f, got, c.ui32)
+		}
+	}
 }
 
 func TestParseErrors(t *testing.T) {

@@ -109,18 +109,37 @@ func (v Value) ToInt32() int32 {
 	return toInt32(v.ToNumber())
 }
 
+// toInt32 is the spec's ToInt32: truncate toward zero, then wrap modulo
+// 2^32. A value inside the int64 range truncates exactly through int64;
+// NaN and ±Inf fail the range test and take the slow path with the values
+// past ±2^63, whose conversion Go leaves undefined.
 func toInt32(f float64) int32 {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0
+	if f >= -0x1p63 && f < 0x1p63 {
+		return int32(uint32(int64(f)))
 	}
-	return int32(uint32(int64(f)))
+	return int32(wrapUint32(f))
 }
 
+// toUint32 is the spec's ToUint32, by the same route as toInt32.
 func toUint32(f float64) uint32 {
+	if f >= -0x1p63 && f < 0x1p63 {
+		return uint32(int64(f))
+	}
+	return wrapUint32(f)
+}
+
+// wrapUint32 is ToUint32's modulo-2^32 step for a value outside the int64
+// range (already an integer there), or 0 for NaN and ±Inf. math.Mod is
+// exact, so the result is too.
+func wrapUint32(f float64) uint32 {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return 0
 	}
-	return uint32(int64(f))
+	m := math.Mod(f, 0x1p32)
+	if m < 0 {
+		m += 0x1p32
+	}
+	return uint32(m)
 }
 
 // ToString implements the string coercion.

@@ -77,14 +77,12 @@ func (vm *VM) runAOT(fi int, cf *compiledFunc, localBase, stackBase, pc int) ([]
 
 		case aotCallMark:
 			c := blk.call
-			argsCopy := make([]uint64, c.np)
-			copy(argsCopy, frame[c.base:c.base+int32(c.np)])
 			vm.stats.Steps = steps
 			vm.cycles = cycles
 			delta := cycles - tierBase
 			vm.stats.OptCycles += delta
 			vm.stats.AOTCycles += delta
-			res, err := vm.callIndex(c.idx, argsCopy)
+			res, err := vm.callIndex(c.idx, frame[c.base:c.base+int32(c.np)])
 			steps = vm.stats.Steps
 			cycles = vm.cycles
 			tierBase = cycles
@@ -124,7 +122,6 @@ func (vm *VM) runAOT(fi int, cf *compiledFunc, localBase, stackBase, pc int) ([]
 	vm.stats.AOTCycles += delta
 
 	nr := len(cf.typ.Results)
-	res := make([]uint64, nr)
-	copy(res, frame[nLocals:nLocals+nr])
-	return res, nil
+	vm.ret = append(vm.ret[:0], frame[nLocals:nLocals+nr]...)
+	return vm.ret, nil
 }

@@ -90,6 +90,11 @@ func (vm *VM) addTierCycles(costs *CostTable, delta float64) {
 // happens in runAOT (the optimizing tier, once its superblocks exist) or
 // runStack (the basic tier, and the optimizing tier whenever the AOT tier
 // is off or its translation bailed).
+//
+// A call allocates nothing: args alias the caller's frame or operand stack
+// and are copied into the callee's locals, and the returned results alias
+// vm.ret, valid until the next frame exit. The frame unwinds (depth,
+// locals, stack) on every return, trap included.
 func (vm *VM) exec(fi int, args []uint64) ([]uint64, error) {
 	cf := &vm.funcs[fi]
 	if len(args) != len(cf.typ.Params) {
@@ -100,7 +105,6 @@ func (vm *VM) exec(fi int, args []uint64) ([]uint64, error) {
 		vm.depth--
 		return nil, ErrCallDepth
 	}
-	defer func() { vm.depth-- }()
 
 	if vm.faults != nil && vm.faults.Stall(cf.name) {
 		vm.emitFault(faultinject.WasmStall, vm.cycles)
@@ -109,43 +113,49 @@ func (vm *VM) exec(fi int, args []uint64) ([]uint64, error) {
 	cf.hotness++
 	costs := vm.maybeTierUp(cf)
 
+	var start, savedChild float64
 	if vm.profiling {
-		start := vm.cycles
-		savedChild := vm.childCycles
+		start = vm.cycles
+		savedChild = vm.childCycles
 		vm.childCycles = 0
-		prof := &vm.profs[fi]
-		prof.calls++
+		vm.profs[fi].calls++
 		if vm.tracer != nil {
 			vm.tracer.Emit(obsv.Event{Kind: obsv.KindCallEnter, TS: start,
 				Name: cf.name, Track: "wasm"})
 		}
-		defer func() {
-			total := vm.cycles - start
-			prof.totalCycles += total
-			prof.selfCycles += total - vm.childCycles
-			vm.childCycles = savedChild + total
-			if vm.tracer != nil {
-				vm.tracer.Emit(obsv.Event{Kind: obsv.KindCallExit, TS: vm.cycles,
-					Name: cf.name, Track: "wasm"})
-			}
-		}()
 	}
 
-	// Frame setup: locals arena.
+	// Frame setup: the arguments become the first locals.
 	localBase := len(vm.locals)
 	vm.locals = append(vm.locals, args...)
 	for i := len(args); i < cf.nLocals; i++ {
 		vm.locals = append(vm.locals, 0)
 	}
-	defer func() { vm.locals = vm.locals[:localBase] }()
-
 	stackBase := len(vm.stack)
-	defer func() { vm.stack = vm.stack[:stackBase] }()
 
+	var res []uint64
+	var err error
 	if cf.tier == TierOptOnly && vm.aotBody(cf) != nil {
-		return vm.runAOT(fi, cf, localBase, stackBase, 0)
+		res, err = vm.runAOT(fi, cf, localBase, stackBase, 0)
+	} else {
+		res, err = vm.runStack(fi, cf, localBase, stackBase, costs)
 	}
-	return vm.runStack(fi, cf, localBase, stackBase, costs)
+	vm.locals = vm.locals[:localBase]
+	vm.stack = vm.stack[:stackBase]
+
+	if vm.profiling {
+		prof := &vm.profs[fi]
+		total := vm.cycles - start
+		prof.totalCycles += total
+		prof.selfCycles += total - vm.childCycles
+		vm.childCycles = savedChild + total
+		if vm.tracer != nil {
+			vm.tracer.Emit(obsv.Event{Kind: obsv.KindCallExit, TS: vm.cycles,
+				Name: cf.name, Track: "wasm"})
+		}
+	}
+	vm.depth--
+	return res, err
 }
 
 // runStack executes a frame with the classic operand-stack dispatch loop.
@@ -236,21 +246,20 @@ func (vm *VM) runStack(fi int, cf *compiledFunc, localBase, stackBase int, costs
 		case wasm.OpCall:
 			ct, _ := vm.module.FuncTypeOf(in.a)
 			np := len(ct.Params)
+			// The arguments stay on the stack, below the callee's frame,
+			// until the call returns.
 			callArgs := vm.stack[len(vm.stack)-np:]
-			argsCopy := make([]uint64, np)
-			copy(argsCopy, callArgs)
-			vm.stack = vm.stack[:len(vm.stack)-np]
 			vm.stats.Steps = steps
 			vm.cycles = cycles
 			vm.addTierCycles(costs, cycles-tierBase)
-			res, err := vm.callIndex(in.a, argsCopy)
+			res, err := vm.callIndex(in.a, callArgs)
 			steps = vm.stats.Steps
 			cycles = vm.cycles
 			tierBase = cycles
 			if err != nil {
 				return nil, err
 			}
-			vm.stack = append(vm.stack, res...)
+			vm.stack = append(vm.stack[:len(vm.stack)-np], res...)
 
 		case wasm.OpDrop:
 			vm.stack = vm.stack[:len(vm.stack)-1]
@@ -361,9 +370,8 @@ func (vm *VM) runStack(fi int, cf *compiledFunc, localBase, stackBase int, costs
 	if len(vm.stack)-stackBase < nr {
 		return nil, fmt.Errorf("wasmvm: func %s: result missing from stack", cf.name)
 	}
-	res := make([]uint64, nr)
-	copy(res, vm.stack[len(vm.stack)-nr:])
-	return res, nil
+	vm.ret = append(vm.ret[:0], vm.stack[len(vm.stack)-nr:]...)
+	return vm.ret, nil
 }
 
 // emitFault records an injected-fault trace event at the given clock value

@@ -1,6 +1,7 @@
 package wasmvm_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -29,14 +30,152 @@ var hugeMemoryModule = []byte{
 	0x05, 0x07, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f, // memory: min 0xFFFFFFFF, no max
 }
 
+// dataSeed is a small module whose main reads its data segments back
+// through loads at probes, stores the sum at store, and returns it; grow
+// first runs memory.grow(1).
+type dataSeed struct {
+	min, max uint32
+	segs     []wasm.DataSegment
+	probes   []uint32
+	store    uint32
+	grow     bool
+}
+
+// dataSeeds cover the shapes of data segments that instantiation and
+// Reset must place exactly: a segment at address 0, one straddling a
+// 64 KiB page boundary, one ending exactly at the last initial byte,
+// overlapping segments (the later one wins), and a memory of zero initial
+// pages that grows before it is written. Each main reads the segments
+// back, so a run on a pooled instance whose reset lost them diverges from
+// the cold run.
+func dataSeeds() []dataSeed {
+	pat := func(n int, b byte) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = b + byte(i)
+		}
+		return out
+	}
+	const p = wasmvm.PageSize
+	return []dataSeed{
+		{min: 1, max: 1, segs: []wasm.DataSegment{{Offset: 0, Bytes: pat(16, 1)}},
+			probes: []uint32{0, 12}, store: 1000},
+		{min: 2, max: 2, segs: []wasm.DataSegment{{Offset: p - 6, Bytes: pat(12, 0x21)}},
+			probes: []uint32{p - 6, p - 2, p + 2}, store: 2*p - 4},
+		{min: 3, max: 4, segs: []wasm.DataSegment{{Offset: 3*p - 10, Bytes: pat(10, 0x41)}},
+			probes: []uint32{3*p - 10, 3*p - 4}, store: 64},
+		{min: 1, max: 1, segs: []wasm.DataSegment{
+			{Offset: 100, Bytes: pat(32, 0x61)}, {Offset: 116, Bytes: pat(32, 0x81)}},
+			probes: []uint32{112, 116, 144}, store: 4096},
+		{min: 0, max: 2, segs: []wasm.DataSegment{{Offset: 0, Bytes: nil}},
+			probes: []uint32{8}, store: p - 4, grow: true},
+	}
+}
+
+// encode builds the seed's module binary.
+func (d dataSeed) encode() ([]byte, error) {
+	m := &wasm.Module{Mem: &wasm.MemType{Min: d.min, Max: d.max, HasMax: true}, Data: d.segs}
+	t := m.AddType(wasm.FuncType{Results: []wasm.ValType{wasm.I32}})
+	var body []wasm.Instr
+	if d.grow {
+		body = append(body, wasm.Instr{Op: wasm.OpI32Const, Val: 1}, wasm.Instr{Op: wasm.OpMemoryGrow}, wasm.Instr{Op: wasm.OpDrop})
+	}
+	body = append(body, wasm.Instr{Op: wasm.OpI32Const, Val: int64(d.store)}, wasm.Instr{Op: wasm.OpI32Const})
+	for _, a := range d.probes {
+		body = append(body, wasm.Instr{Op: wasm.OpI32Const, Val: int64(a)},
+			wasm.Instr{Op: wasm.OpI32Load, A: 2}, wasm.Instr{Op: wasm.OpI32Add})
+	}
+	body = append(body, wasm.Instr{Op: wasm.OpLocalTee, A: 0}, wasm.Instr{Op: wasm.OpI32Store, A: 2},
+		wasm.Instr{Op: wasm.OpLocalGet, A: 0}, wasm.Instr{Op: wasm.OpEnd})
+	m.Funcs = []wasm.Function{{Type: t, Name: "main", Locals: []wasm.ValType{wasm.I32}, Body: body}}
+	m.Exports = []wasm.Export{{Name: "main", Kind: wasm.ExportFunc, Idx: 0}}
+	if err := wasm.Validate(m); err != nil {
+		return nil, err
+	}
+	return wasm.Encode(m)
+}
+
+// TestDataSeedsRun: every data seed decodes, runs main to completion and
+// returns the sum of its probes over the declared image, so FuzzWasmDecode
+// compares its pooled runs instead of stopping at a typed error.
+func TestDataSeedsRun(t *testing.T) {
+	for i, d := range dataSeeds() {
+		bin, err := d.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, err := wasm.Decode(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := make([]byte, (d.min+1)*wasmvm.PageSize)
+		for _, s := range d.segs {
+			copy(img[s.Offset:], s.Bytes)
+		}
+		var want int32
+		for _, a := range d.probes {
+			want += int32(binary.LittleEndian.Uint32(img[a:]))
+		}
+		r, err := compiler.RunWasm(&compiler.Artifact{Module: mod, WasmBinary: bin}, wasmvm.DefaultConfig())
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if r.Exit != want || want == 0 && !d.grow {
+			t.Errorf("seed %d: exit %d, want the probe sum %d", i, r.Exit, want)
+		}
+	}
+}
+
+// checkPostInitImage instantiates mod and compares its linear memory with
+// the image the module declares, built here independently: Mem.Min zero
+// pages with the data segments copied in order. Only the segments' extent
+// is materialized; the memory must be zero past it.
+func checkPostInitImage(t *testing.T, mod *wasm.Module, cfg wasmvm.Config) {
+	t.Helper()
+	vm, err := wasmvm.New(mod, 0, cfg)
+	if err != nil {
+		return
+	}
+	if err := vm.Instantiate(); err != nil || mod.Mem == nil {
+		return // a typed instantiation failure surfaces on the cold run
+	}
+	var extent int
+	for _, d := range mod.Data {
+		extent = max(extent, int(d.Offset)+len(d.Bytes))
+	}
+	want := make([]byte, extent)
+	for _, d := range mod.Data {
+		copy(want[d.Offset:], d.Bytes)
+	}
+	mem := vm.Memory()
+	if got, size := mem.Size(), uint64(mod.Mem.Min)*wasmvm.PageSize; got != size {
+		t.Fatalf("instantiated memory is %d bytes, want %d", got, size)
+	}
+	b := mem.Bytes()
+	for i := 0; i < max(len(b), extent); i++ {
+		var got, w byte
+		if i < len(b) {
+			got = b[i]
+		}
+		if i < extent {
+			w = want[i]
+		}
+		if got != w {
+			t.Fatalf("instantiated memory byte %d = %#x, want %#x", i, got, w)
+		}
+	}
+}
+
 // FuzzWasmDecode drives arbitrary bytes through the Wasm input boundary, as
 // wasmrun does: Decode → Validate → New → Instantiate with the standard
 // imports bound → main under a step limit and a small page cap. The
 // contract: a result or a typed error, never a panic. When the cold run
 // succeeds, the pooled sequence wasmrun -snapshot drives (Get, run, Put,
 // Get, run on the reset instance) must report the same steps, cycles (as
-// bits), exit code and memory checksum. Seeds: the 41 kernels' Wasm builds
-// for both toolchains and the module above.
+// bits), exit code and memory checksum, and an instantiated memory must
+// hold exactly the image the module declares. Seeds: the 41 kernels' Wasm
+// builds for both toolchains, the module above, and the data-segment
+// shapes of dataSeeds.
 func FuzzWasmDecode(f *testing.F) {
 	for _, b := range benchsuite.All() {
 		for _, tc := range []compiler.Toolchain{compiler.Cheerp, compiler.Emscripten} {
@@ -52,6 +191,13 @@ func FuzzWasmDecode(f *testing.F) {
 		}
 	}
 	f.Add(hugeMemoryModule)
+	for i, d := range dataSeeds() {
+		bin, err := d.encode()
+		if err != nil {
+			f.Fatalf("data seed %d: %v", i, err)
+		}
+		f.Add(bin)
+	}
 	f.Fuzz(func(t *testing.T, bin []byte) {
 		mod, err := wasm.Decode(bin)
 		if err != nil {
@@ -66,6 +212,7 @@ func FuzzWasmDecode(f *testing.F) {
 		cfg := wasmvm.DefaultConfig()
 		cfg.StepLimit = fuzzStepLimit
 		cfg.MaxPages = fuzzMaxPages
+		checkPostInitImage(t, mod, cfg)
 		art := &compiler.Artifact{Module: mod, WasmBinary: bin}
 		cold, err := compiler.RunWasm(art, cfg)
 		if err != nil {

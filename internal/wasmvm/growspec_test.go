@@ -193,7 +193,7 @@ func TestSnapshotGrowSpecAcrossTiers(t *testing.T) {
 			}
 			// Probe memory directly — a peek call would charge cycles and
 			// perturb the recycled round's clock.
-			b := clone.Memory().Bytes()
+			b := logical(clone.Memory())
 			if got := uint32(b[16]) | uint32(b[17])<<8 | uint32(b[18])<<16 | uint32(b[19])<<24; got != 0 {
 				t.Errorf("sentinel survived Reset: %#x", got)
 			}

@@ -9,11 +9,18 @@ import (
 const PageSize = 64 * 1024
 
 // Memory is a WebAssembly linear memory instance: a contiguous, growable
-// buffer of untyped bytes. It records the high-water mark of committed
-// pages (the study's Wasm memory metric) and the number of grow requests
-// (Cheerp's frequent-resize overhead, §4.2.2).
+// buffer of untyped bytes. It records the high-water mark of pages (the
+// study's Wasm memory metric) and the number of grow requests (Cheerp's
+// frequent-resize overhead, §4.2.2).
+//
+// Only a prefix of the memory is backed by host bytes. Every byte from the
+// end of that committed prefix up to Size() reads as zero, and the first
+// access there commits it (commit), so instantiation, reset and grow cost
+// what a run writes rather than the declared heap. Page counts, and so every
+// virtual metric, are those of the whole memory.
 type Memory struct {
-	data      []byte
+	data      []byte // the committed prefix
+	pages     uint32
 	maxPages  uint32
 	peakPages uint32
 	// granularity rounds grow requests up, in pages: Cheerp grows by single
@@ -22,27 +29,33 @@ type Memory struct {
 	growCount   int
 }
 
-// NewMemory allocates min pages with the given page cap and grow granularity.
+// NewMemory creates min pages with the given page cap and grow granularity.
+// No byte is committed yet.
 func NewMemory(minPages, maxPages, granularity uint32) *Memory {
 	if granularity == 0 {
 		granularity = 1
 	}
 	m := &Memory{maxPages: maxPages, granularity: granularity}
-	m.reset(minPages)
+	m.reset(minPages, 0)
 	return m
 }
 
-// reset replaces the buffer with pages fresh zero pages and rewinds the
-// grow counters, keeping the page cap and granularity (they belong to the
-// instance's config, which survives recycling).
-func (m *Memory) reset(pages uint32) {
-	m.data = make([]byte, int(pages)*PageSize)
+// reset makes the memory pages zero pages, of which the first committed
+// bytes are backed, and rewinds the grow counters, keeping the page cap
+// and granularity (they belong to the instance's config, which survives
+// recycling).
+func (m *Memory) reset(pages uint32, committed int) {
+	m.data = make([]byte, committed)
+	m.pages = pages
 	m.peakPages = pages
 	m.growCount = 0
 }
 
-// Pages returns the current committed size in pages.
-func (m *Memory) Pages() uint32 { return uint32(len(m.data) / PageSize) }
+// Pages returns the current size in pages.
+func (m *Memory) Pages() uint32 { return m.pages }
+
+// Size returns the current size in bytes.
+func (m *Memory) Size() uint64 { return uint64(m.pages) * PageSize }
 
 // PeakPages returns the high-water mark in pages.
 func (m *Memory) PeakPages() uint32 { return m.peakPages }
@@ -52,9 +65,10 @@ func (m *Memory) GrowCount() int { return m.growCount }
 
 // Grow extends memory by delta pages (rounded up to the grow granularity),
 // returning the previous page count, or -1 if the maximum would be exceeded
-// (the semantics of memory.grow).
+// (the semantics of memory.grow). The new pages read as zero; none is
+// committed until touched.
 func (m *Memory) Grow(delta uint32) int32 {
-	old := m.Pages()
+	old := m.pages
 	if delta == 0 {
 		return int32(old)
 	}
@@ -68,18 +82,17 @@ func (m *Memory) Grow(delta uint32) int32 {
 			return -1
 		}
 	}
-	grown := make([]byte, int(newPages)*PageSize)
-	copy(grown, m.data)
-	m.data = grown
+	m.pages = uint32(newPages)
 	m.growCount++
-	if uint32(newPages) > m.peakPages {
-		m.peakPages = uint32(newPages)
+	if m.pages > m.peakPages {
+		m.peakPages = m.pages
 	}
 	return int32(old)
 }
 
-// Bytes exposes the raw buffer (used by the host boundary and data
-// segment initialization).
+// Bytes exposes the committed prefix (used by the host boundary and the
+// memory checksum). The memory's contents are these bytes followed by
+// Size()-len(Bytes()) zero bytes.
 func (m *Memory) Bytes() []byte { return m.data }
 
 // TrapOOB is the error for out-of-bounds memory accesses.
@@ -92,10 +105,35 @@ func (t *TrapOOB) Error() string {
 	return fmt.Sprintf("wasmvm: out-of-bounds memory access at %d (%d bytes)", t.Addr, t.Size)
 }
 
+// check is the bounds test of the load/store fast path, against the
+// committed prefix. Its *TrapOOB is final only past Size(): memLoad and
+// memStore hand it to commit, which backs an access inside the memory.
 func (m *Memory) check(addr uint64, size int) error {
 	if addr+uint64(size) > uint64(len(m.data)) {
 		return &TrapOOB{Addr: addr, Size: size}
 	}
+	return nil
+}
+
+// commitMin is the smallest committed prefix a touch past the prefix
+// leaves, in bytes.
+const commitMin = 4096
+
+// commit takes the *TrapOOB check returned for an access. An access inside
+// Size() grows the committed prefix to cover it (at least doubling it and
+// to commitMin, capped at Size()) and commit returns nil, so the caller
+// runs the access once more; any other access returns the trap unchanged.
+func (m *Memory) commit(err error) error {
+	t := err.(*TrapOOB)
+	end := t.Addr + uint64(t.Size)
+	if end > m.Size() {
+		return err
+	}
+	n := max(end, 2*uint64(len(m.data)), commitMin)
+	n = min(n, m.Size())
+	grown := make([]byte, n)
+	copy(grown, m.data)
+	m.data = grown
 	return nil
 }
 

@@ -271,7 +271,8 @@ func numBinary(op wasm.Opcode, x, y uint64) (uint64, error) {
 	return 0, fmt.Errorf("wasmvm: unhandled opcode %v", op)
 }
 
-// memLoad evaluates a load opcode at an absolute address.
+// memLoad evaluates a load opcode at an absolute address. An access past
+// the committed prefix commits it and runs once more (Memory.commit).
 func memLoad(mem *Memory, op wasm.Opcode, addr uint64) (uint64, error) {
 	var v uint64
 	var err error
@@ -308,24 +309,40 @@ func memLoad(mem *Memory, op wasm.Opcode, addr uint64) (uint64, error) {
 	default:
 		return 0, fmt.Errorf("wasmvm: bad load op %v", op)
 	}
-	return v, err
+	if err != nil {
+		if err = mem.commit(err); err != nil {
+			return 0, err
+		}
+		return memLoad(mem, op, addr)
+	}
+	return v, nil
 }
 
-// memStore evaluates a store opcode at an absolute address.
+// memStore evaluates a store opcode at an absolute address, committing
+// like memLoad.
 func memStore(mem *Memory, op wasm.Opcode, addr, v uint64) error {
+	var err error
 	switch op {
 	case wasm.OpI32Store, wasm.OpF32Store:
-		return mem.storeU32(addr, v)
+		err = mem.storeU32(addr, v)
 	case wasm.OpI64Store, wasm.OpF64Store:
-		return mem.storeU64(addr, v)
+		err = mem.storeU64(addr, v)
 	case wasm.OpI32Store8, wasm.OpI64Store8:
-		return mem.storeU8(addr, v)
+		err = mem.storeU8(addr, v)
 	case wasm.OpI32Store16, wasm.OpI64Store16:
-		return mem.storeU16(addr, v)
+		err = mem.storeU16(addr, v)
 	case wasm.OpI64Store32:
-		return mem.storeU32(addr, v)
+		err = mem.storeU32(addr, v)
+	default:
+		return fmt.Errorf("wasmvm: bad store op %v", op)
 	}
-	return fmt.Errorf("wasmvm: bad store op %v", op)
+	if err != nil {
+		if err = mem.commit(err); err != nil {
+			return err
+		}
+		return memStore(mem, op, addr, v)
+	}
+	return nil
 }
 
 // execConv handles conversion opcodes (all unary).

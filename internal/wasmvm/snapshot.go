@@ -105,8 +105,8 @@ func (s *Snapshot) NewVM(cfg Config) (*VM, error) {
 }
 
 // Reset returns an instantiated VM to its post-init state in place:
-// linear memory is rebuilt from the module (fresh zero pages and the data
-// segments) inside the same *Memory, globals are rewritten into the same
+// linear memory is rebuilt from the module (Mem.Min zero pages with only
+// the data segments' extent committed) inside the same *Memory, globals are rewritten into the same
 // backing slice, and every execution counter returns to the
 // post-Instantiate state, including the re-applied virtual instantiation
 // charge. Translated register and AOT bodies are retained — AOT closures

@@ -1,19 +1,39 @@
 package wasmvm
 
-import "testing"
+import (
+	"testing"
+
+	"wasmbench/internal/wasm"
+)
 
 // BenchmarkSnapshotRestore compares the three ways to obtain a runnable
 // instance: a cold decode+instantiate, a clone from a post-init snapshot
 // (shared lowered code, no validation or lowering), and an in-place Reset
-// of a used instance (fresh zero pages plus the data segments).
+// of a used instance (the data segments' extent recommitted). The -273p
+// variants run the same three on an Emscripten-shaped 273-page module,
+// whose 17 MiB memory none of them commits.
 // This is the host-time win the pool trades on; the virtual instantiation
 // charge is identical on every path.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	cfg := DefaultConfig()
-	mod := snapModule()
+	for _, v := range []struct {
+		suffix string
+		mod    func() *wasm.Module
+	}{{"", snapModule}, {"-273p", emscriptenShapedModule}} {
+		mod := v.mod()
+		b.Run("cold"+v.suffix, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				vm, err := New(mod, 123, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := vm.Instantiate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		b.Run("clone"+v.suffix, func(b *testing.B) {
 			vm, err := New(mod, 123, cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -21,48 +41,38 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			if err := vm.Instantiate(); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-
-	b.Run("clone", func(b *testing.B) {
-		vm, err := New(mod, 123, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := vm.Instantiate(); err != nil {
-			b.Fatal(err)
-		}
-		snap, err := vm.Snapshot()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := snap.NewVM(cfg); err != nil {
+			snap, err := vm.Snapshot()
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := snap.NewVM(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 
-	b.Run("reset", func(b *testing.B) {
-		vm, err := New(mod, 123, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := vm.Instantiate(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := vm.Snapshot(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := vm.Call("work", I32(50)); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := vm.Reset(); err != nil {
+		b.Run("reset"+v.suffix, func(b *testing.B) {
+			vm, err := New(mod, 123, cfg)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			if err := vm.Instantiate(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := vm.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := vm.Call("work", I32(50)); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := vm.Reset(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

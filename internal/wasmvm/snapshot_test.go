@@ -91,7 +91,7 @@ func runWorkload(t *testing.T, vm *VM, tc *obsv.Collector) vmFingerprint {
 		stats:    vm.Stats(),
 		peak:     vm.PeakMemoryBytes(),
 		pages:    vm.Memory().Pages(),
-		memSum:   fnv1a(vm.Memory().Bytes()),
+		memSum:   fnv1a(logical(vm.Memory())),
 		aotBuilt: vm.AOTTranslated(),
 		profiles: vm.Profile(),
 		events:   tc.Events(),
@@ -289,7 +289,7 @@ func TestPoolIdleHoldsNoMemory(t *testing.T) {
 	if !recycled || vm2 != vm {
 		t.Fatalf("expected the parked instance back (recycled=%v)", recycled)
 	}
-	b := vm2.Memory().Bytes()
+	b := logical(vm2.Memory())
 	if want := int(snapModule().Mem.Min) * PageSize; len(b) != want {
 		t.Errorf("reset memory is %d bytes, want %d", len(b), want)
 	}

@@ -130,7 +130,8 @@ func DefaultConfig() Config {
 }
 
 // HostFunc is a native function bound to a function import. Arguments and
-// results use the VM's raw 64-bit value representation.
+// results use the VM's raw 64-bit value representation. args aliases the
+// caller's frame and is valid only until the function returns.
 type HostFunc func(vm *VM, args []uint64) ([]uint64, error)
 
 // branchTarget is a resolved branch destination.
@@ -242,6 +243,7 @@ type VM struct {
 	imports []HostFunc
 	stack   []uint64
 	locals  []uint64
+	ret     []uint64 // results of the last frame exit (see exec)
 	depth   int
 	cycles  float64
 	stats   Stats
@@ -398,11 +400,11 @@ func (vm *VM) Instantiate() error {
 	return nil
 }
 
-// initImage writes the module's post-init state: Mem.Min fresh zero pages
-// with the data segments copied over them, and every global at its
-// initial value. A module has no start function, so this is the whole
-// post-init image; Instantiate, snapshot clones and Reset all build it
-// here. An existing *Memory and globals slice are rewritten in place,
+// initImage writes the module's post-init state: Mem.Min zero pages with
+// the data segments copied over them (only their extent is committed),
+// and every global at its initial value. A module has no start function,
+// so this is the whole post-init image; Instantiate, snapshot clones and
+// Reset all build it here. An existing *Memory and globals slice are rewritten in place,
 // because retained AOT closures captured them.
 func (vm *VM) initImage() error {
 	m := vm.module
@@ -414,15 +416,20 @@ func (vm *VM) initImage() error {
 		if m.Mem.Min > maxP {
 			return fmt.Errorf("%w: %d initial pages, cap %d", ErrMemoryExceeded, m.Mem.Min, maxP)
 		}
-		if vm.mem == nil {
-			vm.mem = NewMemory(m.Mem.Min, maxP, vm.cfg.GrowGranularityPages)
-		} else {
-			vm.mem.reset(m.Mem.Min)
-		}
+		// Commit only the data segments' extent; the rest reads as zero.
+		extent := uint64(0)
 		for _, d := range m.Data {
-			if int(d.Offset)+len(d.Bytes) > len(vm.mem.data) {
+			end := uint64(d.Offset) + uint64(len(d.Bytes))
+			if end > uint64(m.Mem.Min)*PageSize {
 				return fmt.Errorf("wasmvm: data segment: %w", &TrapOOB{Addr: uint64(d.Offset), Size: len(d.Bytes)})
 			}
+			extent = max(extent, end)
+		}
+		if vm.mem == nil {
+			vm.mem = NewMemory(m.Mem.Min, maxP, vm.cfg.GrowGranularityPages)
+		}
+		vm.mem.reset(m.Mem.Min, int(extent))
+		for _, d := range m.Data {
 			copy(vm.mem.data[d.Offset:], d.Bytes)
 		}
 	}
@@ -489,6 +496,9 @@ func (vm *VM) CallIndex(idx uint32, args ...uint64) ([]uint64, error) {
 	vm.growDenied = false
 	res, err := vm.callIndex(idx, args)
 	vm.flushInstruments()
+	if res != nil {
+		res = append([]uint64(nil), res...) // detach from vm.ret
+	}
 	return res, vm.injectedCause(err)
 }
 

@@ -175,8 +175,8 @@ func TestMemoryOOBTrap(t *testing.T) {
 	vm := newVM(t, DefaultConfig())
 	_, err := vm.Call("memtest", I32(int32(PageSize))) // one past the single page
 	var oob *TrapOOB
-	if !errors.As(err, &oob) {
-		t.Fatalf("expected OOB trap, got %v", err)
+	if !errors.As(err, &oob) || oob.Addr != PageSize || oob.Size != 4 {
+		t.Fatalf("expected OOB trap at %d (4 bytes), got %v", PageSize, err)
 	}
 }
 
