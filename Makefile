@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race e2ebench-test bench bench-e2e experiments-check bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz js-fuzz wasm-fuzz fuzz
+.PHONY: check fmt build vet test race e2ebench-test bench bench-e2e experiments-check bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz js-fuzz wasm-fuzz minic-fuzz fuzz
 
-check: fmt vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz js-fuzz wasm-fuzz
+check: fmt vet build race e2ebench-test bench-smoke difftest-smoke faults-smoke telemetry-smoke pool-smoke serve-smoke serve-fuzz js-fuzz wasm-fuzz minic-fuzz
 
 # Formatting gate: every Go file (e2ebench/ included) is gofmt-clean.
 fmt:
@@ -127,6 +127,15 @@ js-fuzz:
 # kernels' Wasm builds; minimization capped as for js-fuzz.
 wasm-fuzz:
 	$(GO) test ./internal/wasmvm -run '^$$' -fuzz FuzzWasmDecode -fuzztime 10s -fuzzminimizetime 100x
+
+# Input-boundary fuzz: arbitrary C source through the toolchain, as minicc
+# reads it (preprocess → parse → check → IR → optimization at any level →
+# Wasm, JS and x86 codegen, either toolchain) must never panic, must fail
+# only with compiler.ErrInvalidSource, and must allocate at most 256 MiB
+# per compile. Seeded with the kernels and the difftest corpus;
+# minimization capped as for js-fuzz.
+minic-fuzz:
+	$(GO) test ./internal/compiler -run '^$$' -fuzz FuzzMinicParse -fuzztime 10s -fuzzminimizetime 100x
 
 # Open-ended differential fuzzing (not part of check). Override FUZZTIME
 # and FUZZ to steer, e.g. make fuzz FUZZ=FuzzDiffOptLevels FUZZTIME=5m.

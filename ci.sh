@@ -47,3 +47,6 @@ go test ./internal/jsvm -run '^$' -fuzz FuzzJSRun -fuzztime 10s -fuzzminimizetim
 # The Wasm input boundary: never panics, fails only with typed errors, and
 # a pooled capture and its reset instance match the cold run.
 go test ./internal/wasmvm -run '^$' -fuzz FuzzWasmDecode -fuzztime 10s -fuzzminimizetime 100x
+# The C front end's input boundary: never panics, fails only with
+# compiler.ErrInvalidSource, and allocates at most 256 MiB per compile.
+go test ./internal/compiler -run '^$' -fuzz FuzzMinicParse -fuzztime 10s -fuzzminimizetime 100x

@@ -136,17 +136,45 @@ func main() {
 		ids = []string{"table2", "fig5", "fig11", "compilers", "table3", "table5",
 			"fig10", "table7", "table8", "ctxswitch", "table9", "table10", "table12"}
 	}
+	st := newStudies(opts)
 	for _, id := range ids {
-		if err := run(strings.TrimSpace(id), opts); err != nil {
+		if err := run(strings.TrimSpace(id), opts, st); err != nil {
 			fatal(err)
 		}
 	}
 }
 
-func run(id string, opts core.Options) error {
+// studies runs each multi-figure study at most once per invocation: every
+// requested table or figure of one study renders from the same result
+// (table2, fig5 and fig11 all come from the opt-level study).
+type studies struct {
+	optLevels    func() (*core.OptLevelsResult, error)
+	chromeSizes  func() (*core.InputSizesResult, error)
+	firefoxSizes func() (*core.InputSizesResult, error)
+	browsers     func() (*core.Table8Result, error)
+}
+
+func newStudies(opts core.Options) *studies {
+	return &studies{
+		optLevels: sync.OnceValues(func() (*core.OptLevelsResult, error) {
+			return core.RunOptLevels(opts)
+		}),
+		chromeSizes: sync.OnceValues(func() (*core.InputSizesResult, error) {
+			return core.RunInputSizes(browser.Chrome(browser.Desktop), opts)
+		}),
+		firefoxSizes: sync.OnceValues(func() (*core.InputSizesResult, error) {
+			return core.RunInputSizes(browser.Firefox(browser.Desktop), opts)
+		}),
+		browsers: sync.OnceValues(func() (*core.Table8Result, error) {
+			return core.RunBrowsersPlatforms(opts)
+		}),
+	}
+}
+
+func run(id string, opts core.Options, st *studies) error {
 	switch id {
 	case "table2", "fig5", "fig6", "fig11":
-		r, err := core.RunOptLevels(opts)
+		r, err := st.optLevels()
 		if err != nil {
 			return err
 		}
@@ -165,7 +193,7 @@ func run(id string, opts core.Options) error {
 		}
 		fmt.Println(r.Render())
 	case "table3", "table4", "fig9":
-		r, err := core.RunInputSizes(browser.Chrome(browser.Desktop), opts)
+		r, err := st.chromeSizes()
 		if err != nil {
 			return err
 		}
@@ -176,7 +204,7 @@ func run(id string, opts core.Options) error {
 			fmt.Println(r.RenderMemStats())
 		}
 	case "table5", "table6":
-		r, err := core.RunInputSizes(browser.Firefox(browser.Desktop), opts)
+		r, err := st.firefoxSizes()
 		if err != nil {
 			return err
 		}
@@ -195,7 +223,7 @@ func run(id string, opts core.Options) error {
 		}
 		fmt.Println(r.RenderTable7())
 	case "table8", "fig12", "fig13":
-		r, err := core.RunBrowsersPlatforms(opts)
+		r, err := st.browsers()
 		if err != nil {
 			return err
 		}

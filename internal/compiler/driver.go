@@ -15,6 +15,7 @@
 package compiler
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -26,6 +27,18 @@ import (
 	"wasmbench/internal/telemetry"
 	"wasmbench/internal/wasm"
 )
+
+// ErrInvalidSource matches (errors.Is) every error by which the front end
+// rejects a program: preprocessing, syntax, type checking and IR lowering.
+// The error's message is the front end's own diagnostic.
+var ErrInvalidSource = errors.New("compiler: invalid source")
+
+// sourceError marks a front-end rejection without changing its message.
+type sourceError struct{ err error }
+
+func (e sourceError) Error() string        { return e.err.Error() }
+func (e sourceError) Unwrap() error        { return e.err }
+func (e sourceError) Is(target error) bool { return target == ErrInvalidSource }
 
 // Toolchain selects the C-to-Web toolchain flavour.
 type Toolchain int
@@ -172,13 +185,13 @@ func buildIR(src string, opts Options, clock *passClock) (*ir.Program, *minic.Tr
 	full := runtimeSource + "\n" + src
 	file, err := minic.ParseSource(full, defines)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, sourceError{err}
 	}
 	clock.stage("parse", len(full), len(full), len(full))
 	report := minic.Transform(file)
 	clock.stage("transform", len(full), len(full), len(full))
 	if err := minic.Check(file, minic.CheckOptions{}); err != nil {
-		return nil, nil, err
+		return nil, nil, sourceError{err}
 	}
 	clock.stage("check", len(full), len(full), len(full))
 
@@ -191,7 +204,7 @@ func buildIR(src string, opts Options, clock *passClock) (*ir.Program, *minic.Tr
 	}
 	prog, err := ir.Build(file, bopts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, sourceError{err}
 	}
 	var hook ir.PassHook
 	if opts.Tracer != nil || opts.Instruments != nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"container/list"
 	"sync"
 
 	"wasmbench/internal/compiler"
@@ -12,9 +13,11 @@ import (
 // instantly from a completed compile, Misses trigger a compile, and
 // DedupWaits are lookups that arrived while another goroutine was already
 // compiling the same key and blocked for its result (the singleflight
-// path — still only one compile per key).
+// path — still only one compile per key). Evictions counts completed
+// entries dropped past the cache's entry cap.
 type CacheStats struct {
 	Hits, Misses, DedupWaits int
+	Evictions                int
 }
 
 // Lookups returns the total number of cache queries.
@@ -32,10 +35,19 @@ func (s CacheStats) Lookups() int { return s.Hits + s.Misses + s.DedupWaits }
 // or off (errors are cached and replayed identically too). Safe for
 // concurrent use; artifacts are immutable after compilation and may be
 // shared by concurrent measurements.
+//
+// The cache holds at most MaxCachedArtifacts completed entries, evicting
+// the least recently used past that, so a long-lived server that keeps
+// seeing new artifacts stays bounded. In-flight compiles are never
+// evicted. No single paper run evicts: the largest one compiles fewer
+// unique artifacts than the cap.
 type ArtifactCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
-	stats   CacheStats
+	// lru orders completed entries, most recently used first; its
+	// elements' values are the entries' keys.
+	lru   *list.List
+	stats CacheStats
 	// inst mirrors the stats counters onto live telemetry instruments and
 	// compInst threads pass-level compiler instruments into cache-miss
 	// compiles (nil = none; see SetInstruments).
@@ -43,15 +55,21 @@ type ArtifactCache struct {
 	compInst *telemetry.CompilerInstruments
 }
 
+// MaxCachedArtifacts caps an ArtifactCache's completed entries. At about
+// 130 KiB per XS artifact it bounds a server's cache near 64 MiB, and it
+// sits above the 492 cells of the largest benchtab run.
+const MaxCachedArtifacts = 512
+
 type cacheEntry struct {
 	ready chan struct{} // closed when art/err are final
 	art   *compiler.Artifact
 	err   error
+	elem  *list.Element // position in lru once completed; nil while in flight
 }
 
 // NewArtifactCache returns an empty cache.
 func NewArtifactCache() *ArtifactCache {
-	return &ArtifactCache{entries: make(map[string]*cacheEntry)}
+	return &ArtifactCache{entries: make(map[string]*cacheEntry), lru: list.New()}
 }
 
 // CompileCell returns the artifact for c, compiling at most once per
@@ -78,6 +96,9 @@ func (ac *ArtifactCache) compileCell(c Cell, faults *faultinject.Plan) (art *com
 			if ac.inst != nil {
 				ac.inst.Hits.Inc()
 			}
+			if e.elem != nil {
+				ac.lru.MoveToFront(e.elem)
+			}
 			ac.mu.Unlock()
 		default:
 			ac.stats.DedupWaits++
@@ -102,13 +123,27 @@ func (ac *ArtifactCache) compileCell(c Cell, faults *faultinject.Plan) (art *com
 	opts.Faults = faults
 	opts.Instruments = compInst
 	e.art, e.err = compiler.Compile(c.Bench.Source, opts)
+	ac.mu.Lock()
 	if e.err != nil && faultinject.IsInjected(e.err) {
-		ac.mu.Lock()
 		delete(ac.entries, key)
-		ac.mu.Unlock()
+	} else {
+		e.elem = ac.lru.PushFront(key)
+		for ac.lru.Len() > MaxCachedArtifacts {
+			ac.evictOldest()
+		}
 	}
+	ac.mu.Unlock()
 	close(e.ready)
 	return e.art, false, e.err
+}
+
+// evictOldest drops the least recently used completed entry. Callers hold
+// ac.mu. Goroutines already holding the entry keep its artifact.
+func (ac *ArtifactCache) evictOldest() {
+	oldest := ac.lru.Back()
+	ac.lru.Remove(oldest)
+	delete(ac.entries, oldest.Value.(string))
+	ac.stats.Evictions++
 }
 
 // SetInstruments mirrors future lookup counters onto live telemetry
@@ -129,7 +164,8 @@ func (ac *ArtifactCache) Stats() CacheStats {
 	return ac.stats
 }
 
-// Len returns the number of distinct artifacts (including cached failures).
+// Len returns the number of distinct artifacts held, in flight or completed
+// (including cached failures).
 func (ac *ArtifactCache) Len() int {
 	ac.mu.Lock()
 	defer ac.mu.Unlock()

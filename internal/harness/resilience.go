@@ -39,12 +39,16 @@ type attemptInfo struct {
 	compile time.Duration
 	measure time.Duration
 	hit     bool
+	// reused reports a measurement copied from an earlier cell of the run
+	// with a byte-identical program (see measureMemo).
+	reused bool
 }
 
 // runAttempt executes one attempt of a cell, with an optional per-cell
 // fault plan threaded through the toolchain and the engines. With a nil
-// plan this is exactly the fault-free execution path.
-func runAttempt(c Cell, cache *ArtifactCache, opt RunOptions, plan *faultinject.Plan) (CellResult, attemptInfo) {
+// plan this is exactly the fault-free execution path. A non-nil memo
+// shares measurements between cells whose programs are byte-identical.
+func runAttempt(c Cell, cache *ArtifactCache, memo *measureMemo, opt RunOptions, plan *faultinject.Plan) (CellResult, attemptInfo) {
 	var info attemptInfo
 	mo := browser.MeasureOptions{Mode: c.Mode, StepLimit: opt.StepLimit, Faults: plan}
 
@@ -69,15 +73,22 @@ func runAttempt(c Cell, cache *ArtifactCache, opt RunOptions, plan *faultinject.
 	}
 
 	t1 := time.Now()
+	measure := func() (*browser.Measurement, error) {
+		switch c.Lang {
+		case "js":
+			return c.Profile.MeasureJSWith(art, mo)
+		case "x86":
+			return runX86(art, mo)
+		default:
+			mo.VMPool = opt.vmPools.poolFor(c.Fingerprint(), art)
+			return c.Profile.MeasureWasmWith(art, mo)
+		}
+	}
 	var m *browser.Measurement
-	switch c.Lang {
-	case "js":
-		m, err = c.Profile.MeasureJSWith(art, mo)
-	case "x86":
-		m, err = runX86(art, mo)
-	default:
-		mo.VMPool = opt.vmPools.poolFor(c.Fingerprint(), art)
-		m, err = c.Profile.MeasureWasmWith(art, mo)
+	if k, ok := memo.key(c, art, opt.StepLimit); ok {
+		m, info.reused, err = memo.do(k, measure)
+	} else {
+		m, err = measure()
 	}
 	info.measure = time.Since(t1)
 	if err != nil {
@@ -124,7 +135,7 @@ func budgetErr(ctx context.Context, label string, deadline time.Duration) error 
 // the fault-plan cancel channel, aborting any injected stall the child is
 // sleeping in. With no budget at all the attempt runs inline: the
 // zero-fault fast path spawns nothing.
-func runAttemptGuarded(ctx context.Context, c Cell, opt RunOptions, cache *ArtifactCache) (CellResult, attemptInfo) {
+func runAttemptGuarded(ctx context.Context, c Cell, opt RunOptions, cache *ArtifactCache, memo *measureMemo) (CellResult, attemptInfo) {
 	label := c.Label()
 	if ctx.Err() != nil {
 		return CellResult{Cell: c, Err: budgetErr(ctx, label, 0)}, attemptInfo{}
@@ -143,7 +154,7 @@ func runAttemptGuarded(ctx context.Context, c Cell, opt RunOptions, cache *Artif
 		if plan.Fire(faultinject.HarnessPanic, "worker") {
 			panic(faultinject.Errorf(faultinject.HarnessPanic, "injected worker panic"))
 		}
-		return runAttempt(c, cache, opt, plan)
+		return runAttempt(c, cache, memo, opt, plan)
 	}
 
 	if opt.Deadline > 0 {

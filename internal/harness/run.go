@@ -104,7 +104,7 @@ func CompileCell(c Cell) (*compiler.Artifact, error) {
 
 // RunCell compiles and measures one cell.
 func RunCell(c Cell) CellResult {
-	r, _ := runAttempt(c, nil, RunOptions{}, nil)
+	r, _ := runAttempt(c, nil, nil, RunOptions{}, nil)
 	return r
 }
 
@@ -211,6 +211,14 @@ func RunCellsN(cells []Cell, workers int) []CellResult {
 // RunCellsWith executes cells under opt and reports per-cell wall-time
 // metrics: compile/measure split, worker assignment, queue depth at
 // pickup, compile-cache counters, and overall worker utilization.
+//
+// Within one call each distinct program is measured once: a cell whose
+// measured program (JS text, Wasm binary and toolchain, or x86 program) is
+// byte-identical to an earlier cell's, on the same profile, mode and step
+// limit, gets its own copy of that measurement (CellMetric.MeasureReused).
+// Every engine is deterministic, so results are identical either way. The
+// reuse stays off under a fault plan, with VMPool, and for profiles that
+// carry a tracer or telemetry instruments.
 func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics) {
 	out := make([]CellResult, len(cells))
 	workers := opt.Workers
@@ -242,6 +250,7 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	memo := newMeasureMemo(opt)
 
 	rec := newRunRecord(cells, workers, cache, opt.vmPools, opt.Faults, opt.Telemetry)
 	start := rec.start
@@ -302,19 +311,20 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 						Track: "harness", A: float64(worker), B: float64(depth)})
 				}
 				rec.claim(i, worker, idx)
-				r, info := runAttemptGuarded(ctx, c, opt, cache)
+				r, info := runAttemptGuarded(ctx, c, opt, cache, memo)
 				wall := time.Since(start) - cellStart
 				out[i] = r
 				cm := obsv.CellMetric{
-					Label:      c.Label(),
-					Worker:     worker,
-					QueueDepth: depth,
-					Start:      cellStart,
-					Compile:    info.compile,
-					Measure:    info.measure,
-					Wall:       wall,
-					Failed:     r.Err != nil,
-					CacheHit:   info.hit,
+					Label:         c.Label(),
+					Worker:        worker,
+					QueueDepth:    depth,
+					Start:         cellStart,
+					Compile:       info.compile,
+					Measure:       info.measure,
+					Wall:          wall,
+					Failed:        r.Err != nil,
+					CacheHit:      info.hit,
+					MeasureReused: info.reused,
 				}
 				recordResult(&cm, r)
 				rec.finish(i, r, cm)

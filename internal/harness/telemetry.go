@@ -103,6 +103,9 @@ func (r *runRecord) snapshot() obsv.RunMetrics {
 		if c.Resumed {
 			m.Resumed++
 		}
+		if c.MeasureReused {
+			m.MeasureReuses++
+		}
 	}
 	if r.plan != nil {
 		m.FaultsInjected = r.plan.TotalFired() - r.faultBase

@@ -110,6 +110,12 @@ func Preprocess(src string, defines map[string]string) ([]Token, error) {
 	return expandMacros(toks, macros, 0)
 }
 
+// maxExpandedTokens caps a translation unit after macro expansion. Each
+// expansion round may multiply the stream, so without a cap a chain of
+// #defines that each repeat the next expands into billions of tokens. The
+// largest benchmark kernel expands to about 1.3k tokens.
+const maxExpandedTokens = 1 << 16
+
 func expandMacros(toks []Token, macros map[string][]Token, depth int) ([]Token, error) {
 	if depth > 32 {
 		return nil, fmt.Errorf("minic: macro expansion too deep (recursive #define?)")
@@ -117,6 +123,9 @@ func expandMacros(toks []Token, macros map[string][]Token, depth int) ([]Token, 
 	out := make([]Token, 0, len(toks))
 	changed := false
 	for _, t := range toks {
+		if len(out) > maxExpandedTokens {
+			return nil, fmt.Errorf("minic: macro expansion exceeds %d tokens", maxExpandedTokens)
+		}
 		if t.Kind == TokIdent {
 			if rep, ok := macros[t.Text]; ok {
 				changed = true

@@ -55,6 +55,10 @@ type CellMetric struct {
 	// virtual metrics are identical to a cold run by construction.
 	VMPooled  bool `json:"vm_pooled,omitempty"`
 	VMPoolHit bool `json:"vm_pool_hit,omitempty"`
+	// MeasureReused reports the cell's measurement was copied from an
+	// earlier cell of the run whose program was byte-identical (same
+	// profile, mode and step limit) instead of being run again.
+	MeasureReused bool `json:"measure_reused,omitempty"`
 }
 
 // RunMetrics aggregates one RunCells invocation's schedule. Every field
@@ -76,6 +80,9 @@ type RunMetrics struct {
 	QueueDepth int `json:"queue_depth"`
 	Failed     int `json:"failed"`
 	Resumed    int `json:"resumed"`
+	// MeasureReuses counts cells that reused another cell's measurement
+	// (zero and hidden in Render when nothing was reused).
+	MeasureReuses int `json:"measure_reuses"`
 	// Compile-cache counters for the run (deltas when the cache is shared
 	// across runs): CacheHits resolved instantly, CacheMisses compiled,
 	// CacheDedupWaits blocked on another worker's in-flight compile.
@@ -169,6 +176,10 @@ func (m *RunMetrics) Render() string {
 	if m.CacheEnabled {
 		fmt.Fprintf(&b, "compile cache: %d hits  %d misses  %d dedup-waits\n",
 			m.CacheHits, m.CacheMisses, m.CacheDedupWaits)
+	}
+	if m.MeasureReuses > 0 {
+		fmt.Fprintf(&b, "measure reuse: %d cells reused a byte-identical program's measurement\n",
+			m.MeasureReuses)
 	}
 	if m.VMPoolEnabled {
 		fmt.Fprintf(&b, "vm pool: %d hits  %d misses  %d recycles  %d cold-fallbacks\n",

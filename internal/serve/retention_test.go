@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wasmbench/internal/benchsuite"
+	"wasmbench/internal/harness"
 )
 
 // retentionBound is how much live heap one server may keep after serving
@@ -57,4 +58,49 @@ func heapInUse() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapInuse
+}
+
+// TestServeCacheBound: a server that only ever sees new artifacts keeps at
+// most harness.MaxCachedArtifacts of them, evicting the least recently
+// used; an artifact requested again along the way stays cached. Every
+// measurement fails on a one-step budget, so the test pays for compiles
+// alone (the cache holds compiled artifacts, whatever the run does).
+func TestServeCacheBound(t *testing.T) {
+	kernels := benchsuite.All()
+	levels := []string{"0", "1", "2", "3", "s", "z", "fast"}
+	var reqs []*Request
+	for _, tc := range []string{"cheerp", "emscripten"} {
+		for _, lang := range []string{"wasm", "js"} {
+			for _, lv := range levels {
+				for _, k := range kernels {
+					reqs = append(reqs, &Request{Bench: k.Name, Size: "XS", Lang: lang,
+						Level: lv, Toolchain: tc, Profile: "chrome-desktop"})
+				}
+			}
+		}
+	}
+	reqs = reqs[:harness.MaxCachedArtifacts+40]
+	s := NewServer(Config{Workers: 2, StepLimit: 1})
+	defer drain(t, s, 10*time.Second)
+	hot := reqs[0]
+	for i, req := range reqs {
+		if resp := s.Submit(req); resp.Status != StatusFailed {
+			t.Fatalf("%+v: %s %s, want a step-limit failure", *req, resp.Status, resp.Error)
+		}
+		if i%100 == 99 {
+			s.Submit(hot) // keep the first artifact recently used
+		}
+	}
+	if n := s.cache.Len(); n > harness.MaxCachedArtifacts {
+		t.Errorf("cache holds %d artifacts after %d distinct, cap %d", n, len(reqs), harness.MaxCachedArtifacts)
+	}
+	st := s.cache.Stats()
+	if want := len(reqs) - harness.MaxCachedArtifacts; st.Evictions != want {
+		t.Errorf("Evictions = %d, want %d", st.Evictions, want)
+	}
+	hits := st.Hits
+	s.Submit(hot)
+	if s.cache.Stats().Hits != hits+1 {
+		t.Error("the recently used artifact was evicted")
+	}
 }
