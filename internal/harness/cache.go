@@ -53,6 +53,9 @@ type ArtifactCache struct {
 	// compiles (nil = none; see SetInstruments).
 	inst     *telemetry.CacheInstruments
 	compInst *telemetry.CompilerInstruments
+	// onEvict, when set, is told each evicted key once ac.mu is released
+	// (NewVMPools drops the artifact's instance pool there).
+	onEvict func(key string)
 }
 
 // MaxCachedArtifacts caps an ArtifactCache's completed entries. At about
@@ -123,27 +126,45 @@ func (ac *ArtifactCache) compileCell(c Cell, faults *faultinject.Plan) (art *com
 	opts.Faults = faults
 	opts.Instruments = compInst
 	e.art, e.err = compiler.Compile(c.Bench.Source, opts)
+	var evicted []string
 	ac.mu.Lock()
 	if e.err != nil && faultinject.IsInjected(e.err) {
 		delete(ac.entries, key)
 	} else {
 		e.elem = ac.lru.PushFront(key)
 		for ac.lru.Len() > MaxCachedArtifacts {
-			ac.evictOldest()
+			evicted = append(evicted, ac.evictOldest())
 		}
 	}
+	onEvict := ac.onEvict
 	ac.mu.Unlock()
 	close(e.ready)
+	if onEvict != nil {
+		for _, k := range evicted {
+			onEvict(k)
+		}
+	}
 	return e.art, false, e.err
 }
 
-// evictOldest drops the least recently used completed entry. Callers hold
-// ac.mu. Goroutines already holding the entry keep its artifact.
-func (ac *ArtifactCache) evictOldest() {
+// evictOldest drops the least recently used completed entry and returns
+// its key. Callers hold ac.mu. Goroutines already holding the entry keep
+// its artifact.
+func (ac *ArtifactCache) evictOldest() string {
 	oldest := ac.lru.Back()
 	ac.lru.Remove(oldest)
-	delete(ac.entries, oldest.Value.(string))
+	key := oldest.Value.(string)
+	delete(ac.entries, key)
 	ac.stats.Evictions++
+	return key
+}
+
+// holds reports whether key has an entry, in flight or completed.
+func (ac *ArtifactCache) holds(key string) bool {
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
+	_, ok := ac.entries[key]
+	return ok
 }
 
 // SetInstruments mirrors future lookup counters onto live telemetry

@@ -26,6 +26,12 @@ type vmPoolSet struct {
 	size  int
 	inst  *telemetry.PoolInstruments
 	pools map[string]*wasmvm.InstancePool
+	// cache, when set, bounds the set: a pool lives only while cache holds
+	// its artifact (see NewVMPools).
+	cache *ArtifactCache
+	// retired sums the checkout counters of dropped pools, so the set's
+	// counters never go backwards.
+	retired wasmvm.PoolStats
 }
 
 // newVMPoolSet bounds each pool at size live instances: one per worker
@@ -48,6 +54,9 @@ func (ps *vmPoolSet) poolFor(fp string, art *compiler.Artifact) *wasmvm.Instance
 	defer ps.mu.Unlock()
 	p := ps.pools[fp]
 	if p == nil {
+		if ps.cache != nil && !ps.cache.holds(fp) {
+			return nil // evicted since this cell compiled: measure cold
+		}
 		p = wasmvm.NewInstancePool(art.Module, len(art.WasmBinary), wasmvm.PoolOptions{
 			MaxInstances: ps.size,
 			ColdFallback: true,
@@ -58,30 +67,48 @@ func (ps *vmPoolSet) poolFor(fp string, art *compiler.Artifact) *wasmvm.Instance
 	return p
 }
 
-// stats aggregates the checkout counters across every pool in the set.
+// drop forgets the pool of an evicted artifact. Its instances go with it;
+// its checkout counters move to retired.
+func (ps *vmPoolSet) drop(fp string) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if p := ps.pools[fp]; p != nil {
+		s := p.Stats()
+		s.Live, s.Idle = 0, 0
+		addPoolStats(&ps.retired, s)
+		delete(ps.pools, fp)
+	}
+}
+
+// stats aggregates the checkout counters across every pool in the set,
+// dropped ones included.
 func (ps *vmPoolSet) stats() wasmvm.PoolStats {
 	var agg wasmvm.PoolStats
 	if ps == nil {
 		return agg
 	}
 	ps.mu.Lock()
+	agg = ps.retired
 	pools := make([]*wasmvm.InstancePool, 0, len(ps.pools))
 	for _, p := range ps.pools {
 		pools = append(pools, p)
 	}
 	ps.mu.Unlock()
 	for _, p := range pools {
-		s := p.Stats()
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-		agg.Recycles += s.Recycles
-		agg.ColdFallbacks += s.ColdFallbacks
-		agg.Evictions += s.Evictions
-		agg.Discards += s.Discards
-		agg.Live += s.Live
-		agg.Idle += s.Idle
+		addPoolStats(&agg, p.Stats())
 	}
 	return agg
+}
+
+func addPoolStats(agg *wasmvm.PoolStats, s wasmvm.PoolStats) {
+	agg.Hits += s.Hits
+	agg.Misses += s.Misses
+	agg.Recycles += s.Recycles
+	agg.ColdFallbacks += s.ColdFallbacks
+	agg.Evictions += s.Evictions
+	agg.Discards += s.Discards
+	agg.Live += s.Live
+	agg.Idle += s.Idle
 }
 
 // poolCount returns how many per-artifact pools the set holds.
@@ -105,9 +132,19 @@ type VMPools struct {
 
 // NewVMPools builds a shared pool set whose per-artifact pools hold at
 // most DefaultWorkers()+1 live instances; reg, when non-nil, receives the
-// pools' checkout counters as wasm_vm_pool_* metrics.
-func NewVMPools(reg *telemetry.Registry) *VMPools {
-	return &VMPools{set: newVMPoolSet(DefaultWorkers()+1, telemetry.NewPoolInstruments(reg))}
+// pools' checkout counters as wasm_vm_pool_* metrics. With a cache (the
+// one the runs compile through) the set keeps a pool only while the cache
+// holds its artifact: an eviction drops the pool, so MaxCachedArtifacts
+// bounds both. A cache bounds one pool set; nil leaves the set unbounded.
+func NewVMPools(reg *telemetry.Registry, cache *ArtifactCache) *VMPools {
+	set := newVMPoolSet(DefaultWorkers()+1, telemetry.NewPoolInstruments(reg))
+	if cache != nil {
+		set.cache = cache
+		cache.mu.Lock()
+		cache.onEvict = set.drop
+		cache.mu.Unlock()
+	}
+	return &VMPools{set: set}
 }
 
 // Stats aggregates checkout counters across every per-artifact pool.
@@ -118,7 +155,7 @@ func (vp *VMPools) Stats() wasmvm.PoolStats {
 	return vp.set.stats()
 }
 
-// PoolCount reports how many per-artifact pools have been created.
+// PoolCount reports how many per-artifact pools the set holds.
 func (vp *VMPools) PoolCount() int {
 	if vp == nil {
 		return 0

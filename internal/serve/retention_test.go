@@ -62,15 +62,18 @@ func heapInUse() uint64 {
 
 // TestServeCacheBound: a server that only ever sees new artifacts keeps at
 // most harness.MaxCachedArtifacts of them, evicting the least recently
-// used; an artifact requested again along the way stays cached. Every
-// measurement fails on a one-step budget, so the test pays for compiles
-// alone (the cache holds compiled artifacts, whatever the run does).
+// used; an artifact requested again along the way stays cached. The Wasm
+// instance pools follow the cache: a pool goes when its artifact does.
+// Every measurement fails on a one-step budget, so the test pays for
+// compiles alone (the cache holds compiled artifacts, whatever the run
+// does). The Wasm requests come first, so more Wasm artifacts than the cap
+// pass through.
 func TestServeCacheBound(t *testing.T) {
 	kernels := benchsuite.All()
 	levels := []string{"0", "1", "2", "3", "s", "z", "fast"}
 	var reqs []*Request
-	for _, tc := range []string{"cheerp", "emscripten"} {
-		for _, lang := range []string{"wasm", "js"} {
+	for _, lang := range []string{"wasm", "js"} {
+		for _, tc := range []string{"cheerp", "emscripten"} {
 			for _, lv := range levels {
 				for _, k := range kernels {
 					reqs = append(reqs, &Request{Bench: k.Name, Size: "XS", Lang: lang,
@@ -93,6 +96,9 @@ func TestServeCacheBound(t *testing.T) {
 	}
 	if n := s.cache.Len(); n > harness.MaxCachedArtifacts {
 		t.Errorf("cache holds %d artifacts after %d distinct, cap %d", n, len(reqs), harness.MaxCachedArtifacts)
+	}
+	if n := s.pools.PoolCount(); n > harness.MaxCachedArtifacts {
+		t.Errorf("%d instance pools after %d distinct Wasm artifacts, cap %d", n, len(reqs), harness.MaxCachedArtifacts)
 	}
 	st := s.cache.Stats()
 	if want := len(reqs) - harness.MaxCachedArtifacts; st.Evictions != want {

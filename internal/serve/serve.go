@@ -171,7 +171,7 @@ func NewServer(cfg Config) *Server {
 		cfg.Hub.Publish("serve", s.state)
 	}
 	if !cfg.DisableVMPool {
-		s.pools = harness.NewVMPools(reg)
+		s.pools = harness.NewVMPools(reg, s.cache)
 	}
 	// One profile instance per name, shared across requests — the same
 	// sharing a benchtab sweep uses across its worker pool. Instruments
