@@ -49,7 +49,7 @@ bench-e2e:
 
 # Regenerates every paper table and figure and diffs the output, with its
 # exit code, against the committed experiments_all.txt: any byte that moved
-# fails. Takes minutes (about 3.5 on 2 vCPUs), so not part of check.
+# fails. Takes about 100 s on 2 vCPUs, so not part of check.
 experiments-check:
 	{ $(GO) run ./cmd/benchtab -exp all; echo "EXITCODE=$$?"; } | diff experiments_all.txt -
 

@@ -277,7 +277,8 @@ func BenchmarkTable9ManualJS(b *testing.B) {
 	}
 }
 
-// BenchmarkTable10RealWorld regenerates the §4.6.2 application rows.
+// BenchmarkTable10RealWorld regenerates the §4.6.2 application rows and,
+// from the same runs, the Appendix D operation counts (Table 12).
 func BenchmarkTable10RealWorld(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := core.RunRealWorld()
@@ -292,29 +293,25 @@ func BenchmarkTable10RealWorld(b *testing.B) {
 				b.ReportMetric(row.Ratio, "longjs-mul-wasm/js")
 			}
 		}
+		b.ReportMetric(table12Blowup(r.OpCounts), "js/wasm-op-blowup")
 	}
 }
 
-// BenchmarkTable12OpCounts regenerates the Appendix D operation counts.
-func BenchmarkTable12OpCounts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := core.RunTable12()
-		if err != nil {
-			b.Fatal(err)
+// table12Blowup is Long.js multiplication's JS-to-Wasm ratio of executed
+// arithmetic operations.
+func table12Blowup(r *core.Table12Result) float64 {
+	var jsTotal, wasmTotal float64
+	for _, row := range r.Rows {
+		if row.Bench != "multiplication" {
+			continue
 		}
-		var jsTotal, wasmTotal float64
-		for _, row := range r.Rows {
-			if row.Bench != "multiplication" {
-				continue
-			}
-			if row.Lang == "JS" {
-				jsTotal = float64(row.Total)
-			} else {
-				wasmTotal = float64(row.Total)
-			}
+		if row.Lang == "JS" {
+			jsTotal = float64(row.Total)
+		} else {
+			wasmTotal = float64(row.Total)
 		}
-		b.ReportMetric(jsTotal/wasmTotal, "js/wasm-op-blowup")
 	}
+	return jsTotal / wasmTotal
 }
 
 // BenchmarkFig11FiveNumber regenerates the Appendix B summaries.

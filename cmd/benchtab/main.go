@@ -16,7 +16,7 @@
 //	benchtab -exp ctxswitch    # §4.5 context-switch microbenchmark
 //	benchtab -exp table9       # §4.6.1 manual JavaScript
 //	benchtab -exp table10      # §4.6.2 real-world applications
-//	benchtab -exp table12      # Appendix D operation counts
+//	benchtab -exp table12      # Appendix D operation counts (table10's runs)
 //	benchtab -exp all          # everything above
 //
 // Use -bench to restrict to a comma-separated benchmark subset and -sizes
@@ -146,12 +146,14 @@ func main() {
 
 // studies runs each multi-figure study at most once per invocation: every
 // requested table or figure of one study renders from the same result
-// (table2, fig5 and fig11 all come from the opt-level study).
+// (table2, fig5 and fig11 all come from the opt-level study; table10 and
+// table12 from the real-world study).
 type studies struct {
 	optLevels    func() (*core.OptLevelsResult, error)
 	chromeSizes  func() (*core.InputSizesResult, error)
 	firefoxSizes func() (*core.InputSizesResult, error)
 	browsers     func() (*core.Table8Result, error)
+	realWorld    func() (*core.Table10Result, error)
 }
 
 func newStudies(opts core.Options) *studies {
@@ -168,6 +170,7 @@ func newStudies(opts core.Options) *studies {
 		browsers: sync.OnceValues(func() (*core.Table8Result, error) {
 			return core.RunBrowsersPlatforms(opts)
 		}),
+		realWorld: sync.OnceValues(core.RunRealWorld),
 	}
 }
 
@@ -240,18 +243,16 @@ func run(id string, opts core.Options, st *studies) error {
 			return err
 		}
 		fmt.Println(r.RenderTable9())
-	case "table10":
-		r, err := core.RunRealWorld()
+	case "table10", "table12":
+		r, err := st.realWorld()
 		if err != nil {
 			return err
 		}
-		fmt.Println(r.RenderTable10())
-	case "table12":
-		r, err := core.RunTable12()
-		if err != nil {
-			return err
+		if id == "table10" {
+			fmt.Println(r.RenderTable10())
+		} else {
+			fmt.Println(r.OpCounts.RenderTable12())
 		}
-		fmt.Println(r.RenderTable12())
 	default:
 		return fmt.Errorf("unknown experiment %q", id)
 	}

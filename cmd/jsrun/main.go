@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"wasmbench/internal/browser"
+	"wasmbench/internal/jsvm"
 	"wasmbench/internal/obsv"
 )
 
@@ -64,7 +65,7 @@ func main() {
 	if *profileFlag {
 		prof.JS.Profile = true
 	}
-	vm := prof.NewJSVM()
+	vm := jsvm.New(prof.JS)
 	if _, err := vm.Run(string(src)); err != nil {
 		fatal(err)
 	}

@@ -118,14 +118,16 @@ func TestWasmOutputMatchesJS(t *testing.T) {
 	}
 }
 
+// TestJSSourceMeasurement measures a hand-written program the way the
+// harness does: MeasureJS on an artifact that carries only JS.
 func TestJSSourceMeasurement(t *testing.T) {
 	p := Chrome(Desktop)
-	m, err := p.MeasureJSSource(`
+	m, err := p.MeasureJS(&compiler.Artifact{JS: `
 var s = 0;
 for (var i = 0; i < 1000; i++) s += i;
 print_i(s);
 var __exit = 0;
-`)
+`})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -320,29 +320,6 @@ func (p *Profile) MeasureJSWith(art *compiler.Artifact, opts MeasureOptions) (*M
 	}, nil
 }
 
-// MeasureJSSource runs a hand-written JavaScript program (the §4.6 manual
-// benchmarks and real-world applications).
-func (p *Profile) MeasureJSSource(src string) (*Measurement, error) {
-	vm := jsvm.New(p.JS)
-	if _, err := vm.Run(src); err != nil {
-		return nil, err
-	}
-	m := &Measurement{
-		ExecMS:   p.MSFromCycles(vm.Cycles()),
-		MemoryKB: float64(vm.PeakHeapBytes()) / 1024,
-	}
-	res := &compiler.Result{Cycles: vm.Cycles(), Steps: vm.Steps(), MemoryBytes: vm.PeakHeapBytes()}
-	for _, o := range vm.Output {
-		res.Output = append(res.Output, toCodegenEvent(o))
-	}
-	m.Result = res
-	return m, nil
-}
-
-// NewJSVM exposes a configured engine for callers that need custom host
-// bindings (the real-world application harnesses).
-func (p *Profile) NewJSVM() *jsvm.VM { return jsvm.New(p.JS) }
-
 // CtxSwitchNS measures the §4.5 context-switch microbenchmark: the time for
 // one Wasm↔JS round trip, in nanoseconds of virtual time.
 func (p *Profile) CtxSwitchNS() float64 {

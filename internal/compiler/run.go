@@ -37,6 +37,9 @@ type Result struct {
 	// (only an injected JIT-compile failure does that), so a non-zero
 	// count marks a measurement a fault plan altered.
 	Deopts int
+	// JSArith carries the JS engine's Table 12 operator counts (JS backend
+	// only; the Wasm counts are WasmStats.ArithOps).
+	JSArith jsvm.ArithCounts
 	// Profiles carries the VM's per-function virtual-cycle profiles when
 	// profiling was enabled (Config.Profile or a non-nil Tracer); nil
 	// otherwise. The harness merges these into the live telemetry hub.
@@ -276,6 +279,7 @@ func RunJS(art *Artifact, cfg jsvm.Config) (*Result, error) {
 		GCs:           vm.GCCount(),
 		TierUps:       vm.TierUps(),
 		Deopts:        vm.Deopts(),
+		JSArith:       vm.ArithCounts(),
 		Profiles:      vm.Profile(),
 	}
 	for _, o := range vm.Output {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"wasmbench/internal/benchsuite"
@@ -181,8 +182,12 @@ func TestManualJSStrata(t *testing.T) {
 	}
 }
 
+// realWorld runs the real-world study once for the tests that read Table 10
+// and Table 12 off it.
+var realWorld = sync.OnceValues(RunRealWorld)
+
 func TestRealWorldShapes(t *testing.T) {
-	r, err := RunRealWorld()
+	r, err := realWorld()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +216,12 @@ func TestRealWorldShapes(t *testing.T) {
 }
 
 func TestTable12Blowup(t *testing.T) {
-	r, err := RunTable12()
+	r, err := realWorld()
 	if err != nil {
 		t.Fatal(err)
 	}
 	totals := map[string]map[string]uint64{}
-	for _, row := range r.Rows {
+	for _, row := range r.OpCounts.Rows {
 		if totals[row.Bench] == nil {
 			totals[row.Bench] = map[string]uint64{}
 		}
@@ -261,6 +266,7 @@ func TestCellLabelsDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	table10, _ := realWorldCells(benchsuite.RealWorld(), browser.Chrome(browser.Desktop))
 	desktop := []*browser.Profile{browser.Chrome(browser.Desktop), browser.Firefox(browser.Desktop)}
 	for name, cells := range map[string][]harness.Cell{
 		"table2":    optLevelCells(all),
@@ -270,6 +276,7 @@ func TestCellLabelsDistinct(t *testing.T) {
 		"table8":    browserCells(browser.AllProfiles(), all),
 		"compilers": compilerCells(all),
 		"table9":    manual,
+		"table10":   table10,
 	} {
 		seen := map[string]bool{}
 		for _, c := range cells {

@@ -55,9 +55,13 @@ func runAttempt(c Cell, cache *ArtifactCache, memo *measureMemo, opt RunOptions,
 	t0 := time.Now()
 	var art *compiler.Artifact
 	var err error
-	if cache != nil {
+	switch {
+	case c.Bench.JS != "":
+		// Hand-written JavaScript runs as written.
+		art = &compiler.Artifact{JS: c.Bench.JS}
+	case cache != nil:
 		art, info.hit, err = cache.compileCell(c, plan)
-	} else {
+	default:
 		opts := cellOptions(c)
 		opts.Faults = plan
 		if opt.Telemetry != nil {

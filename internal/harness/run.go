@@ -18,7 +18,9 @@ import (
 )
 
 // Cell is one measurement cell: a benchmark compiled with a configuration
-// and measured on a profile, or run on the native x86 backend.
+// and measured on a profile, or run on the native x86 backend. A benchmark
+// that carries hand-written JavaScript (Bench.JS) is not compiled: a "js"
+// cell measures it as written, and Size, Level and Toolchain do not apply.
 type Cell struct {
 	Bench *benchsuite.Benchmark
 	Size  benchsuite.Size
@@ -38,10 +40,13 @@ type Cell struct {
 // the result, e.g. "atax/M/wasm/-O2@chrome-desktop". The toolchain is
 // appended only when it is not Cheerp and the mode only when it is not
 // TierBoth, so those labels (and checkpoints keyed by them) keep the
-// short form; x86 cells end "@native".
+// short form; x86 cells end "@native". A hand-written program names no
+// size, level or toolchain ("manual/3mm/js@chrome-desktop").
 func (c Cell) Label() string {
 	l := fmt.Sprintf("%s/%v/%s/%v", c.Bench.Name, c.Size, c.Lang, c.Level)
-	if c.Toolchain != compiler.Cheerp {
+	if c.Bench.JS != "" {
+		l = c.Bench.Name + "/" + c.Lang
+	} else if c.Toolchain != compiler.Cheerp {
 		l += "/" + c.Toolchain.String()
 	}
 	if c.Mode != wasmvm.TierBoth {
@@ -79,7 +84,7 @@ func cellOptions(c Cell) compiler.Options {
 		Toolchain:  c.Toolchain,
 		Defines:    c.Bench.Defines(c.Size),
 		HeapLimit:  c.Bench.HeapLimitBytes(c.Size),
-		ModuleName: c.Bench.Name,
+		ModuleName: c.Bench.ModuleName(),
 		Targets:    []compiler.Target{target},
 	}
 }
@@ -87,8 +92,11 @@ func cellOptions(c Cell) compiler.Options {
 // Fingerprint returns the cell's content-addressed compilation key:
 // cells that differ only in browser profile or tier mode share a
 // fingerprint, and therefore share one compiled artifact under an
-// ArtifactCache.
+// ArtifactCache. A hand-written program's key covers its JS text.
 func (c Cell) Fingerprint() string {
+	if c.Bench.JS != "" {
+		return compiler.Fingerprint(c.Bench.JS, cellOptions(c))
+	}
 	return compiler.Fingerprint(c.Bench.Source, cellOptions(c))
 }
 

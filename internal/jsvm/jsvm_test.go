@@ -429,7 +429,7 @@ for (var i = 0; i < 100; i++) {
 }
 var __exit = s | 0;
 `)
-	ops := vm.ArithOps()
+	ops := vm.ArithCounts().Map()
 	if ops["MUL"] != 100 || ops["AND"] != 100 || ops["SHIFT"] != 100 {
 		t.Errorf("op counters: %v", ops)
 	}

@@ -242,9 +242,8 @@ type VM struct {
 
 	pendingGlobals []hostBinding
 	rngState       uint64
-	// arith counts executed arithmetic operators by Table 12 group:
-	// ADD, MUL, DIV, REM, SHIFT, AND, OR.
-	arith [7]uint64
+	// arith counts executed arithmetic operators by Table 12 group.
+	arith ArithCounts
 	// ctrlLabel carries the label of an in-flight labeled break/continue.
 	ctrlLabel string
 
@@ -337,7 +336,7 @@ func (vm *VM) AddCycles(c float64) { vm.cycles += c }
 // Steps returns the dynamic evaluation-step count.
 func (vm *VM) Steps() uint64 { return vm.steps }
 
-// Arithmetic-operator groups for ArithOps (the paper's Appendix D counts).
+// Arithmetic-operator groups, the indexes of ArithCounts.
 const (
 	opADD = iota
 	opMUL
@@ -348,15 +347,22 @@ const (
 	opOR
 )
 
-// ArithOps returns executed arithmetic-operation counts grouped as in the
-// paper's Table 12 (ADD includes subtraction; OR includes XOR).
-func (vm *VM) ArithOps() map[string]uint64 {
+// ArithCounts are executed arithmetic-operation counts grouped as in the
+// paper's Table 12 (Appendix D), in the order ADD, MUL, DIV, REM, SHIFT,
+// AND, OR. ADD includes subtraction; OR includes XOR.
+type ArithCounts [7]uint64
+
+// Map returns the counts keyed by group name.
+func (c ArithCounts) Map() map[string]uint64 {
 	return map[string]uint64{
-		"ADD": vm.arith[opADD], "MUL": vm.arith[opMUL], "DIV": vm.arith[opDIV],
-		"REM": vm.arith[opREM], "SHIFT": vm.arith[opSHIFT],
-		"AND": vm.arith[opAND], "OR": vm.arith[opOR],
+		"ADD": c[opADD], "MUL": c[opMUL], "DIV": c[opDIV],
+		"REM": c[opREM], "SHIFT": c[opSHIFT],
+		"AND": c[opAND], "OR": c[opOR],
 	}
 }
+
+// ArithCounts returns the executed arithmetic-operation counts.
+func (vm *VM) ArithCounts() ArithCounts { return vm.arith }
 
 // GCCount returns how many collections ran.
 func (vm *VM) GCCount() int { return vm.gcCount }
