@@ -66,10 +66,12 @@ bench-smoke:
 difftest-smoke:
 	$(GO) test ./internal/difftest -run 'TestSmoke|TestCorpus|TestKernelOptInvariance' -count=1
 
-# Fault drill: a fixed-seed fault plan that fires every non-serve injection
-# point at least once; each faulted cell runs once and either keeps its
-# clean-run measurement or fails with a typed injected error, under the
-# configuration its label names. Plus the benchserve admission drills
+# Fault drill: a fixed-seed fault plan that fires each of the four
+# non-serve injection points (wasm.stall, js.heap-oom, compiler.pass,
+# harness.worker-panic) at least once; each faulted cell runs once and,
+# with no exception, either measures byte-identical to its clean run or
+# fails with a typed injected error, under the configuration its label
+# names. Plus the benchserve admission drills for the other two points
 # (serve.admit / serve.shed must surface as typed responses, in-process and
 # over HTTP, never hangs). Deterministic (same seed ⇒ same counts and
 # outcomes) and race-clean.

@@ -14,11 +14,13 @@ go test -run=NONE -bench=. -benchtime=1x ./...
 # corpus through the cross-backend oracle, without -race (full matrix:
 # every tier mode on the stack loop and on AOT superblocks, plus pooled).
 go test ./internal/difftest -run 'TestSmoke|TestCorpus|TestKernelOptInvariance' -count=1
-# Fault drill: fixed-seed fault plan covering every non-serve injection
-# point; each faulted cell runs once and keeps its clean measurement or
-# fails with a typed injected error; deterministic and race-clean.
-# The serve drills prove injected admission faults (serve.admit/serve.shed)
-# surface as typed responses — 503/429 over HTTP — never hangs.
+# Fault drill: fixed-seed fault plan firing the four non-serve injection
+# points (wasm.stall, js.heap-oom, compiler.pass, harness.worker-panic);
+# each faulted cell runs once and, with no exception, measures
+# byte-identical to its clean run or fails with a typed injected error;
+# deterministic and race-clean. The serve drills prove the other two points'
+# admission faults (serve.admit/serve.shed) surface as typed responses —
+# 503/429 over HTTP — never hangs.
 go test ./internal/harness -run TestFaultSmoke -count=1 -race
 go test ./internal/serve -run 'TestServeFaultDrill|TestServeFaultDrillHTTP' -count=1 -race
 # Telemetry smoke: in-process server over a real sweep, all five endpoints

@@ -244,10 +244,11 @@ type MeasureOptions struct {
 	StepLimit uint64
 	// Faults arms a fault plan on the engine for this run.
 	Faults *faultinject.Plan
-	// VMPool serves the Wasm run from a pooled snapshot-restored instance
-	// instead of a cold instantiation. Host wall-clock only: virtual
-	// metrics are byte-identical by the wasmvm snapshot contract, so a nil
-	// pool (the default) and a pooled run measure the same numbers.
+	// VMPool serves the Wasm run from a pooled instance, cloned or reset
+	// from its snapshot, instead of a cold instantiation. Host wall-clock
+	// only: virtual metrics are byte-identical by the wasmvm snapshot
+	// contract, so a nil pool (the default) and a pooled run measure the
+	// same numbers.
 	VMPool *wasmvm.InstancePool
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"wasmbench/internal/codegen"
-	"wasmbench/internal/faultinject"
 	"wasmbench/internal/jsvm"
 	"wasmbench/internal/obsv"
 	"wasmbench/internal/wasmvm"
@@ -33,10 +32,6 @@ type Result struct {
 	GrowOps   int
 	GCs       int
 	TierUps   int
-	// Deopts counts JS code objects pinned to the interpreter for good
-	// (only an injected JIT-compile failure does that), so a non-zero
-	// count marks a measurement a fault plan altered.
-	Deopts int
 	// JSArith carries the JS engine's Table 12 operator counts (JS backend
 	// only; the Wasm counts are WasmStats.ArithOps).
 	JSArith jsvm.ArithCounts
@@ -209,13 +204,11 @@ func RunWasm(art *Artifact, cfg wasmvm.Config) (*Result, error) {
 // New+Instantiate — and returns it for recycling afterwards, even when main
 // traps (Reset unwinds a trapped instance). Virtual metrics are
 // byte-identical to RunWasm by the snapshot determinism contract; only host
-// wall-clock changes. A nil pool, or an armed wasm.snapshot-restore fault,
-// silently degrades to the cold path.
+// wall-clock changes. A nil pool runs the cold path, and a saturated pool
+// under PoolOptions.ColdFallback hands out a cold instance itself (see
+// InstancePool.Get).
 func RunWasmPooled(art *Artifact, cfg wasmvm.Config, pool *wasmvm.InstancePool) (*Result, error) {
 	if pool == nil {
-		return RunWasm(art, cfg)
-	}
-	if cfg.Faults != nil && cfg.Faults.Fire(faultinject.WasmSnapshotRestore, art.Opts.ModuleName) {
 		return RunWasm(art, cfg)
 	}
 	if art.Module == nil {
@@ -278,7 +271,6 @@ func RunJS(art *Artifact, cfg jsvm.Config) (*Result, error) {
 		ExternalBytes: vm.PeakExternalBytes(),
 		GCs:           vm.GCCount(),
 		TierUps:       vm.TierUps(),
-		Deopts:        vm.Deopts(),
 		JSArith:       vm.ArithCounts(),
 		Profiles:      vm.Profile(),
 	}

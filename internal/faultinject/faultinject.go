@@ -1,13 +1,17 @@
 // Package faultinject is a deterministic, seeded fault-plan layer for the
 // measurement stack. The paper's methodology depends on sweeps surviving
-// hostile conditions — mobile browsers cap per-tab memory and kill runaway
-// pages, JIT compiles fail, workers crash — and a harness that claims to
+// hostile conditions — cells wedge, the JS heap runs out, compiles fail,
+// workers crash, a server is overloaded — and a harness that claims to
 // tolerate those failures needs a way to produce them on demand,
 // reproducibly (cf. Jangda et al., "Not So Fast", ATC '19, on explicit
-// resource limits and failure accounting in cross-engine harnesses).
+// resource limits and failure accounting in cross-engine harnesses). A
+// fault either leaves a cell's measurement byte-identical to its clean run
+// or fails the cell with an error IsInjected accepts; none re-routes a
+// measurement to a configuration its label does not name.
 //
 // A Plan is a set of Rules armed at named injection Points threaded through
-// the VMs, the compiler driver, and the harness worker pool. Every decision
+// the VMs, the compiler driver, the harness worker pool and the serve
+// admission path. Every decision
 // is a pure function of (seed, point, key, sequence number), so the same
 // plan replayed over the same workload fires the same faults in the same
 // order — which is what makes the harness's failure accounting testable.
@@ -29,28 +33,15 @@ import (
 // Point names one injection site in the stack.
 type Point string
 
-// Injection points.
+// Injection points. Each simulates a failure that can happen without a
+// plan and that no other test reaches: a point that would only re-route a
+// measurement (to another tier or a cold instance) or copy a failure the
+// engines produce on their own (a Config.MaxPages grow cap) has no place
+// here.
 const (
-	// WasmGrowDeny denies memory.grow in the Wasm VM: with Rule.Limit set
-	// it acts as a hard page cap (the mobile per-tab memory kill analogue,
-	// PAPER.md §memory); with Prob/Count it fails individual grows.
-	WasmGrowDeny Point = "wasm.grow-deny"
-	// WasmAOTTranslate fails the optimizing-tier (register form + AOT
-	// superblock) translation of a function, so the stack loop serves it
-	// under the optimizing cost table (dispatch speed only — metrics are
-	// unaffected by construction).
-	WasmAOTTranslate Point = "wasm.aot-translate"
 	// WasmStall blocks the calling goroutine for Rule.Stall wall-clock time
 	// on function entry — the "wedged cell" the harness deadline must catch.
 	WasmStall Point = "wasm.stall"
-	// WasmSnapshotRestore denies a pooled-instance checkout from the
-	// post-init snapshot, forcing a silent cold instantiation (host-time
-	// only — virtual metrics are identical by construction, so the fault
-	// exercises the fallback plumbing, not the result).
-	WasmSnapshotRestore Point = "wasm.snapshot-restore"
-	// JSJITCompile fails a function's optimizing-JIT compile; the code
-	// object is pinned to the interpreter tier (a permanent deopt).
-	JSJITCompile Point = "js.jit-compile"
 	// JSHeapOOM aborts a JS allocation: with Rule.Limit it is a heap byte
 	// cap, with Prob/Count a transient allocation failure. The engine
 	// reports ErrJSOOM, the analogue of a tab OOM kill.
@@ -72,13 +63,12 @@ const (
 	ServeShed Point = "serve.shed"
 )
 
-// AllPoints lists every injection point (the faults-smoke matrix iterates
-// this; serve.* points are drilled by the internal/serve fault tests
-// rather than the harness sweep, which has no admission path).
+// AllPoints lists every injection point. The harness faults-smoke drill
+// fires each non-serve point; the serve.* points are drilled by the
+// internal/serve fault tests, since the harness sweep has no admission
+// path.
 var AllPoints = []Point{
-	WasmGrowDeny, WasmAOTTranslate, WasmStall,
-	WasmSnapshotRestore,
-	JSJITCompile, JSHeapOOM,
+	WasmStall, JSHeapOOM,
 	CompilerPass, HarnessPanic,
 	ServeAdmit, ServeShed,
 }
@@ -90,10 +80,9 @@ var AllPoints = []Point{
 //     transient fault.
 //   - Prob: fire each check independently with this probability, seeded by
 //     the plan (0 < Prob ≤ 1).
-//   - Limit: threshold semantics for the capacity points — a page cap for
-//     WasmGrowDeny (deny any grow that would exceed Limit pages), a byte
-//     cap for JSHeapOOM (abort any allocation that would push the live heap
-//     past Limit bytes). Limit rules fire on every violating check.
+//   - Limit: a byte cap for JSHeapOOM (abort any allocation that would
+//     push the live heap past Limit bytes). Limit rules fire on every
+//     violating check.
 type Rule struct {
 	Point Point
 	Prob  float64
@@ -181,20 +170,9 @@ func (p *Plan) key(site string) string {
 
 // Fire checks point with the given site key, advancing the (point, key)
 // sequence counter by one. It reports whether any armed Prob/Count rule
-// fired (Limit rules are checked only by DenyGrow/HeapOOM). Nil-safe.
+// fired (Limit rules are checked only by HeapOOM). Nil-safe.
 func (p *Plan) Fire(pt Point, site string) bool {
 	fired, _ := p.check(pt, site, 0)
-	return fired
-}
-
-// DenyGrow decides whether a memory.grow of delta pages at the current
-// page count should be denied: Limit rules deny any grow whose result
-// would exceed Limit pages; Prob/Count rules deny per the seeded sequence.
-func (p *Plan) DenyGrow(site string, pages, delta uint32) bool {
-	if p == nil || len(p.rules[WasmGrowDeny]) == 0 {
-		return false
-	}
-	fired, _ := p.check(WasmGrowDeny, site, uint64(pages)+uint64(delta))
 	return fired
 }
 
@@ -235,10 +213,9 @@ func (p *Plan) Stall(site string) bool {
 
 // check runs the decision procedure: advance the sequence counter for
 // (point, full key), evaluate every matching rule, and record a firing.
-// measure carries the capacity value for Limit rules (resulting pages for
-// WasmGrowDeny, resulting heap bytes for JSHeapOOM); it is ignored by
-// Prob/Count rules. The returned duration is the longest Stall among the
-// rules that fired.
+// measure carries the capacity value for Limit rules (the resulting heap
+// bytes for JSHeapOOM); it is ignored by Prob/Count rules. The returned
+// duration is the longest Stall among the rules that fired.
 func (p *Plan) check(pt Point, site string, measure uint64) (bool, time.Duration) {
 	if p == nil {
 		return false, 0

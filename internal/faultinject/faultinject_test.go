@@ -10,7 +10,7 @@ import (
 
 func TestNilPlanIsInert(t *testing.T) {
 	var p *Plan
-	if p.Fire(HarnessPanic, "x") || p.DenyGrow("f", 10, 5) || p.HeapOOM("h", 1<<30) || p.Stall("f") {
+	if p.Fire(HarnessPanic, "x") || p.HeapOOM("h", 1<<30) || p.Stall("f") {
 		t.Fatal("nil plan fired")
 	}
 	if p.Enabled() || p.Cell("c", nil) != nil || p.Records() != nil || p.TotalFired() != 0 {
@@ -78,13 +78,7 @@ func TestProbDeterminismAcrossPlans(t *testing.T) {
 }
 
 func TestLimitRules(t *testing.T) {
-	p := NewPlan(0, Rule{Point: WasmGrowDeny, Limit: 100}, Rule{Point: JSHeapOOM, Limit: 1 << 20})
-	if p.DenyGrow("f", 50, 50) {
-		t.Fatal("grow to exactly the cap denied")
-	}
-	if !p.DenyGrow("f", 50, 51) {
-		t.Fatal("grow past the cap allowed")
-	}
+	p := NewPlan(0, Rule{Point: JSHeapOOM, Limit: 1 << 20})
 	if p.HeapOOM("h", 1<<20) {
 		t.Fatal("allocation at the cap failed")
 	}
@@ -92,7 +86,7 @@ func TestLimitRules(t *testing.T) {
 		t.Fatal("allocation past the cap succeeded")
 	}
 	// Limit rules do not respond to plain Fire.
-	if p.Fire(WasmGrowDeny, "f") {
+	if p.Fire(JSHeapOOM, "h") {
 		t.Fatal("limit rule fired via Fire")
 	}
 }
@@ -221,5 +215,19 @@ func TestParseSpec(t *testing.T) {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
+	}
+	// Points that only re-routed a measurement or copied a natural
+	// failure are gone: the CLI rejects them as unknown, and the known
+	// list it prints is exactly the surviving six.
+	const known = "(known: compiler.pass harness.worker-panic js.heap-oom serve.admit serve.shed wasm.stall)"
+	for _, gone := range []string{"js.jit-compile", "wasm.aot-translate", "wasm.snapshot-restore", "wasm.grow-deny"} {
+		_, err := ParseSpec(gone + ":count=1")
+		want := fmt.Sprintf("faultinject: unknown point %q %s", gone, known)
+		if err == nil || err.Error() != want {
+			t.Errorf("ParseSpec(%s) error = %v, want %q", gone, err, want)
+		}
+	}
+	if len(AllPoints) != 6 {
+		t.Errorf("AllPoints has %d entries, want 6: %v", len(AllPoints), AllPoints)
 	}
 }

@@ -40,7 +40,6 @@ type checkpointRecord struct {
 	GrowOps     int     `json:"grow_ops,omitempty"`
 	GCs         int     `json:"gcs,omitempty"`
 	TierUps     int     `json:"tier_ups,omitempty"`
-	Deopts      int     `json:"deopts,omitempty"`
 	BasicCycles float64 `json:"basic_cycles,omitempty"`
 	OptCycles   float64 `json:"opt_cycles,omitempty"`
 	AOTCycles   float64 `json:"aot_cycles,omitempty"`
@@ -104,7 +103,6 @@ func (cp *Checkpoint) Lookup(c Cell) (CellResult, bool) {
 		GrowOps:       rec.GrowOps,
 		GCs:           rec.GCs,
 		TierUps:       rec.TierUps,
-		Deopts:        rec.Deopts,
 		WasmStats: wasmvm.Stats{
 			Steps:       rec.Steps,
 			TierUps:     rec.TierUps,
@@ -141,7 +139,6 @@ func (cp *Checkpoint) Record(r CellResult) error {
 		GrowOps:     mr.GrowOps,
 		GCs:         mr.GCs,
 		TierUps:     mr.TierUps,
-		Deopts:      mr.Deopts,
 		BasicCycles: mr.WasmStats.BasicCycles,
 		OptCycles:   mr.WasmStats.OptCycles,
 		AOTCycles:   mr.WasmStats.AOTCycles,

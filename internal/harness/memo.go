@@ -24,8 +24,8 @@ import (
 // read nothing else from the artifact: RunJS reads the JS text, RunX86 the
 // x86 program, and MeasureWasmWith the module (which Encode turns into
 // WasmBinary one to one, names included), the binary's length and the
-// toolchain (it sets GrowGranularityPages). The artifact's ModuleName is read
-// only under a fault plan, and a plan turns reuse off.
+// toolchain (it sets GrowGranularityPages). No measurement reads the
+// artifact's ModuleName apart from those bytes.
 type measureKey struct {
 	lang      string
 	program   [sha256.Size]byte
@@ -51,8 +51,8 @@ type memoEntry struct {
 }
 
 // newMeasureMemo returns the run's memo, or nil when a measurement may not
-// be a pure function of its key: a fault plan perturbs engines per cell,
-// and pooled runs report per-run pool flags.
+// be a pure function of its key: a fault plan stalls or fails cells one by
+// one (wasm.stall, js.heap-oom), and pooled runs report per-run pool flags.
 func newMeasureMemo(opt RunOptions) *measureMemo {
 	if opt.Faults != nil || opt.VMPool {
 		return nil

@@ -371,7 +371,6 @@ func recordResult(cm *obsv.CellMetric, r CellResult) {
 	res := r.Meas.Result
 	cm.Cycles = res.Cycles
 	cm.TierUps = res.TierUps
-	cm.Deopts = res.Deopts
 	cm.BasicCycles = res.WasmStats.BasicCycles
 	cm.OptCycles = res.WasmStats.OptCycles
 	cm.AOTCycles = res.WasmStats.AOTCycles

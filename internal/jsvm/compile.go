@@ -31,9 +31,6 @@ type compiledFunc struct {
 	nNodes   int
 	hot      uint64
 	tieredUp bool
-	// jitBlocked pins the function to the interpreter tier after an
-	// injected JIT compile failure (faultinject.JSJITCompile).
-	jitBlocked bool
 	// numSlot marks the slots that only ever hold numbers (or undefined
 	// before their first write); see inferNumSlots. nil for the program.
 	numSlot []bool

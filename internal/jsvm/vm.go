@@ -148,12 +148,11 @@ type Config struct {
 	// Profile enables per-function virtual-cycle profiles (also implied by
 	// a non-nil Tracer).
 	Profile bool
-	// Faults arms deterministic fault injection (JIT compile failure
-	// pinning a function to the interpreter, heap-limit OOM). nil — the
-	// default — is completely inert.
+	// Faults arms deterministic fault injection (heap-limit OOM, transient
+	// allocation failure). nil — the default — is completely inert.
 	Faults *faultinject.Plan
 	// Instruments publishes live counters to a telemetry registry (JIT
-	// compiles, deopts, GC cycles and freed bytes, steps/cycles flushed at
+	// compiles, GC cycles and freed bytes, steps/cycles flushed at
 	// Run/CallFunction boundaries). nil (the default) is inert under the
 	// same discipline as Tracer/Faults, and instruments never feed back
 	// into the virtual clock.
@@ -223,7 +222,6 @@ type VM struct {
 	allocSince   uint64
 	gcCount      int
 	tierUps      int
-	deopts       int
 	epoch        uint32
 
 	envStack []*env
@@ -370,11 +368,6 @@ func (vm *VM) GCCount() int { return vm.gcCount }
 // TierUps returns how many function code objects were promoted to the
 // optimizing JIT tier (0 whenever JITEnabled is false).
 func (vm *VM) TierUps() int { return vm.tierUps }
-
-// Deopts returns how many code objects were pinned back to the
-// interpreter tier for good (today only injected JIT-compile failures
-// cause this permanent deopt).
-func (vm *VM) Deopts() int { return vm.deopts }
 
 // HeapBytes returns the current JS-heap bytes (excluding ArrayBuffer
 // backing stores) plus the engine baseline.
@@ -639,18 +632,10 @@ func (vm *VM) recoverOOM(err *error, m stackMark) {
 	vm.argStack = vm.argStack[:m.args]
 }
 
-// noteDeopt counts one permanent deopt (engine stat + live instrument).
-func (vm *VM) noteDeopt() {
-	vm.deopts++
-	if vm.inst != nil {
-		vm.inst.Deopts.Inc()
-	}
-}
-
 // flushInstruments publishes the bulk counters accumulated since the last
 // flush (steps, cycles, peak heap) to the instrument bundle. Called once
 // per engine entry (Run/CallFunction) so evaluation itself never carries
-// telemetry writes; rare events (tier-up, deopt, GC) publish at their own
+// telemetry writes; rare events (tier-up, GC) publish at their own
 // hook sites.
 func (vm *VM) flushInstruments() {
 	if vm.inst == nil {
@@ -761,15 +746,7 @@ func (vm *VM) tierCosts(cf *compiledFunc) *JSCostTable {
 	if cf.tieredUp {
 		return &vm.cfg.JITCost
 	}
-	if vm.cfg.JITEnabled && !cf.jitBlocked && cf.hot >= vm.cfg.TierUpThreshold {
-		if vm.faults != nil && vm.faults.Fire(faultinject.JSJITCompile, cf.name) {
-			// Injected JIT compile failure: pin the code object to the
-			// interpreter tier for the rest of its life (a permanent deopt).
-			cf.jitBlocked = true
-			vm.noteDeopt()
-			vm.emitFault(faultinject.JSJITCompile)
-			return &vm.cfg.InterpCost
-		}
+	if vm.cfg.JITEnabled && cf.hot >= vm.cfg.TierUpThreshold {
 		vm.tierUp(cf)
 		return &vm.cfg.JITCost
 	}
@@ -796,14 +773,8 @@ func (vm *VM) tierUp(cf *compiledFunc) {
 func (vm *VM) bumpLoop(e *env) {
 	cf := e.fn
 	cf.hot++
-	if !cf.tieredUp && vm.cfg.JITEnabled && !cf.jitBlocked && cf.hot >= vm.cfg.TierUpThreshold {
-		if vm.faults != nil && vm.faults.Fire(faultinject.JSJITCompile, cf.name) {
-			cf.jitBlocked = true
-			vm.noteDeopt()
-			vm.emitFault(faultinject.JSJITCompile)
-		} else {
-			vm.tierUp(cf)
-		}
+	if !cf.tieredUp && vm.cfg.JITEnabled && cf.hot >= vm.cfg.TierUpThreshold {
+		vm.tierUp(cf)
 	}
 	if cf.tieredUp {
 		e.cost = &vm.cfg.JITCost

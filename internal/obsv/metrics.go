@@ -38,11 +38,8 @@ type CellMetric struct {
 	// JS cells report zero). AOTCycles is the portion of OptCycles charged
 	// while the AOT superblock dispatcher ran — a sub-split, always ≤
 	// OptCycles, so the three render as basic / (opt − aot) / aot.
-	Cycles  float64 `json:"cycles,omitempty"`
-	TierUps int     `json:"tier_ups,omitempty"`
-	// Deopts counts JS code objects an injected JIT-compile failure pinned
-	// to the interpreter: non-zero marks a fault-altered measurement.
-	Deopts      int     `json:"deopts,omitempty"`
+	Cycles      float64 `json:"cycles,omitempty"`
+	TierUps     int     `json:"tier_ups,omitempty"`
 	BasicCycles float64 `json:"basic_cycles,omitempty"`
 	OptCycles   float64 `json:"opt_cycles,omitempty"`
 	AOTCycles   float64 `json:"aot_cycles,omitempty"`

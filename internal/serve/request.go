@@ -62,8 +62,10 @@ type Response struct {
 	Cell   string `json:"cell,omitempty"`
 	Error  string `json:"error,omitempty"`
 	// Injected marks errors that came from the deterministic fault plan
-	// (drills), distinguishing them from organic failures, and "ok"
-	// measurements a fault altered (a JS run that deopted).
+	// (drills), distinguishing them from organic failures: a failed cell
+	// whose error unwraps to a faultinject error, or an admission the
+	// serve.admit or serve.shed point refused. An "ok" response is never
+	// injected, since no fault point alters a measurement it lets finish.
 	Injected bool `json:"injected,omitempty"`
 	// RetryAfterMS accompanies shed / breaker-open / draining responses.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`

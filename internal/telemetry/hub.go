@@ -235,7 +235,7 @@ func NewPoolInstruments(r *Registry) *PoolInstruments {
 		return nil
 	}
 	return &PoolInstruments{
-		Hits:          r.Counter("wasm_vm_pool_hits_total", "checkouts served by a recycled snapshot-restored instance"),
+		Hits:          r.Counter("wasm_vm_pool_hits_total", "checkouts served by an instance recycled to its post-init snapshot"),
 		Misses:        r.Counter("wasm_vm_pool_misses_total", "checkouts that cloned a fresh instance from the snapshot"),
 		Recycles:      r.Counter("wasm_vm_pool_recycles_total", "instances reset to their post-init snapshot and returned to the pool"),
 		ColdFallbacks: r.Counter("wasm_vm_pool_cold_fallbacks_total", "checkouts served cold because the bounded pool was exhausted"),
@@ -252,7 +252,6 @@ type JSInstruments struct {
 	Steps        *Counter
 	Cycles       *Counter
 	JITCompiles  *Counter
-	Deopts       *Counter
 	GCCycles     *Counter
 	GCFreedBytes *Counter
 	PeakHeap     *Gauge
@@ -268,7 +267,6 @@ func NewJSInstruments(r *Registry) *JSInstruments {
 		Steps:        r.Counter("js_steps_total", "dynamic evaluation steps executed"),
 		Cycles:       r.Counter("js_cycles_total", "virtual cycles charged by the JS engine"),
 		JITCompiles:  r.Counter("js_jit_compiles_total", "code objects promoted to the optimizing JIT tier (§4.4.1)"),
-		Deopts:       r.Counter("js_deopts_total", "code objects pinned back to the interpreter (permanent deopt)"),
 		GCCycles:     r.Counter("js_gc_cycles_total", "mark-sweep collections (§4.6)"),
 		GCFreedBytes: r.Counter("js_gc_freed_bytes_total", "heap + external bytes reclaimed by GC"),
 		PeakHeap:     r.Gauge("js_heap_peak_bytes", "largest JS-heap high-water mark seen"),

@@ -1,7 +1,6 @@
 package wasmvm
 
 import (
-	"wasmbench/internal/faultinject"
 	"wasmbench/internal/obsv"
 )
 
@@ -104,16 +103,6 @@ func (vm *VM) aotBody(cf *compiledFunc) []aotBlock {
 	}
 	if !cf.aotTried {
 		cf.aotTried = true
-		if vm.faults != nil && vm.faults.Fire(faultinject.WasmAOTTranslate, cf.name) {
-			// Injected translation failure: the stack loop serves the
-			// function permanently — the same fallback as a natural
-			// conservative bail, with identical metrics. Superblocks
-			// retained across a snapshot Reset are dropped too, so the
-			// denial behaves exactly as on a cold instance.
-			vm.emitFault(faultinject.WasmAOTTranslate, vm.cycles)
-			cf.aotBlocks, cf.aotEntry = nil, nil
-			return nil
-		}
 		// Bodies retained across a snapshot Reset (superblocks) or seeded
 		// from a pool's warm-body store (register form) skip
 		// re-translation — retained closures captured this instance's
@@ -757,14 +746,7 @@ func (b *aotBuilder) mkOp(in *rop, next aotFn, rb *aotAgg) aotFn {
 		fn = func(vm *VM, fr []uint64, cy float64) (float64, int32) {
 			cy += cost
 			d := uint32(fr[r1])
-			var g int32
-			if vm.faults != nil && vm.faults.DenyGrow(name, mem.Pages(), d) {
-				g = -1
-				vm.growDenied = true
-				vm.emitFault(faultinject.WasmGrowDeny, cy)
-			} else {
-				g = mem.Grow(d)
-			}
+			g := mem.Grow(d)
 			fr[rd] = uint64(uint32(g))
 			cy += growCost
 			if vm.tracer != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"wasmbench/internal/faultinject"
 	"wasmbench/internal/obsv"
 	"wasmbench/internal/wasm"
 )
@@ -390,43 +389,37 @@ func TestAOTCycleSubSplit(t *testing.T) {
 	}
 }
 
-// TestAOTTranslateFaultBail pins the bail path: an injected
-// wasm.aot-translate failure silently leaves the optimizing tier on the
-// stack loop — identical results and metrics, zero AOT translations and
-// AOT cycles, one fault counted.
+// TestAOTTranslateFaultBail pins the bail path: with the AOT tier
+// disabled (the same fallback a conservative translation bail takes) the
+// optimizing tier silently stays on the stack loop — identical results
+// and metrics, zero AOT translations and AOT cycles.
 func TestAOTTranslateFaultBail(t *testing.T) {
-	run := func(plan *faultinject.Plan) *VM {
+	run := func(disable bool) *VM {
 		cfg := DefaultConfig()
 		cfg.TierUpThreshold = 100
-		cfg.Faults = plan
+		cfg.DisableAOTTier = disable
 		vm := newVM(t, cfg)
 		call1(t, vm, "sum", I32(200000))
 		return vm
 	}
-	plan := faultinject.NewPlan(7, faultinject.Rule{
-		Point: faultinject.WasmAOTTranslate, Count: 1,
-	})
-	faulted := run(plan)
-	clean := run(nil)
+	bailed := run(true)
+	clean := run(false)
 
-	if n := plan.Counts()[faultinject.WasmAOTTranslate]; n != 1 {
-		t.Fatalf("fault fired %d times, want 1", n)
+	if bailed.AOTTranslated() != 0 {
+		t.Errorf("disabled AOT tier still produced %d AOT bodies", bailed.AOTTranslated())
 	}
-	if faulted.AOTTranslated() != 0 {
-		t.Errorf("denied translation still produced %d AOT bodies", faulted.AOTTranslated())
-	}
-	if s := faulted.Stats(); s.AOTCycles != 0 || s.OptCycles == 0 {
+	if s := bailed.Stats(); s.AOTCycles != 0 || s.OptCycles == 0 {
 		t.Errorf("stack fallback should charge the optimizing tier without AOT: %+v", s)
 	}
 	if clean.AOTTranslated() == 0 {
 		t.Fatal("clean run should AOT-compile")
 	}
-	fs, cs := faulted.Stats(), clean.Stats()
+	fs, cs := bailed.Stats(), clean.Stats()
 	fs.AOTCycles, cs.AOTCycles = 0, 0
 	if fs != cs {
-		t.Errorf("bail changed metrics:\n  faulted: %+v\n  clean:   %+v", fs, cs)
+		t.Errorf("bail changed metrics:\n  bailed: %+v\n  clean:  %+v", fs, cs)
 	}
-	if faulted.Cycles() != clean.Cycles() {
-		t.Errorf("bail changed the virtual clock: %v vs %v", faulted.Cycles(), clean.Cycles())
+	if bailed.Cycles() != clean.Cycles() {
+		t.Errorf("bail changed the virtual clock: %v vs %v", bailed.Cycles(), clean.Cycles())
 	}
 }

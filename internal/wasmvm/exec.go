@@ -296,17 +296,7 @@ func (vm *VM) runStack(fi int, cf *compiledFunc, localBase, stackBase int, costs
 			vm.stack = append(vm.stack, uint64(mem.Pages()))
 		case wasm.OpMemoryGrow:
 			d := uint32(vm.stack[len(vm.stack)-1])
-			var r int32
-			if vm.faults != nil && vm.faults.DenyGrow(cf.name, mem.Pages(), d) {
-				// Injected denial behaves exactly like a natural capacity
-				// failure: grow returns −1, memory is untouched, the JS
-				// boundary charge still applies.
-				r = -1
-				vm.growDenied = true
-				vm.emitFault(faultinject.WasmGrowDeny, cycles)
-			} else {
-				r = mem.Grow(d)
-			}
+			r := mem.Grow(d)
 			vm.stack[len(vm.stack)-1] = uint64(uint32(r))
 			cycles += vm.cfg.GrowBoundaryCost
 			if vm.tracer != nil {

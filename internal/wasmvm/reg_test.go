@@ -4,24 +4,20 @@ import (
 	"reflect"
 	"testing"
 
-	"wasmbench/internal/faultinject"
 	"wasmbench/internal/wasm"
 )
 
 // runRegPair instantiates the module twice — once with the optimizing
 // tier's register translation allowed (AOT superblocks over the paired
-// register form, or the 1:1 form with unpaired set) and once with every
-// translation denied at wasm.aot-translate, so the stack loop serves the
-// optimizing tier through the bail path under OptCost — applies call, and
-// returns both VMs plus the denial plan.
-func runRegPair(t *testing.T, m *wasm.Module, cfg Config, unpaired bool, call func(vm *VM) ([]uint64, error)) (reg, denied *VM, rres, dres []uint64, rerr, derr error, plan *faultinject.Plan) {
+// register form, or the 1:1 form with unpaired set) and once under
+// DisableAOTTier, so the stack loop serves the optimizing tier under
+// OptCost (the path a translation bail also takes) — applies call, and
+// returns both VMs.
+func runRegPair(t *testing.T, m *wasm.Module, cfg Config, unpaired bool, call func(vm *VM) ([]uint64, error)) (reg, denied *VM, rres, dres []uint64, rerr, derr error) {
 	t.Helper()
-	plan = faultinject.NewPlan(7, faultinject.Rule{Point: faultinject.WasmAOTTranslate, Prob: 1})
 	mk := func(deny bool) (*VM, []uint64, error) {
 		c := cfg
-		if deny {
-			c.Faults = plan
-		}
+		c.DisableAOTTier = deny
 		vm, err := New(m, 0, c)
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -66,10 +62,10 @@ func landingModule() *wasm.Module {
 // TestRegEquivalenceMatrix sweeps every exported function of the shared
 // test module across tier modes and register-form shapes (paired "fused"
 // and 1:1 "unfused"). The optimizing tier run on the register form must
-// measure exactly what it measures when the register translation is
-// denied and the stack loop serves it instead: results, cycles, and the
-// full Stats struct bar the AOTCycles sub-split. The denial fires once per
-// function that reaches the optimizing tier, and never in basic-only mode.
+// measure exactly what it measures when the AOT tier is disabled and the
+// stack loop serves it instead: results, cycles, and the full Stats struct
+// bar the AOTCycles sub-split. Opt-only mode translates from the first
+// call, and basic-only mode never translates.
 func TestRegEquivalenceMatrix(t *testing.T) {
 	calls := []struct {
 		name string
@@ -96,24 +92,21 @@ func TestRegEquivalenceMatrix(t *testing.T) {
 					cfg := DefaultConfig()
 					cfg.Mode = mode.mode
 					cfg.TierUpThreshold = 100
-					reg, denied, rres, dres, rerr, derr, plan := runRegPair(t, buildModule(), cfg, form.unpaired,
+					reg, denied, rres, dres, rerr, derr := runRegPair(t, buildModule(), cfg, form.unpaired,
 						func(vm *VM) ([]uint64, error) { return vm.Call(c.name, c.args...) })
 					assertEquivalent(t, reg, denied, rres, dres, rerr, derr)
 					if n := denied.AOTTranslated(); n != 0 {
-						t.Errorf("denied translation still produced %d AOT bodies", n)
+						t.Errorf("disabled AOT tier still produced %d AOT bodies", n)
 					}
 					if s := denied.Stats(); s.AOTCycles != 0 {
-						t.Errorf("denied VM charged AOTCycles %v", s.AOTCycles)
+						t.Errorf("disabled AOT tier charged AOTCycles %v", s.AOTCycles)
 					}
-					fired := plan.Counts()[faultinject.WasmAOTTranslate]
-					if fired != reg.AOTTranslated() {
-						t.Errorf("denial fired %d times for %d register translations", fired, reg.AOTTranslated())
+					n := reg.AOTTranslated()
+					if mode.mode == TierOptOnly && n == 0 {
+						t.Error("opt-only mode should translate from the first call")
 					}
-					if mode.mode == TierOptOnly && fired == 0 {
-						t.Error("opt-only mode should translate (and here deny) from the first call")
-					}
-					if mode.mode == TierBasicOnly && fired != 0 {
-						t.Errorf("basic-only mode attempted %d optimizing translations", fired)
+					if mode.mode == TierBasicOnly && n != 0 {
+						t.Errorf("basic-only mode made %d optimizing translations", n)
 					}
 				})
 			}
@@ -152,7 +145,7 @@ func TestRegBranchIntoPair(t *testing.T) {
 	for _, x := range []int32{0, 3} {
 		cfg := DefaultConfig()
 		cfg.Mode = TierOptOnly
-		reg, denied, rres, dres, rerr, derr, _ := runRegPair(t, landingModule(), cfg, false,
+		reg, denied, rres, dres, rerr, derr := runRegPair(t, landingModule(), cfg, false,
 			func(vm *VM) ([]uint64, error) { return vm.Call("landing", I32(x)) })
 		assertEquivalent(t, reg, denied, rres, dres, rerr, derr)
 		if reg.AOTTranslated() == 0 {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"wasmbench/internal/faultinject"
 	"wasmbench/internal/obsv"
 	"wasmbench/internal/wasm"
 )
@@ -449,56 +448,59 @@ func TestPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestPoolFaultedTranslationRecycles: an injected optimizing-tier
-// translation failure on a pooled instance clears the retained superblocks,
-// and the next checkout rebuilds them — fault behavior is per run, not
-// sticky.
-func TestPoolFaultedTranslationRecycles(t *testing.T) {
+// TestPoolDisabledAOTCheckoutRunsNoSuperblocks: superblocks an instance
+// built under one config shape never run under another. A DisableAOTTier
+// checkout from a pool whose one instance retains superblocks evicts that
+// instance and runs a fresh one on the stack loop, measuring what the AOT
+// run measured bar the AOTCycles sub-split; the next AOT checkout
+// translates again.
+func TestPoolDisabledAOTCheckoutRunsNoSuperblocks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TierUpThreshold = 50
+	off := cfg
+	off.DisableAOTTier = true
 	pool := NewInstancePool(snapModule(), 0, PoolOptions{MaxInstances: 1})
+	type run struct {
+		recycled   bool
+		translated int
+		stats      Stats
+		cycles     float64
+	}
+	checkout := func(c Config) run {
+		vm, recycled, err := pool.Get(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.Call("work", I32(400)); err != nil {
+			t.Fatal(err)
+		}
+		r := run{recycled, vm.AOTTranslated(), vm.Stats(), vm.Cycles()}
+		pool.Put(vm)
+		return r
+	}
 
-	vm, _, err := pool.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vm.Call("work", I32(400)); err != nil {
-		t.Fatal(err)
-	}
-	if vm.AOTTranslated() == 0 {
+	aot := checkout(cfg)
+	if aot.translated == 0 {
 		t.Fatal("workload never engaged the AOT tier")
 	}
-	pool.Put(vm)
-
-	// Second checkout with a translation fault armed: retained superblocks
-	// must be discarded, the run falls back to the stack loop.
-	fcfg := cfg
-	fcfg.Faults = faultinject.NewPlan(7, faultinject.Rule{Point: faultinject.WasmAOTTranslate, Prob: 1})
-	vm2, recycled, err := pool.Get(fcfg)
-	if err != nil {
-		t.Fatal(err)
+	stack := checkout(off)
+	if stack.recycled {
+		t.Error("DisableAOTTier checkout recycled the AOT-shaped instance")
 	}
-	if !recycled {
-		t.Fatal("expected the recycled instance")
+	if stack.translated != 0 || stack.stats.AOTCycles != 0 {
+		t.Error("DisableAOTTier checkout ran AOT superblocks")
 	}
-	if _, err := vm2.Call("work", I32(400)); err != nil {
-		t.Fatal(err)
+	as, ss := aot.stats, stack.stats
+	as.AOTCycles, ss.AOTCycles = 0, 0
+	if as != ss || aot.cycles != stack.cycles {
+		t.Errorf("stack-loop checkout measured %v %+v, AOT checkout %v %+v",
+			stack.cycles, ss, aot.cycles, as)
 	}
-	if vm2.AOTTranslated() != 0 || vm2.Stats().AOTCycles != 0 {
-		t.Error("faulted run still ran AOT superblocks")
+	if again := checkout(cfg); again.recycled || again.translated == 0 {
+		t.Errorf("AOT checkout after the stack-loop one: recycled=%v, %d AOT bodies",
+			again.recycled, again.translated)
 	}
-	pool.Put(vm2)
-
-	// Third checkout, fault gone: translation replays from scratch.
-	vm3, _, err := pool.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if st := pool.Stats(); st.Evictions != 2 {
+		t.Errorf("evictions = %d, want 2 (one per shape change)", st.Evictions)
 	}
-	if _, err := vm3.Call("work", I32(400)); err != nil {
-		t.Fatal(err)
-	}
-	if vm3.AOTTranslated() == 0 {
-		t.Error("post-fault checkout never re-translated")
-	}
-	pool.Put(vm3)
 }

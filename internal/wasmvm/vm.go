@@ -95,11 +95,10 @@ type Config struct {
 	// Profile enables per-function virtual-cycle profiles (also implied by
 	// a non-nil Tracer).
 	Profile bool
-	// Faults arms deterministic fault injection (memory.grow denial,
-	// optimizing-tier translation failure, artificial stalls). nil — the
-	// default — is completely inert: every injection site is guarded by a
-	// single nil check and the execution path is byte-identical to a build
-	// without fault injection.
+	// Faults arms deterministic fault injection (artificial stalls on
+	// function entry). nil — the default — is completely inert: the
+	// injection site is guarded by a single nil check and the execution
+	// path is byte-identical to a build without fault injection.
 	Faults *faultinject.Plan
 	// Instruments publishes live counters to a telemetry registry: per-tier
 	// cycles, steps, tier-ups, memory grows, and AOT translation totals.
@@ -260,10 +259,6 @@ type VM struct {
 	lastFlush Stats
 	// faults is the armed fault plan (nil = inert; see Config.Faults).
 	faults *faultinject.Plan
-	// growDenied records that the plan denied a memory.grow during the
-	// current exported call, so a failure that follows is typed as
-	// injected (see injectedCause).
-	growDenied bool
 	// childCycles accumulates callee cycles for the frame currently being
 	// profiled, so selfCycles = total − children.
 	childCycles float64
@@ -493,24 +488,12 @@ func (vm *VM) CallIndex(idx uint32, args ...uint64) ([]uint64, error) {
 		return nil, fmt.Errorf("%w: function %d takes %d arguments, got %d",
 			ErrSignature, idx, len(ft.Params), len(args))
 	}
-	vm.growDenied = false
 	res, err := vm.callIndex(idx, args)
 	vm.flushInstruments()
 	if res != nil {
 		res = append([]uint64(nil), res...) // detach from vm.ret
 	}
-	return res, vm.injectedCause(err)
-}
-
-// injectedCause wraps a failed call's error with the injected grow denial
-// that preceded it: the program saw memory.grow return −1 only because the
-// fault plan said so, so the failure unwraps to a faultinject error.
-func (vm *VM) injectedCause(err error) error {
-	if err != nil && vm.growDenied {
-		return fmt.Errorf("%w (after %w)", err,
-			faultinject.Errorf(faultinject.WasmGrowDeny, "memory.grow denied"))
-	}
-	return err
+	return res, err
 }
 
 // flushInstruments publishes the bulk counters accumulated since the last
