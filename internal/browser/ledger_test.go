@@ -123,9 +123,14 @@ func ledgerSection(key string) string {
 
 // ledgerCompile builds one kernel at -O2 and size XS for one target.
 func ledgerCompile(t *testing.T, b *benchsuite.Benchmark, tc compiler.Toolchain, target compiler.Target) *compiler.Artifact {
+	return ledgerCompileAt(t, b, tc, target, ir.O2)
+}
+
+// ledgerCompileAt builds one kernel at level lv and size XS for one target.
+func ledgerCompileAt(t *testing.T, b *benchsuite.Benchmark, tc compiler.Toolchain, target compiler.Target, lv ir.OptLevel) *compiler.Artifact {
 	t.Helper()
 	art, err := compiler.Compile(b.Source, compiler.Options{
-		Opt:        ir.O2,
+		Opt:        lv,
 		Toolchain:  tc,
 		Defines:    b.Defines(benchsuite.XS),
 		HeapLimit:  b.HeapLimitBytes(benchsuite.XS),
@@ -180,25 +185,38 @@ func TestWasmLedger(t *testing.T) {
 	checkLedger(t, "wasm", lines, true)
 }
 
+// jsLedgerLevels are the other -O levels a served request accepts (see
+// TestJSLedger); -O4 is absent because no request names it.
+var jsLedgerLevels = []ir.OptLevel{ir.O0, ir.O1, ir.O3, ir.Os, ir.Oz, ir.Ofast}
+
 // TestJSLedger is the JS section: 41 kernels × {cheerp, emscripten} at -O2
 // and size XS, with tier-up on and with the interpreter pinned, on both
 // desktop profiles — cycles, steps, peak heap, external bytes, GCs,
-// tier-ups, the Table 12 operator counts, the exit code and the output.
+// tier-ups, the Table 12 operator counts, the exit code and the output —
+// and the same kernels at every other level a served request accepts, with
+// tier-up on, on chrome-desktop: the whole JS space of a cold serve sweep.
 func TestJSLedger(t *testing.T) {
-	profiles := []*Profile{Chrome(Desktop), Firefox(Desktop)}
+	chrome := Chrome(Desktop)
+	profiles := []*Profile{chrome, Firefox(Desktop)}
 	var lines []string
+	line := func(key string, p *Profile, art *compiler.Artifact, basic bool) {
+		l, err := jsLedgerLine(key, p, art, basic)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		lines = append(lines, l)
+	}
 	for _, b := range ledgerKernels(true) {
 		for _, tc := range []compiler.Toolchain{compiler.Cheerp, compiler.Emscripten} {
 			art := ledgerCompile(t, b, tc, compiler.TargetJS)
 			for _, m := range jsLedgerModes {
 				for _, p := range profiles {
-					key := fmt.Sprintf("%s/%s/O2/XS/js/%s/%s", b.Name, tc, m.name, p.Name())
-					line, err := jsLedgerLine(key, p, art, m.basic)
-					if err != nil {
-						t.Fatalf("%s: %v", key, err)
-					}
-					lines = append(lines, line)
+					line(fmt.Sprintf("%s/%s/O2/XS/js/%s/%s", b.Name, tc, m.name, p.Name()), p, art, m.basic)
 				}
+			}
+			for _, lv := range jsLedgerLevels {
+				art := ledgerCompileAt(t, b, tc, compiler.TargetJS, lv)
+				line(fmt.Sprintf("%s/%s/%s/XS/js/both/%s", b.Name, tc, strings.TrimPrefix(lv.String(), "-"), chrome.Name()), chrome, art, false)
 			}
 		}
 	}
