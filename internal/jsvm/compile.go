@@ -352,6 +352,9 @@ func (c *jsCompiler) stmt(s jsStmt) (stmtFn, error) {
 	c.node()
 	switch st := s.(type) {
 	case *sVar:
+		if len(st.names) == 1 && st.inits[0] != nil && c.ty(st.inits[0]) == tNum {
+			return c.numVar(st.names[0], st.inits[0])
+		}
 		var fns []stmtFn
 		for i, name := range st.names {
 			depth, slot := c.scope.resolve(name)
@@ -437,6 +440,11 @@ func (c *jsCompiler) stmt(s jsStmt) (stmtFn, error) {
 		cond, err := c.truth(st.cond)
 		if err != nil {
 			return nil, err
+		}
+		if st.els == nil {
+			if f, ok := c.exitIf(cond, st.then); ok {
+				return f, nil
+			}
 		}
 		then, err := c.stmt(st.then)
 		if err != nil {
@@ -698,22 +706,25 @@ func (c *jsCompiler) stmt(s jsStmt) (stmtFn, error) {
 		}
 		return body, nil
 	case *sReturn:
-		var x exprFn
-		var err error
-		if st.x != nil {
-			x, err = c.expr(st.x)
-			if err != nil {
-				return nil, err
-			}
+		if st.x == nil {
+			return func(vm *VM, e *env) (ctrl, Value, error) {
+				if err := vm.step(e, JReturn); err != nil {
+					return ctrlNone, Undefined, err
+				}
+				return ctrlReturn, Undefined, nil
+			}, nil
+		}
+		// Like a call argument, a numeric result is boxed here, not by an
+		// adapter closure (see argList).
+		x, err := c.numArg(st.x)
+		if err != nil {
+			return nil, err
 		}
 		return func(vm *VM, e *env) (ctrl, Value, error) {
 			if err := vm.step(e, JReturn); err != nil {
 				return ctrlNone, Undefined, err
 			}
-			if x == nil {
-				return ctrlReturn, Undefined, nil
-			}
-			v, err := x(vm, e)
+			v, err := x.val(vm, e)
 			if err != nil {
 				return ctrlNone, Undefined, err
 			}
@@ -774,11 +785,16 @@ func (c *jsCompiler) stmt(s jsStmt) (stmtFn, error) {
 
 // voidExpr compiles an expression statement inside a function, where the
 // statement's value is dropped: numeric expressions run in the numeric
-// tier and assignments run their core directly. A number needs no GC
-// rooting; an assigned object stays rooted like any statement value.
+// tier, plain assignments compile to one statement closure each (see
+// assignStmt) and the other assignments run their core directly. A number
+// needs no GC rooting; an assigned object stays rooted like any statement
+// value.
 func (c *jsCompiler) voidExpr(x jsExpr) (stmtFn, bool, error) {
 	if a, ok := x.(*eAssign); ok {
 		c.node()
+		if f, ok, err := c.assignStmt(a); ok || err != nil {
+			return f, true, err
+		}
 		core, ok, err := c.assignCore(a)
 		if err != nil {
 			return nil, true, err
@@ -793,16 +809,7 @@ func (c *jsCompiler) voidExpr(x jsExpr) (stmtFn, bool, error) {
 				return 0, v, false, err
 			}
 		}
-		return func(vm *VM, e *env) (ctrl, Value, error) {
-			tb := len(vm.temps)
-			_, v, fast, err := core(vm, e)
-			vm.temps = vm.temps[:tb]
-			if !fast && v.Kind == KindObject {
-				vm.temps = append(vm.temps, v.Obj)
-			}
-			vm.maybeGC()
-			return ctrlNone, Undefined, err
-		}, true, nil
+		return coreStmt(core), true, nil
 	}
 	if c.ty(x) != tNum {
 		return nil, false, nil
@@ -818,6 +825,73 @@ func (c *jsCompiler) voidExpr(x jsExpr) (stmtFn, bool, error) {
 		vm.maybeGC()
 		return ctrlNone, Undefined, err
 	}, true, nil
+}
+
+// numVar compiles `var x = n;` with a surely numeric initializer, the
+// declarations every Cheerp function opens with, to one closure: the
+// initializer, the write, and the statement's safepoint.
+func (c *jsCompiler) numVar(name string, init jsExpr) (stmtFn, error) {
+	d, slot := c.scope.resolve(name)
+	n, err := c.numArg(init) // surely numeric: c.ty(init) == tNum
+	if err != nil {
+		return nil, err
+	}
+	return func(vm *VM, e *env) (ctrl, Value, error) {
+		tb := len(vm.temps)
+		v, err := n.num(vm, e)
+		if err == nil {
+			if err = vm.step(e, JVarWrite); err == nil {
+				setNum(&envAt(e, d).slots[slot], v)
+			}
+		}
+		vm.temps = vm.temps[:tb]
+		vm.maybeGC()
+		return ctrlNone, Undefined, err
+	}, nil
+}
+
+// exitIf compiles `if (cond) break L;` and `if (cond) continue L;`, the
+// exit tests of Cheerp's loops, to one closure: the branch's charge, the
+// condition, and the jump.
+func (c *jsCompiler) exitIf(cond truthFn, then jsStmt) (stmtFn, bool) {
+	var ct ctrl
+	var lbl string
+	switch st := then.(type) {
+	case *sBreak:
+		ct, lbl = ctrlBreak, st.label
+	case *sContinue:
+		ct, lbl = ctrlContinue, st.label
+	default:
+		return nil, false
+	}
+	c.node() // the break or continue
+	return func(vm *VM, e *env) (ctrl, Value, error) {
+		if err := vm.step(e, JBranch); err != nil {
+			return ctrlNone, Undefined, err
+		}
+		b, err := cond(vm, e)
+		if err != nil || !b {
+			return ctrlNone, Undefined, err
+		}
+		vm.ctrlLabel = lbl
+		return ct, Undefined, nil
+	}, true
+}
+
+// coreStmt runs an assignment core as a statement: the statement's
+// temporaries are dropped, an assigned object stays rooted, and the
+// safepoint runs, on the error path too.
+func coreStmt(core mixedCore) stmtFn {
+	return func(vm *VM, e *env) (ctrl, Value, error) {
+		tb := len(vm.temps)
+		_, v, fast, err := core(vm, e)
+		vm.temps = vm.temps[:tb]
+		if !fast && v.Kind == KindObject {
+			vm.temps = append(vm.temps, v.Obj)
+		}
+		vm.maybeGC()
+		return ctrlNone, Undefined, err
+	}
 }
 
 // function compiles a function body into a compiledFunc.

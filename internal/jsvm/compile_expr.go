@@ -288,11 +288,11 @@ func (c *jsCompiler) elemReference(x *eMember) (exprFn, refFn, error) {
 		if err != nil {
 			return Undefined, err
 		}
-		i, iv, err := idx.eval(vm, e)
-		if err != nil {
-			return Undefined, err
-		}
 		if ov.Kind == KindObject && ov.Obj.Kind == ObjTypedArray {
+			i, err := idx.num(vm, e)
+			if err != nil {
+				return Undefined, err
+			}
 			if err := vm.step(e, JTARead); err != nil {
 				return Undefined, err
 			}
@@ -302,6 +302,10 @@ func (c *jsCompiler) elemReference(x *eMember) (exprFn, refFn, error) {
 			}
 			return Num(o.TAGet(k)), nil
 		}
+		i, iv, err := idx.eval(vm, e)
+		if err != nil {
+			return Undefined, err
+		}
 		return vm.getElement(e, ov, idx.value(i, iv))
 	}
 	write := func(vm *VM, e *env, v Value) error {
@@ -309,16 +313,20 @@ func (c *jsCompiler) elemReference(x *eMember) (exprFn, refFn, error) {
 		if err != nil {
 			return err
 		}
-		i, iv, err := idx.eval(vm, e)
-		if err != nil {
-			return err
-		}
 		if ov.Kind == KindObject && ov.Obj.Kind == ObjTypedArray {
+			i, err := idx.num(vm, e)
+			if err != nil {
+				return err
+			}
 			if err := vm.step(e, JTAWrite); err != nil {
 				return err
 			}
 			ov.Obj.TASet(int(i), v.ToNumber())
 			return nil
+		}
+		i, iv, err := idx.eval(vm, e)
+		if err != nil {
+			return err
 		}
 		return vm.setElement(e, ov, idx.value(i, iv), v)
 	}
@@ -542,10 +550,10 @@ func (c *jsCompiler) member(x *eMember) (exprFn, error) {
 
 // pushArgs evaluates call arguments onto the VM's argument stack and
 // returns the stack height before them; the caller pops back to it.
-func pushArgs(vm *VM, e *env, args []exprFn) (int, error) {
+func pushArgs(vm *VM, e *env, args []numArg) (int, error) {
 	base := len(vm.argStack)
-	for _, af := range args {
-		v, err := af(vm, e)
+	for i := range args {
+		v, err := args[i].val(vm, e)
 		if err != nil {
 			vm.argStack = vm.argStack[:base]
 			return base, err
@@ -563,7 +571,7 @@ func (c *jsCompiler) call(x *eCall) (exprFn, error) {
 	if ok {
 		return boxMixed(core), nil
 	}
-	args, err := c.exprList(x.args)
+	args, err := c.argList(x.args)
 	if err != nil {
 		return nil, err
 	}
@@ -603,12 +611,12 @@ func (c *jsCompiler) call(x *eCall) (exprFn, error) {
 			return v, err
 		}, nil
 	}
-	calleeF, err := c.expr(x.callee)
+	callee, err := c.valArg(x.callee)
 	if err != nil {
 		return nil, err
 	}
 	return func(vm *VM, e *env) (Value, error) {
-		cv, err := calleeF(vm, e)
+		cv, err := callee.get(vm, e)
 		if err != nil {
 			return Undefined, err
 		}
@@ -642,7 +650,7 @@ func (c *jsCompiler) newExpr(x *eNew) (exprFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	args, err := c.exprList(x.args)
+	args, err := c.argList(x.args)
 	if err != nil {
 		return nil, err
 	}
