@@ -351,8 +351,8 @@ func hash01(seed uint64, pt Point, key string, n, rule uint64) float64 {
 //
 //	point:param=val[,param=val][;point:...]
 //
-// Params: prob (float), count (int), skip (int), limit (uint), stall
-// (Go duration), match (string). Example:
+// Params: prob (float), count (int), skip (int), limit (uint, js.heap-oom
+// only), stall (Go duration, wasm.stall only), match (string). Example:
 //
 //	wasm.stall:count=2,stall=100ms;js.heap-oom:limit=1048576;harness.worker-panic:prob=0.05
 func ParseSpec(spec string) ([]Rule, error) {
@@ -388,8 +388,14 @@ func ParseSpec(spec string) ([]Rule, error) {
 				r.Skip, err = strconv.Atoi(v)
 			case "limit":
 				r.Limit, err = strconv.ParseUint(v, 10, 64)
+				if r.Point != JSHeapOOM {
+					err = fmt.Errorf("only %s reads it", JSHeapOOM)
+				}
 			case "stall":
 				r.Stall, err = time.ParseDuration(v)
+				if r.Point != WasmStall {
+					err = fmt.Errorf("only %s reads it", WasmStall)
+				}
 			case "match":
 				r.Match = v
 			default:

@@ -216,6 +216,20 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
+	// limit= and stall= are read by one point each; on any other point the
+	// rule could never act as written, so the CLI rejects it.
+	for spec, want := range map[string]string{
+		"wasm.stall:limit=1":              `faultinject: rule "wasm.stall:limit=1": limit: only js.heap-oom reads it`,
+		"compiler.pass:count=1,limit=5":   `faultinject: rule "compiler.pass:count=1,limit=5": limit: only js.heap-oom reads it`,
+		"js.heap-oom:count=1,stall=100ms": `faultinject: rule "js.heap-oom:count=1,stall=100ms": stall: only wasm.stall reads it`,
+		"serve.shed:prob=0.5,stall=1s":    `faultinject: rule "serve.shed:prob=0.5,stall=1s": stall: only wasm.stall reads it`,
+		"harness.worker-panic:stall=x":    `faultinject: rule "harness.worker-panic:stall=x": stall: only wasm.stall reads it`,
+	} {
+		_, err := ParseSpec(spec)
+		if err == nil || err.Error() != want {
+			t.Errorf("ParseSpec(%q) error = %v, want %q", spec, err, want)
+		}
+	}
 	// Points that only re-routed a measurement or copied a natural
 	// failure are gone: the CLI rejects them as unknown, and the known
 	// list it prints is exactly the surviving six.
