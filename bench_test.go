@@ -332,7 +332,9 @@ func BenchmarkFig11FiveNumber(b *testing.B) {
 }
 
 // BenchmarkVMThroughput measures real wall-clock interpreter throughput of
-// the two VMs on a hot kernel (engineering sanity, not a paper figure).
+// the three engines (engineering sanity, not a paper figure): the Wasm and
+// x86 VMs on gemm at M, and the JS engine on AES at XS, Cheerp -O2, on
+// chrome-desktop, the cell that leads a cold serve sweep's tail.
 func BenchmarkVMThroughput(b *testing.B) {
 	bench, err := benchsuite.ByName("gemm")
 	if err != nil {
@@ -359,5 +361,30 @@ func BenchmarkVMThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	aes, err := benchsuite.ByName("AES")
+	if err != nil {
+		b.Fatal(err)
+	}
+	jsArt, err := compiler.Compile(aes.Source, compiler.Options{
+		Opt: ir.O2, Toolchain: compiler.Cheerp, Defines: aes.Defines(benchsuite.XS),
+		HeapLimit: aes.HeapLimitBytes(benchsuite.XS), ModuleName: "AES",
+		Targets: []compiler.Target{compiler.TargetJS},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("js", func(b *testing.B) {
+		cfg := browser.Chrome(browser.Desktop).JS
+		var steps uint64
+		for i := 0; i < b.N; i++ {
+			res, err := compiler.RunJS(jsArt, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps = res.Steps
+		}
+		b.ReportMetric(float64(steps), "steps")
+		b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msteps/s")
 	})
 }
