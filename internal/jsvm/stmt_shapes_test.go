@@ -352,7 +352,7 @@ const sweepDense = 400
 // stepLimitSweep runs src under the step limits 1..sweepDense and a sample
 // of the rest up to steps+1 and digests, for each, the error, the step and
 // cycle counts at the trip and every slot of the global scope and of the
-// activation records the run left behind.
+// activation records in flight when the limit tripped.
 func stepLimitSweep(src string, cfg Config, steps uint64) string {
 	h := fnv.New64a()
 	stride := max(1, (steps+1)/100)
@@ -374,8 +374,11 @@ func stepLimitSweep(src string, cfg Config, steps uint64) string {
 				fmt.Fprintf(h, "%s=%s,", name, dumpValue(vm.global.slots[vm.gprog.slotOf[name]], 1))
 			}
 		}
-		for i := range vm.envSlab {
-			for _, v := range vm.envSlab[i].slots {
+		for _, e := range vm.tripEnvs {
+			if e == vm.global {
+				continue
+			}
+			for _, v := range e.slots {
 				fmt.Fprintf(h, "%s,", dumpValue(v, 1))
 			}
 			h.Write([]byte{';'})
