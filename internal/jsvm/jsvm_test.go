@@ -1,6 +1,7 @@
 package jsvm
 
 import (
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -470,5 +471,21 @@ func TestEngineMaxima(t *testing.T) {
 	vm, _ = run(t, `var a = [1, 2]; a.push(a); var __exit = ('' + a).length;`)
 	if got := exitOf(t, vm); got != 4 {
 		t.Errorf("cyclic array string length %d, want 4 (\"1,2,\")", got)
+	}
+}
+
+// TestHostSlotsDeterministic: the host names a program mentions get the
+// same global slots on every compile of the same source.
+func TestHostSlotsDeterministic(t *testing.T) {
+	const src = `var a = new Int8Array(1), b = new Uint8Array(1), c = new Int16Array(1),
+  d = new Uint16Array(1), e = new Int32Array(1), f = new Uint32Array(1),
+  g = new Float32Array(1), h = new Float64Array(1);
+var s = String; console.log(Math.imul(2, 3));`
+	first, _ := run(t, src)
+	for i := 0; i < 4; i++ {
+		vm, _ := run(t, src)
+		if !maps.Equal(vm.gprog.slotOf, first.gprog.slotOf) {
+			t.Fatalf("compile %d: slots %v, first compile %v", i+2, vm.gprog.slotOf, first.gprog.slotOf)
+		}
 	}
 }
