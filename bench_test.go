@@ -375,6 +375,7 @@ func BenchmarkVMThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("js", func(b *testing.B) {
+		b.ReportAllocs()
 		cfg := browser.Chrome(browser.Desktop).JS
 		var steps uint64
 		for i := 0; i < b.N; i++ {

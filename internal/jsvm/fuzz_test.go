@@ -38,7 +38,7 @@ func FuzzJSRun(f *testing.F) {
 			f.Add(art.JS)
 		}
 	}
-	for _, file := range []string{"jsvm_test.go", "tier_boundary_test.go", "stmt_shapes_test.go"} {
+	for _, file := range []string{"jsvm_test.go", "tier_boundary_test.go", "stmt_shapes_test.go", "recycle_test.go"} {
 		for _, s := range testSnippets(f, file) {
 			f.Add(s)
 		}

@@ -1387,7 +1387,7 @@ func varStore(d, slot int, rhs numArg) stmtFn {
 	switch {
 	case rhs.kind == argNum && d == 0:
 		f := rhs.n
-		return func(vm *VM, e *env) (ctrl, Value, error) {
+		return func(vm *VM, e *env) (ctrl, error) {
 			tb := len(vm.temps)
 			n, err := f(vm, e)
 			if err == nil {
@@ -1397,11 +1397,11 @@ func varStore(d, slot int, rhs numArg) stmtFn {
 			}
 			vm.temps = vm.temps[:tb]
 			vm.maybeGC()
-			return ctrlNone, Undefined, err
+			return ctrlNone, err
 		}
 	case rhs.kind == argNum:
 		f := rhs.n
-		return func(vm *VM, e *env) (ctrl, Value, error) {
+		return func(vm *VM, e *env) (ctrl, error) {
 			tb := len(vm.temps)
 			n, err := f(vm, e)
 			if err == nil {
@@ -1411,11 +1411,11 @@ func varStore(d, slot int, rhs numArg) stmtFn {
 			}
 			vm.temps = vm.temps[:tb]
 			vm.maybeGC()
-			return ctrlNone, Undefined, err
+			return ctrlNone, err
 		}
 	case rhs.surelyNum():
 		// A literal, or a variable or literal under a coercion idiom.
-		return func(vm *VM, e *env) (ctrl, Value, error) {
+		return func(vm *VM, e *env) (ctrl, error) {
 			n, err := rhs.num(vm, e)
 			if err == nil {
 				if err = vm.step(e, JVarWrite); err == nil {
@@ -1423,12 +1423,12 @@ func varStore(d, slot int, rhs numArg) stmtFn {
 				}
 			}
 			vm.maybeGC()
-			return ctrlNone, Undefined, err
+			return ctrlNone, err
 		}
 	case rhs.kind == argVar:
 		// A copy: a number moves without the 40-byte Value copy.
 		sd, ss := rhs.depth, rhs.slot
-		return func(vm *VM, e *env) (ctrl, Value, error) {
+		return func(vm *VM, e *env) (ctrl, error) {
 			src := &envAt(e, sd).slots[ss]
 			err := vm.step(e, JVarRead)
 			if err == nil {
@@ -1445,11 +1445,11 @@ func varStore(d, slot int, rhs numArg) stmtFn {
 				}
 			}
 			vm.maybeGC()
-			return ctrlNone, Undefined, err
+			return ctrlNone, err
 		}
 	case rhs.kind == argMixed:
 		m := rhs.m
-		return func(vm *VM, e *env) (ctrl, Value, error) {
+		return func(vm *VM, e *env) (ctrl, error) {
 			tb := len(vm.temps)
 			n, v, fast, err := m(vm, e)
 			if err == nil {
@@ -1468,11 +1468,11 @@ func varStore(d, slot int, rhs numArg) stmtFn {
 				}
 			}
 			vm.maybeGC()
-			return ctrlNone, Undefined, err
+			return ctrlNone, err
 		}
 	}
 	f := rhs.v
-	return func(vm *VM, e *env) (ctrl, Value, error) {
+	return func(vm *VM, e *env) (ctrl, error) {
 		tb := len(vm.temps)
 		v, err := f(vm, e)
 		if err == nil {
@@ -1486,7 +1486,7 @@ func varStore(d, slot int, rhs numArg) stmtFn {
 			}
 		}
 		vm.maybeGC()
-		return ctrlNone, Undefined, err
+		return ctrlNone, err
 	}
 }
 
@@ -1494,12 +1494,12 @@ func varStore(d, slot int, rhs numArg) stmtFn {
 // typed-array store writes the element in place, any other target goes
 // through setElement with Num of the value. A number needs no rooting.
 func elemStore(obj, idx, rhs numArg) stmtFn {
-	return func(vm *VM, e *env) (ctrl, Value, error) {
+	return func(vm *VM, e *env) (ctrl, error) {
 		tb := len(vm.temps)
 		err := storeNum(vm, e, &obj, &idx, &rhs)
 		vm.temps = vm.temps[:tb]
 		vm.maybeGC()
-		return ctrlNone, Undefined, err
+		return ctrlNone, err
 	}
 }
 
