@@ -30,7 +30,7 @@ e2ebench-test:
 # Performance numbers behind BENCH_perf.json: observability overhead
 # (nil-tracer guard on the interpreter hot path), wasmvm optimizing-tier
 # dispatch (AOT superblocks vs the stack loop), instantiation (cold vs
-# snapshot clone vs reset, on a small and a 273-page module), the memory
+# snapshot clone, on a small and a 273-page module), the memory
 # checksum, and the parallel harness
 # grid (compile cache on/off, instance pools fresh and steady-state).
 bench:
@@ -87,14 +87,19 @@ telemetry-smoke:
 	$(GO) test ./internal/telemetry -run TestTelemetrySmoke -count=1
 	$(GO) test ./internal/obsv -run 'TestNilTelemetryAllocationFree|TestInstrumentsPreserveVirtualMetrics' -count=1
 
-# Pool drill: snapshot/pool determinism (clone, reset, and pooled sweeps
-# byte-identical to cold instantiation), linear memory that commits on
-# touch (a flat-buffer model, traps at the size, instantiation that commits
-# only the data segments), plus concurrent checkout under the race detector
-# and the pooled differential-oracle configs.
+# Pool drill: snapshot/pool determinism (clones and pooled sweeps
+# byte-identical to cold instantiation, Put keeping nothing), linear
+# memory that commits on touch (a flat-buffer model, traps at the size,
+# instantiation that commits only the data segments), plus concurrent
+# checkout under the race detector. require-tests.sh fails the drill when
+# an alternative of a -run pattern names no test.
+POOL_SMOKE_WASMVM = TestSnapshot|TestPool|TestMemory
+POOL_SMOKE_HARNESS = TestPoolSmoke|TestPoolSharedAcrossRuns|TestPoolTelemetry
 pool-smoke:
-	$(GO) test ./internal/wasmvm -run 'TestSnapshot|TestPool|TestReset|TestMemory' -count=1 -race
-	$(GO) test ./internal/harness -run 'TestPoolSmoke|TestPoolSharedAcrossRuns|TestPoolTelemetry' -count=1 -race
+	GO=$(GO) sh require-tests.sh ./internal/wasmvm '$(POOL_SMOKE_WASMVM)'
+	GO=$(GO) sh require-tests.sh ./internal/harness '$(POOL_SMOKE_HARNESS)'
+	$(GO) test ./internal/wasmvm -run '$(POOL_SMOKE_WASMVM)' -count=1 -race
+	$(GO) test ./internal/harness -run '$(POOL_SMOKE_HARNESS)' -count=1 -race
 
 # Serve smoke: the overload-safety and measurement-honesty proofs under
 # the race detector (fixed-seed HTTP burst past the queue bound with
@@ -125,7 +130,7 @@ js-fuzz:
 # wasmrun reads them (decode → validate → instantiate → main under a step
 # limit and a small page cap) must never panic and must fail only with
 # typed errors; a run that passes cold must report identical virtual
-# metrics on a pooled capture and on the reset instance. Seeded with the
+# metrics on a pooled capture and on a snapshot clone. Seeded with the
 # kernels' Wasm builds; minimization capped as for js-fuzz.
 wasm-fuzz:
 	$(GO) test ./internal/wasmvm -run '^$$' -fuzz FuzzWasmDecode -fuzztime 10s -fuzzminimizetime 100x

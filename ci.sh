@@ -27,10 +27,13 @@ go test ./internal/serve -run 'TestServeFaultDrill|TestServeFaultDrillHTTP' -cou
 # well-formed, plus the disabled-telemetry zero-overhead proof.
 go test ./internal/telemetry -run TestTelemetrySmoke -count=1
 go test ./internal/obsv -run 'TestNilTelemetryAllocationFree|TestInstrumentsPreserveVirtualMetrics' -count=1
-# Pool drill: snapshot/pool determinism (clone, reset, pooled sweeps
+# Pool drill: snapshot/pool determinism (clones and pooled sweeps
 # byte-identical to cold instantiation), commit-on-touch linear memory, and
-# concurrent checkout, race-clean.
-go test ./internal/wasmvm -run 'TestSnapshot|TestPool|TestReset|TestMemory' -count=1 -race
+# concurrent checkout, race-clean; require-tests.sh fails when an
+# alternative of a -run pattern names no test.
+sh require-tests.sh ./internal/wasmvm 'TestSnapshot|TestPool|TestMemory'
+sh require-tests.sh ./internal/harness 'TestPoolSmoke|TestPoolSharedAcrossRuns|TestPoolTelemetry'
+go test ./internal/wasmvm -run 'TestSnapshot|TestPool|TestMemory' -count=1 -race
 go test ./internal/harness -run 'TestPoolSmoke|TestPoolSharedAcrossRuns|TestPoolTelemetry' -count=1 -race
 # Serve smoke: overload safety (fixed-seed burst past the queue bound must
 # shed explicitly while /healthz stays live and every request terminates),
@@ -47,7 +50,7 @@ go test ./internal/serve -run '^$' -fuzz FuzzRequestDecode -fuzztime 10s
 # errors, stays within the engine maxima per step.
 go test ./internal/jsvm -run '^$' -fuzz FuzzJSRun -fuzztime 10s -fuzzminimizetime 100x
 # The Wasm input boundary: never panics, fails only with typed errors, and
-# a pooled capture and its reset instance match the cold run.
+# a pooled capture and a snapshot clone match the cold run.
 go test ./internal/wasmvm -run '^$' -fuzz FuzzWasmDecode -fuzztime 10s -fuzzminimizetime 100x
 # The C front end's input boundary: never panics, fails only with
 # compiler.ErrInvalidSource, and allocates at most 256 MiB per compile.

@@ -40,7 +40,6 @@ func main() {
 	breakerFailures := flag.Int("breaker-failures", 0, "trip a cell's circuit breaker after this many consecutive failures (0 = off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before the half-open probe (0 = 5s)")
 	stepLimit := flag.Uint64("step-limit", 0, "per-measurement dynamic instruction budget (0 = profile default)")
-	vmPool := flag.Bool("vm-pool", true, "serve Wasm cells from warm pooled instances")
 	noCache := flag.Bool("no-compile-cache", false, "cold-compile every request")
 	faultSpec := flag.String("faults", "", "fault plan spec, e.g. 'serve.shed:prob=0.1;wasm.stall:count=3,stall=2s'")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault plan seed")
@@ -93,7 +92,6 @@ func main() {
 		StepLimit:       *stepLimit,
 		BreakerFailures: *breakerFailures,
 		BreakerCooldown: *breakerCooldown,
-		DisableVMPool:   !*vmPool,
 		DisableCache:    *noCache,
 		Faults:          plan,
 		Hub:             hub,

@@ -26,11 +26,8 @@
 // label names. -deadline and -step-limit bound each cell in wall-clock and
 // virtual time, -resume checkpoints completed cells to a file and restores
 // them on the next invocation, and -faults/-fault-seed inject a
-// deterministic fault plan for drills. -vm-pool serves Wasm cells from
-// per-artifact instance pools (snapshot clones/resets instead of cold
-// instantiation; host time only — every virtual metric is unchanged; each
-// pool holds at most workers+1 live instances). Any failed cell makes
-// benchtab exit nonzero with a failure summary on stderr.
+// deterministic fault plan for drills. Any failed cell makes benchtab exit
+// nonzero with a failure summary on stderr.
 package main
 
 import (
@@ -66,7 +63,6 @@ func main() {
 	stepLimit := flag.Uint64("step-limit", 0, "with -metrics: dynamic instruction budget per measurement (0 = profile default)")
 	faultSpec := flag.String("faults", "", "with -metrics: deterministic fault plan, e.g. 'wasm.stall:count=2,stall=100ms;harness.worker-panic:prob=0.05'")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the -faults plan")
-	vmPool := flag.Bool("vm-pool", false, "with -metrics: serve Wasm measurements from per-artifact instance pools (post-init snapshot clones and resets instead of cold instantiation; virtual metrics are unchanged)")
 	telemetryAddr := flag.String("telemetry", "", "with -metrics: serve live telemetry on this address during the sweep (/metrics, /debug/trace, /debug/profile, /debug/cells, /healthz); ':0' picks a free port")
 	telemetrySnap := flag.String("telemetry-snapshot", "", "with -metrics: write a metrics snapshot when the sweep ends ('-' = text to stdout; a path ending in .json gets JSON)")
 	flag.Parse()
@@ -105,7 +101,6 @@ func main() {
 			DisableCache: !*compileCache,
 			Deadline:     *deadline,
 			StepLimit:    *stepLimit,
-			VMPool:       *vmPool,
 		}
 		if *faultSpec != "" {
 			rules, err := faultinject.ParseSpec(*faultSpec)

@@ -15,8 +15,6 @@
 //	                                   # (identical metrics, slower dispatch)
 //	wasmrun -tierup-threshold 50 prog.wasm  # hotness before tier-up (like
 //	                                        # tuning V8's --wasm-tiering-budget)
-//	wasmrun -snapshot prog.wasm        # run on a snapshot-recycled instance
-//	                                   # (identical metrics, instant startup)
 package main
 
 import (
@@ -43,7 +41,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
 	foldedOut := flag.String("folded-out", "", "write folded stacks (flamegraph.pl / speedscope input)")
 	teleSnap := flag.String("telemetry-snapshot", "", "dump a telemetry metrics snapshot after the run ('-' = text to stdout; a path ending in .json gets JSON)")
-	snapshotFlag := flag.Bool("snapshot", false, "execute on a snapshot-recycled instance: capture a post-init snapshot, run once on a pooled checkout, then run the reported measurement on the reset instance (virtual metrics are identical to a cold run)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: wasmrun [flags] <module.wasm>")
@@ -101,46 +98,12 @@ func main() {
 		cfg.Instruments = telemetry.NewVMInstruments(reg)
 	}
 
-	var vm *wasmvm.VM
-	if *snapshotFlag {
-		// Drive a pool of one through a full checkout/recycle cycle so the
-		// measured run executes on a reset instance: the first Get captures
-		// the post-init snapshot, the warm-up run dirties the instance, Put
-		// parks it without its linear memory, and the second Get resets it
-		// (fresh zero pages plus the data segments) for the reported run.
-		pool := wasmvm.NewInstancePool(mod, len(bin), wasmvm.PoolOptions{MaxInstances: 1})
-		// The warm-up checkout runs detached (no tracer, profile, or
-		// instruments) so the reported run's observability streams only see
-		// the measured execution.
-		warmCfg := cfg
-		warmCfg.Tracer = nil
-		warmCfg.Instruments = nil
-		warmCfg.Profile = false
-		warm, _, err := pool.Get(warmCfg)
-		if err != nil {
-			fatal(err)
-		}
-		compiler.BindWasmImports(warm)
-		if _, err := warm.Call(*entry); err != nil {
-			fatal(err)
-		}
-		pool.Put(warm)
-		vm, _, err = pool.Get(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		st := pool.Stats()
-		fmt.Printf("snapshot: measuring on a recycled instance (%d hit, %d miss, %d recycles)\n",
-			st.Hits, st.Misses, st.Recycles)
-	} else {
-		var err error
-		vm, err = wasmvm.New(mod, len(bin), cfg)
-		if err != nil {
-			fatal(err)
-		}
-		if err := vm.Instantiate(); err != nil {
-			fatal(err)
-		}
+	vm, err := wasmvm.New(mod, len(bin), cfg)
+	if err != nil {
+		fatal(err)
+	}
+	if err := vm.Instantiate(); err != nil {
+		fatal(err)
 	}
 	out := compiler.BindWasmImports(vm)
 	res, err := vm.Call(*entry)

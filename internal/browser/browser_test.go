@@ -194,9 +194,9 @@ func TestTabCapGrowDeniedAtBudget(t *testing.T) {
 // TestTabCapPoolReclaim drives an instance pool bounded at two instances
 // like a mobile tab manager: the pool admits exactly the budget, an
 // over-budget checkout under ColdFallback runs cold (the tab-kill
-// analogue — no blocking, no error), and an idle instance of another
-// engine shape is evicted to admit a new one, exactly as an idle tab is
-// reclaimed for a foreground one.
+// analogue — no blocking, no error), and closing the tabs reclaims their
+// slots, so a foreground tab with another engine config is admitted into
+// the pool rather than run cold.
 func TestTabCapPoolReclaim(t *testing.T) {
 	cfgA := Chrome(Mobile).Wasm
 	cfgA.MaxPages = tabBudgetPages
@@ -217,12 +217,12 @@ func TestTabCapPoolReclaim(t *testing.T) {
 	}
 	// Budget exhausted: the third concurrent tab runs cold instead of
 	// waiting for a kill.
-	vm3, recycled, err := pool.Get(cfgA)
+	vm3, cloned, err := pool.Get(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recycled {
-		t.Error("over-budget checkout reported recycled")
+	if cloned {
+		t.Error("over-budget checkout reported a clone")
 	}
 	if s := pool.Stats(); s.ColdFallbacks != 1 || s.Live != budget {
 		t.Errorf("after over-budget checkout: %+v, want 1 cold fallback at live=%d", s, budget)
@@ -230,23 +230,20 @@ func TestTabCapPoolReclaim(t *testing.T) {
 	pool.Put(vm3) // cold instance is outside the pool: dropped, not admitted
 	pool.Put(vm1)
 	pool.Put(vm2)
-	if s := pool.Stats(); s.Idle != budget {
-		t.Errorf("idle = %d, want %d", s.Idle, budget)
+	if s := pool.Stats(); s.Live != 0 {
+		t.Errorf("live = %d after closing every tab, want 0", s.Live)
 	}
 
-	// A foreground tab with a different engine shape evicts an idle one.
+	// A foreground tab with a different engine config takes a reclaimed slot.
 	cfgB := cfgA
 	cfgB.TierUpThreshold = 77
-	vmB, _, err := pool.Get(cfgB)
+	vmB, cloned, err := pool.Get(cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := pool.Stats()
-	if s.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1 (idle tab reclaimed)", s.Evictions)
-	}
-	if s.Live != budget {
-		t.Errorf("live = %d, want %d (budget never exceeded)", s.Live, budget)
+	if !cloned || s.ColdFallbacks != 1 || s.Live != 1 {
+		t.Errorf("foreground tab: cloned=%v, %+v; want a pooled clone, still 1 cold fallback", cloned, s)
 	}
 	pool.Put(vmB)
 }

@@ -244,8 +244,8 @@ type MeasureOptions struct {
 	StepLimit uint64
 	// Faults arms a fault plan on the engine for this run.
 	Faults *faultinject.Plan
-	// VMPool serves the Wasm run from a pooled instance, cloned or reset
-	// from its snapshot, instead of a cold instantiation. Host wall-clock
+	// VMPool serves the Wasm run from a pooled instance, the snapshot
+	// capture or a clone of it, instead of a cold instantiation. Host wall-clock
 	// only: virtual metrics are byte-identical by the wasmvm snapshot
 	// contract, so a nil pool (the default) and a pooled run measure the
 	// same numbers.

@@ -40,11 +40,9 @@ type Result struct {
 	// otherwise. The harness merges these into the live telemetry hub.
 	Profiles []obsv.FuncProfile
 	// VMPooled reports that the run was served through an instance pool
-	// (RunWasmPooled with a live pool checkout); VMPoolRecycled narrows that
-	// to a snapshot-reset recycled instance rather than a fresh clone.
-	// Host-time bookkeeping only — never part of differential comparison.
-	VMPooled       bool
-	VMPoolRecycled bool
+	// (RunWasmPooled with a live pool checkout). Host-time bookkeeping
+	// only — never part of differential comparison.
+	VMPooled bool
 }
 
 const (
@@ -200,11 +198,11 @@ func RunWasm(art *Artifact, cfg wasmvm.Config) (*Result, error) {
 }
 
 // RunWasmPooled executes like RunWasm but checks the VM instance out of
-// pool — a recycled or snapshot-cloned instance rather than a cold
-// New+Instantiate — and returns it for recycling afterwards, even when main
-// traps (Reset unwinds a trapped instance). Virtual metrics are
-// byte-identical to RunWasm by the snapshot determinism contract; only host
-// wall-clock changes. A nil pool runs the cold path, and a saturated pool
+// pool — the snapshot capture or a clone of it rather than a cold
+// New+Instantiate — and hands it back afterwards, even when main traps.
+// Virtual metrics are byte-identical to RunWasm by the snapshot
+// determinism contract; only host wall-clock changes. A nil pool runs the
+// cold path, and a saturated pool
 // under PoolOptions.ColdFallback hands out a cold instance itself (see
 // InstancePool.Get).
 func RunWasmPooled(art *Artifact, cfg wasmvm.Config, pool *wasmvm.InstancePool) (*Result, error) {
@@ -214,7 +212,7 @@ func RunWasmPooled(art *Artifact, cfg wasmvm.Config, pool *wasmvm.InstancePool) 
 	if art.Module == nil {
 		return nil, fmt.Errorf("compiler: artifact has no wasm module")
 	}
-	vm, recycled, err := pool.Get(cfg)
+	vm, _, err := pool.Get(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +223,6 @@ func RunWasmPooled(art *Artifact, cfg wasmvm.Config, pool *wasmvm.InstancePool) 
 		return nil, err
 	}
 	r.VMPooled = true
-	r.VMPoolRecycled = recycled
 	return r, nil
 }
 

@@ -83,11 +83,11 @@ func DefaultOracle() *Oracle {
 }
 
 // wasmVariant names one wasmvm configuration. pooled variants run twice
-// through a single-instance snapshot pool — once on the snapshot-cloned
-// capture instance ("+pool") and once on the Reset-recycled instance
-// ("+recycle") — and both outcomes enter the within-wasm comparison, so the
-// oracle proves pooled instantiation print/exit/steps/checksum-identical to
-// every cold config of the same artifact.
+// through a single-instance snapshot pool — once on the snapshot capture
+// instance ("+pool") and once on a clone of the snapshot ("+clone") — and
+// both outcomes enter the within-wasm comparison, so the oracle proves
+// pooled instantiation print/exit/steps/checksum-identical to every cold
+// config of the same artifact.
 type wasmVariant struct {
 	name   string
 	cfg    wasmvm.Config
@@ -124,7 +124,7 @@ func wasmVariants(full bool) []wasmVariant {
 		out = append(out,
 			wasmVariant{name: md.n + "+stack", cfg: mk(md.m, false)},
 			wasmVariant{name: md.n + "+aot", cfg: mk(md.m, true)},
-			// Pooled, covering snapshot clone + recycle.
+			// Pooled, covering snapshot capture + clone.
 			wasmVariant{name: md.n + "+aot", cfg: mk(md.m, true), pooled: true})
 	}
 	return out
@@ -260,10 +260,10 @@ func (o *Oracle) runMatrix(art *compiler.Artifact, tc compiler.Toolchain) []Outc
 			}
 			if v.pooled {
 				// Two checkouts through a one-instance pool: the first runs
-				// the snapshot-capture instance, the second the recycled one.
+				// the snapshot-capture instance, the second a clone.
 				pool := wasmvm.NewInstancePool(art.Module, len(art.WasmBinary),
 					wasmvm.PoolOptions{MaxInstances: 1})
-				for _, phase := range []string{"+pool", "+recycle"} {
+				for _, phase := range []string{"+pool", "+clone"} {
 					res, err := safeRun(func() (*compiler.Result, error) {
 						return compiler.RunWasmPooled(art, cfg, pool)
 					})

@@ -43,7 +43,7 @@ func TestFaultSmoke(t *testing.T) {
 		{Point: faultinject.HarnessPanic, Count: 1, Match: "gesummv"},
 	}
 
-	clean, _ := RunCellsWith(cells, RunOptions{Workers: 1, VMPool: true})
+	clean, _ := RunCellsWith(cells, RunOptions{Workers: 1, SharedVMPools: NewVMPools(nil, nil)})
 
 	type outcome struct {
 		counts   map[faultinject.Point]int
@@ -55,7 +55,7 @@ func TestFaultSmoke(t *testing.T) {
 		plan := faultinject.NewPlan(2026, rules...)
 		res, m := RunCellsWith(cells, RunOptions{
 			Workers: 1, Deadline: time.Minute, Faults: plan,
-			VMPool: true, // pooled instances, as benchserve runs them
+			SharedVMPools: NewVMPools(nil, nil), // pooled instances, as benchserve runs them
 		})
 		outcomes := make([]string, len(res))
 		for i, r := range res {

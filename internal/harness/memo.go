@@ -54,7 +54,7 @@ type memoEntry struct {
 // be a pure function of its key: a fault plan stalls or fails cells one by
 // one (wasm.stall, js.heap-oom), and pooled runs report per-run pool flags.
 func newMeasureMemo(opt RunOptions) *measureMemo {
-	if opt.Faults != nil || opt.VMPool {
+	if opt.Faults != nil || opt.SharedVMPools != nil {
 		return nil
 	}
 	return &measureMemo{entries: make(map[measureKey]*memoEntry)}

@@ -148,7 +148,7 @@ func TestMeasureReuseOffWhenImpure(t *testing.T) {
 	}{
 		{"faults", table2Grid(t, browser.Chrome(browser.Desktop)), RunOptions{Faults: faultinject.NewPlan(1)}},
 		{"tracer", table2Grid(t, traced), RunOptions{}},
-		{"vmpool", table2Grid(t, browser.Chrome(browser.Desktop)), RunOptions{VMPool: true}},
+		{"vmpool", table2Grid(t, browser.Chrome(browser.Desktop)), RunOptions{SharedVMPools: NewVMPools(nil, nil)}},
 	}
 	for _, tc := range cases {
 		tc.opt.Workers = 2

@@ -84,7 +84,7 @@ func runAttempt(c Cell, cache *ArtifactCache, memo *measureMemo, opt RunOptions,
 		case "x86":
 			return runX86(art, mo)
 		default:
-			mo.VMPool = opt.vmPools.poolFor(c.Fingerprint(), art)
+			mo.VMPool = opt.SharedVMPools.poolFor(c.Fingerprint(), art)
 			return c.Profile.MeasureWasmWith(art, mo)
 		}
 	}

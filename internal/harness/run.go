@@ -139,24 +139,16 @@ type RunOptions struct {
 	// opt-out for compile-time measurement studies. Measurements are
 	// unaffected either way; only wall-clock compile time changes.
 	DisableCache bool
-	// VMPool serves Wasm measurements from per-artifact instance pools:
-	// cells that differ only in browser profile share one pool, cloning VMs
-	// from a post-init snapshot and recycling them with Reset instead of
-	// re-running module init per cell. Like the artifact cache, this is
+	// SharedVMPools, when set, serves Wasm measurements from a
+	// caller-owned pool set shared across many runs — the substrate a
+	// long-running server keeps across requests: each artifact's pool
+	// clones its instances from one post-init snapshot instead of re-running
+	// module init per request. Like the artifact cache, this is
 	// wall-clock-only — virtual metrics are byte-identical to cold runs by
 	// the wasmvm snapshot contract. Saturated pools fall back to cold
-	// instantiation, never blocking a worker. Each artifact pool holds at
-	// most workers+1 live instances.
-	VMPool bool
-	// SharedVMPools, when set (and VMPool is true), serves Wasm
-	// measurements from a caller-owned pool set shared across many runs —
-	// the warm-instance substrate a long-running server keeps across
-	// requests. nil creates a fresh pool set per run as before.
+	// instantiation, never blocking a worker. nil (the default) measures
+	// every Wasm cell on a cold instance.
 	SharedVMPools *VMPools
-	// vmPools is the pool set actually used; pre-seeded by tests and
-	// benchmarks that share pools across runs, created fresh per run
-	// otherwise.
-	vmPools *vmPoolSet
 
 	// Context, when set, cancels the run cooperatively: cells not yet
 	// started fail fast with ErrCellCanceled, in-flight attempts are
@@ -225,8 +217,8 @@ func RunCellsN(cells []Cell, workers int) []CellResult {
 // byte-identical to an earlier cell's, on the same profile, mode and step
 // limit, gets its own copy of that measurement (CellMetric.MeasureReused).
 // Every engine is deterministic, so results are identical either way. The
-// reuse stays off under a fault plan, with VMPool, and for profiles that
-// carry a tracer or telemetry instruments.
+// reuse stays off under a fault plan, with SharedVMPools, and for profiles
+// that carry a tracer or telemetry instruments.
 func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics) {
 	out := make([]CellResult, len(cells))
 	workers := opt.Workers
@@ -243,24 +235,13 @@ func RunCellsWith(cells []Cell, opt RunOptions) ([]CellResult, *obsv.RunMetrics)
 	if opt.DisableCache {
 		cache = nil
 	}
-	if opt.VMPool && opt.vmPools == nil {
-		if opt.SharedVMPools != nil {
-			opt.vmPools = opt.SharedVMPools.set
-		} else {
-			var pi *telemetry.PoolInstruments
-			if opt.Telemetry != nil {
-				pi = telemetry.NewPoolInstruments(opt.Telemetry.Registry())
-			}
-			opt.vmPools = newVMPoolSet(workers+1, pi)
-		}
-	}
 	ctx := opt.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	memo := newMeasureMemo(opt)
 
-	rec := newRunRecord(cells, workers, cache, opt.vmPools, opt.Faults, opt.Telemetry)
+	rec := newRunRecord(cells, workers, cache, opt.SharedVMPools, opt.Faults, opt.Telemetry)
 	start := rec.start
 	// Tee harness trace events into the hub's flight window.
 	if opt.Telemetry != nil {
@@ -375,7 +356,6 @@ func recordResult(cm *obsv.CellMetric, r CellResult) {
 	cm.OptCycles = res.WasmStats.OptCycles
 	cm.AOTCycles = res.WasmStats.AOTCycles
 	cm.VMPooled = res.VMPooled
-	cm.VMPoolHit = res.VMPoolRecycled
 }
 
 // FirstError returns the first cell error, if any.

@@ -38,19 +38,25 @@ func BenchmarkRunCellsMultiProfile(b *testing.B) {
 	b.Run("uncached", func(b *testing.B) {
 		run(b, RunOptions{Workers: 2, DisableCache: true})
 	})
-	// Pool set created fresh each iteration: every profile still clones from
-	// the per-artifact snapshot instead of re-running module init.
+	// Pool set created fresh each iteration: the first profile captures the
+	// artifact's snapshot and the rest clone it instead of re-running
+	// module init.
 	b.Run("pooled", func(b *testing.B) {
-		run(b, RunOptions{Workers: 2, VMPool: true})
+		for i := 0; i < b.N; i++ {
+			res, _ := RunCellsWith(cells, RunOptions{Workers: 2, SharedVMPools: NewVMPools(nil, nil)})
+			if err := FirstError(res); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 	// Steady-state service shape: one artifact cache and one pool set
 	// survive across iterations, so after the first sweep every checkout is
-	// a snapshot-reset recycle and nothing recompiles or re-instantiates.
+	// a snapshot clone and nothing recompiles or re-validates.
 	b.Run("pooled-shared", func(b *testing.B) {
-		pools := newVMPoolSet(len(cells)+1, nil)
+		pools := NewVMPools(nil, nil)
 		cache := NewArtifactCache()
 		for i := 0; i < b.N; i++ {
-			res, _ := RunCellsWith(cells, RunOptions{Workers: 2, VMPool: true, vmPools: pools, Cache: cache})
+			res, _ := RunCellsWith(cells, RunOptions{Workers: 2, SharedVMPools: pools, Cache: cache})
 			if err := FirstError(res); err != nil {
 				b.Fatal(err)
 			}

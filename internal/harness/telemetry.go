@@ -34,7 +34,7 @@ type runRecord struct {
 	start     time.Time
 	cache     *ArtifactCache
 	cacheBase CacheStats
-	pools     *vmPoolSet
+	pools     *VMPools
 	poolBase  wasmvm.PoolStats
 	plan      *faultinject.Plan
 	faultBase int
@@ -50,7 +50,7 @@ type runRecord struct {
 // newRunRecord starts the record with every cell pending. A non-nil hub
 // gets the harness instruments, the "cells" provider, and the cache's
 // instruments.
-func newRunRecord(cells []Cell, workers int, cache *ArtifactCache, pools *vmPoolSet, plan *faultinject.Plan, hub *telemetry.Hub) *runRecord {
+func newRunRecord(cells []Cell, workers int, cache *ArtifactCache, pools *VMPools, plan *faultinject.Plan, hub *telemetry.Hub) *runRecord {
 	r := &runRecord{
 		start: time.Now(), cache: cache, pools: pools, plan: plan, hub: hub,
 		m: obsv.RunMetrics{Workers: workers, Cells: make([]obsv.CellMetric, len(cells))},
@@ -63,7 +63,7 @@ func newRunRecord(cells []Cell, workers int, cache *ArtifactCache, pools *vmPool
 	if cache != nil {
 		r.cacheBase = cache.Stats()
 	}
-	r.poolBase = pools.stats()
+	r.poolBase = pools.Stats()
 	if plan != nil {
 		r.faultBase = plan.TotalFired()
 		r.faultsSeen = r.faultBase
@@ -118,7 +118,7 @@ func (r *runRecord) snapshot() obsv.RunMetrics {
 		m.CacheDedupWaits = s.DedupWaits - r.cacheBase.DedupWaits
 	}
 	if r.pools != nil {
-		s := r.pools.stats()
+		s := r.pools.Stats()
 		m.VMPoolEnabled = true
 		m.VMPoolHits = s.Hits - r.poolBase.Hits
 		m.VMPoolMisses = s.Misses - r.poolBase.Misses
@@ -136,9 +136,9 @@ func (r *runRecord) state() any {
 		s.Cache = &cs
 	}
 	if r.pools != nil {
-		ps := r.pools.stats()
+		ps := r.pools.Stats()
 		s.VMPool = &ps
-		s.VMPools = r.pools.poolCount()
+		s.VMPools = r.pools.PoolCount()
 	}
 	return s
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // poolSmokeCells is the pooled-harness matrix: one benchmark on every
-// profile (six cost-table shapes sharing one artifact pool) plus a second
+// profile (six configs cloned from one artifact's snapshot) plus a second
 // benchmark (a second pool in the set).
 func poolSmokeCells(t testing.TB) []Cell {
 	var cells []Cell
@@ -29,18 +29,18 @@ func poolSmokeCells(t testing.TB) []Cell {
 	return cells
 }
 
-// TestPoolSmoke is the CI pool drill (`make pool-smoke`): a pooled
-// multi-profile sweep must produce byte-identical virtual metrics to the
-// cold sweep — cycles, steps, memory, checksum, exit, output — while the
-// pool actually serves checkouts (every wasm cell pooled, recycles once
-// workers revisit an artifact).
+// TestPoolSmoke is the CI pool drill (`make pool-smoke`): a sweep on a
+// shared pool set must produce byte-identical virtual metrics to the cold
+// sweep — cycles, steps, memory, checksum, exit, output — while the pools
+// actually serve checkouts (every wasm cell pooled: one capture per
+// artifact, clones for the rest, every instance handed back).
 func TestPoolSmoke(t *testing.T) {
 	cells := poolSmokeCells(t)
 	cold, _ := RunCellsWith(cells, RunOptions{Workers: 2})
 	if err := FirstError(cold); err != nil {
 		t.Fatal(err)
 	}
-	pooled, m := RunCellsWith(cells, RunOptions{Workers: 2, VMPool: true})
+	pooled, m := RunCellsWith(cells, RunOptions{Workers: 2, SharedVMPools: NewVMPools(nil, nil)})
 	if err := FirstError(pooled); err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,12 @@ func TestPoolSmoke(t *testing.T) {
 	if !m.VMPoolEnabled {
 		t.Error("VMPoolEnabled not set on pooled run metrics")
 	}
-	if m.VMPoolHits+m.VMPoolMisses != len(cells) {
-		t.Errorf("pool checkouts %d+%d != %d cells", m.VMPoolHits, m.VMPoolMisses, len(cells))
+	if m.VMPoolMisses != 2 || m.VMPoolHits != len(cells)-2 {
+		t.Errorf("pool checkouts: %d hits, %d misses; want one capture per artifact and %d clones",
+			m.VMPoolHits, m.VMPoolMisses, len(cells)-2)
 	}
-	if m.VMPoolRecycles == 0 {
-		t.Error("no instance was ever recycled across 6 profiles per artifact")
+	if m.VMPoolRecycles != len(cells) {
+		t.Errorf("%d instances handed back, want %d", m.VMPoolRecycles, len(cells))
 	}
 
 	// The cold run's metrics must not mention the pool at all.
@@ -97,14 +98,12 @@ func TestPoolSmoke(t *testing.T) {
 	}
 }
 
-// TestPoolSharedAcrossRuns: a pre-seeded pool set carries warm instances
+// TestPoolSharedAcrossRuns: a shared pool set carries its snapshots
 // between RunCellsWith invocations (the steady-state service scenario), and
 // the second run's counters are deltas, not lifetime totals.
 func TestPoolSharedAcrossRuns(t *testing.T) {
 	cells := poolSmokeCells(t)
-	// Room for every profile shape per artifact, so the second run is pure
-	// steady state: no evictions, every checkout a recycled instance.
-	opt := RunOptions{Workers: 2, VMPool: true, vmPools: newVMPoolSet(len(browser.AllProfiles())+1, nil)}
+	opt := RunOptions{Workers: 2, SharedVMPools: NewVMPools(nil, nil)}
 	res1, m1 := RunCellsWith(cells, opt)
 	if err := FirstError(res1); err != nil {
 		t.Fatal(err)
@@ -113,11 +112,11 @@ func TestPoolSharedAcrossRuns(t *testing.T) {
 	if err := FirstError(res2); err != nil {
 		t.Fatal(err)
 	}
-	if m1.VMPoolMisses != len(cells) || m1.VMPoolHits != 0 {
-		t.Errorf("cold first run: hits %d misses %d, want 0/%d", m1.VMPoolHits, m1.VMPoolMisses, len(cells))
+	if m1.VMPoolMisses != 2 || m1.VMPoolHits != len(cells)-2 {
+		t.Errorf("first run: hits %d misses %d, want %d/2", m1.VMPoolHits, m1.VMPoolMisses, len(cells)-2)
 	}
 	if m2.VMPoolHits != len(cells) || m2.VMPoolMisses != 0 {
-		t.Errorf("warm second run: hits %d misses %d, want %d/0 (delta accounting or reuse broken)",
+		t.Errorf("second run: hits %d misses %d, want %d/0 (delta accounting or snapshot sharing broken)",
 			m2.VMPoolHits, m2.VMPoolMisses, len(cells))
 	}
 	for i := range cells {
@@ -127,14 +126,23 @@ func TestPoolSharedAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestPoolTelemetry: a pooled run with a hub publishes the wasm_vm_pool_*
-// counters and the /debug/cells vm_pool block.
+// TestPoolTelemetry: a pool set built on a hub's registry publishes the
+// wasm_vm_pool_* counters, and a run on it with the hub fills the
+// /debug/cells vm_pool block.
 func TestPoolTelemetry(t *testing.T) {
 	hub := telemetry.NewHub(256)
 	cells := poolSmokeCells(t)[:6]
-	res, _ := RunCellsWith(cells, RunOptions{Workers: 2, VMPool: true, Telemetry: hub})
+	pools := NewVMPools(hub.Registry(), nil)
+	res, _ := RunCellsWith(cells, RunOptions{Workers: 2, SharedVMPools: pools, Telemetry: hub})
 	if err := FirstError(res); err != nil {
 		t.Fatal(err)
+	}
+	if hits := hub.Registry().Counter("wasm_vm_pool_hits_total", "").Value(); hits != 5 {
+		t.Errorf("wasm_vm_pool_hits_total = %v, want 5 clones", hits)
+	}
+	st, ok := hub.Provider("cells")().(RunState)
+	if !ok || st.VMPool == nil || st.VMPool.Misses != 1 || st.VMPools != 1 {
+		t.Errorf("cells provider vm_pool block: %+v (ok=%v)", st.VMPool, ok)
 	}
 	var sb strings.Builder
 	if err := hub.Registry().WritePrometheus(&sb); err != nil {

@@ -47,11 +47,10 @@ type CellMetric struct {
 	// file instead of being executed.
 	Resumed bool `json:"resumed,omitempty"`
 	// VMPooled reports the cell's Wasm run was served through the harness
-	// instance pool (snapshot clone or recycled instance); VMPoolHit
-	// narrows that to a recycled instance. Wall-clock bookkeeping only —
-	// virtual metrics are identical to a cold run by construction.
-	VMPooled  bool `json:"vm_pooled,omitempty"`
-	VMPoolHit bool `json:"vm_pool_hit,omitempty"`
+	// instance pool (the snapshot capture or a clone of it). Wall-clock
+	// bookkeeping only — virtual metrics are identical to a cold run by
+	// construction.
+	VMPooled bool `json:"vm_pooled,omitempty"`
 	// MeasureReused reports the cell's measurement was copied from an
 	// earlier cell of the run whose program was byte-identical (same
 	// profile, mode and step limit) instead of being run again.
@@ -91,10 +90,11 @@ type RunMetrics struct {
 	// FaultsInjected totals fault-plan firings observed by the run (zero
 	// and hidden on a fault-free run, keeping Render's output byte-stable).
 	FaultsInjected int `json:"faults_injected"`
-	// Instance-pool counters (zero and hidden when RunOptions.VMPool was
-	// off, keeping Render's output byte-identical): checkout hits served by
-	// recycled instances, misses that cloned from the snapshot, recycles
-	// returned to the pool, and cold fallbacks past the pool bound.
+	// Instance-pool counters (zero and hidden when the run had no
+	// RunOptions.SharedVMPools, keeping Render's output byte-identical):
+	// checkout hits that cloned the snapshot, misses that captured it,
+	// recycles (instances handed back to the pool), and cold fallbacks past
+	// the pool bound.
 	VMPoolEnabled       bool `json:"vm_pool_enabled"`
 	VMPoolHits          int  `json:"vm_pool_hits"`
 	VMPoolMisses        int  `json:"vm_pool_misses"`
@@ -179,7 +179,7 @@ func (m *RunMetrics) Render() string {
 			m.MeasureReuses)
 	}
 	if m.VMPoolEnabled {
-		fmt.Fprintf(&b, "vm pool: %d hits  %d misses  %d recycles  %d cold-fallbacks\n",
+		fmt.Fprintf(&b, "vm pool: %d clones  %d captures  %d returned  %d cold-fallbacks\n",
 			m.VMPoolHits, m.VMPoolMisses, m.VMPoolRecycles, m.VMPoolColdFallbacks)
 	}
 	if m.FaultsInjected > 0 {

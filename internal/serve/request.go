@@ -80,11 +80,10 @@ type Response struct {
 	MemChecksum uint64  `json:"mem_checksum,omitempty"`
 
 	// Execution metadata.
-	CacheHit   bool    `json:"cache_hit,omitempty"`
-	VMPooled   bool    `json:"vm_pooled,omitempty"`
-	VMRecycled bool    `json:"vm_recycled,omitempty"`
-	QueueMS    float64 `json:"queue_ms,omitempty"`
-	RunMS      float64 `json:"run_ms,omitempty"`
+	CacheHit bool    `json:"cache_hit,omitempty"`
+	VMPooled bool    `json:"vm_pooled,omitempty"`
+	QueueMS  float64 `json:"queue_ms,omitempty"`
+	RunMS    float64 `json:"run_ms,omitempty"`
 }
 
 // HTTPStatus maps a response status to its HTTP status code.

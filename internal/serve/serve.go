@@ -68,9 +68,6 @@ type Config struct {
 	// half-open probe; <=0 selects 5s.
 	BreakerCooldown time.Duration
 
-	// DisableVMPool serves every request from cold instantiation. Each
-	// artifact pool otherwise holds at most DefaultWorkers()+1 instances.
-	DisableVMPool bool
 	// DisableCache cold-compiles every request.
 	DisableCache bool
 
@@ -170,9 +167,7 @@ func NewServer(cfg Config) *Server {
 		s.inst = telemetry.NewServeInstruments(reg)
 		cfg.Hub.Publish("serve", s.state)
 	}
-	if !cfg.DisableVMPool {
-		s.pools = harness.NewVMPools(reg, s.cache)
-	}
+	s.pools = harness.NewVMPools(reg, s.cache)
 	// One profile instance per name, shared across requests — the same
 	// sharing a benchtab sweep uses across its worker pool. Instruments
 	// attach once here; they never alter virtual metrics.
@@ -374,7 +369,6 @@ func (s *Server) handle(j *job) {
 		Context:       j.ctx,
 		Cache:         s.cache,
 		DisableCache:  s.cfg.DisableCache,
-		VMPool:        !s.cfg.DisableVMPool,
 		SharedVMPools: s.pools,
 		StepLimit:     s.cfg.StepLimit,
 		Faults:        s.cfg.Faults,
@@ -406,7 +400,7 @@ func (s *Server) handle(j *job) {
 // classify maps a harness result onto the response wire type.
 func (s *Server) classify(r harness.CellResult, cm obsv.CellMetric) *Response {
 	resp := &Response{
-		CacheHit: cm.CacheHit, VMPooled: cm.VMPooled, VMRecycled: cm.VMPoolHit,
+		CacheHit: cm.CacheHit, VMPooled: cm.VMPooled,
 	}
 	switch {
 	case r.Err == nil:

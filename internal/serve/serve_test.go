@@ -42,7 +42,7 @@ func drain(t *testing.T, s *Server, budget time.Duration) {
 
 // TestServeByteIdentical: the acceptance criterion on measurement
 // honesty. A request served by the daemon — including one served from a
-// recycled warm-pool instance — reports byte-identical virtual metrics
+// clone of the artifact's post-init snapshot — reports byte-identical virtual metrics
 // (cycles, steps, memory, checksum) to the same cell run one-shot
 // through the plain harness path benchtab uses.
 func TestServeByteIdentical(t *testing.T) {
@@ -58,7 +58,8 @@ func TestServeByteIdentical(t *testing.T) {
 		t.Fatalf("one-shot reference: %v", ref.Err)
 	}
 
-	s := NewServer(Config{Workers: 2, Hub: telemetry.NewHub(0)})
+	hub := telemetry.NewHub(0)
+	s := NewServer(Config{Workers: 2, Hub: hub})
 	defer drain(t, s, 10*time.Second)
 
 	req := &Request{Bench: "atax", Size: "XS", Profile: "chrome-desktop"}
@@ -70,9 +71,11 @@ func TestServeByteIdentical(t *testing.T) {
 	if second.Status != StatusOK {
 		t.Fatalf("second request: %+v", second)
 	}
-	if !second.VMPooled || !second.VMRecycled {
-		t.Errorf("second request should be served warm: pooled=%v recycled=%v",
-			second.VMPooled, second.VMRecycled)
+	if !first.VMPooled || !second.VMPooled {
+		t.Errorf("requests should be served by the pool: pooled=%v,%v", first.VMPooled, second.VMPooled)
+	}
+	if clones := hub.Registry().Counter("wasm_vm_pool_hits_total", "").Value(); clones != 1 {
+		t.Errorf("second request should be a snapshot clone: %v clones", clones)
 	}
 	if !second.CacheHit {
 		t.Error("second request should hit the artifact cache")

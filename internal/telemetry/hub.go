@@ -215,17 +215,14 @@ func NewVMInstruments(r *Registry) *VMInstruments {
 }
 
 // PoolInstruments are the Wasm instance pool's live metrics (wasm_vm_pool_*
-// family). Counters are poked at checkout/recycle events — rare next to
-// dispatch — so the pool carries no per-instruction telemetry cost.
+// family). Counters are poked at checkout and hand-back events — rare next
+// to dispatch — so the pool carries no per-instruction telemetry cost.
 type PoolInstruments struct {
 	Hits          *Counter
 	Misses        *Counter
 	Recycles      *Counter
 	ColdFallbacks *Counter
-	Evictions     *Counter
-	Discards      *Counter
 	Live          *Gauge
-	Idle          *Gauge
 }
 
 // NewPoolInstruments registers the wasm_vm_pool_* metric family on r
@@ -235,14 +232,11 @@ func NewPoolInstruments(r *Registry) *PoolInstruments {
 		return nil
 	}
 	return &PoolInstruments{
-		Hits:          r.Counter("wasm_vm_pool_hits_total", "checkouts served by an instance recycled to its post-init snapshot"),
-		Misses:        r.Counter("wasm_vm_pool_misses_total", "checkouts that cloned a fresh instance from the snapshot"),
-		Recycles:      r.Counter("wasm_vm_pool_recycles_total", "instances reset to their post-init snapshot and returned to the pool"),
+		Hits:          r.Counter("wasm_vm_pool_hits_total", "checkouts served by cloning the post-init snapshot"),
+		Misses:        r.Counter("wasm_vm_pool_misses_total", "checkouts that captured the post-init snapshot"),
+		Recycles:      r.Counter("wasm_vm_pool_recycles_total", "checked-out instances handed back to the pool"),
 		ColdFallbacks: r.Counter("wasm_vm_pool_cold_fallbacks_total", "checkouts served cold because the bounded pool was exhausted"),
-		Evictions:     r.Counter("wasm_vm_pool_evictions_total", "idle instances discarded to make room for another config shape"),
-		Discards:      r.Counter("wasm_vm_pool_discards_total", "instances dropped instead of recycled (failed reset or clone)"),
-		Live:          r.Gauge("wasm_vm_pool_live_instances", "pool-tracked instances currently alive (checked out + idle)"),
-		Idle:          r.Gauge("wasm_vm_pool_idle_instances", "recycled instances currently waiting in the pool"),
+		Live:          r.Gauge("wasm_vm_pool_live_instances", "pool-tracked instances currently checked out"),
 	}
 }
 

@@ -103,16 +103,12 @@ func (vm *VM) aotBody(cf *compiledFunc) []aotBlock {
 	}
 	if !cf.aotTried {
 		cf.aotTried = true
-		// Bodies retained across a snapshot Reset (superblocks) or seeded
-		// from a pool's warm-body store (register form) skip
-		// re-translation — retained closures captured this instance's
-		// globals and memory, which Reset restored in place — but the
-		// counters and the compile trace event below replay at the
-		// identical virtual timestamp a cold instance would emit them.
+		// A register body installed before the first call (the tests seed
+		// the 1:1 form this way) is kept; superblocks are built from it.
 		if cf.regCode == nil {
 			cf.regCode = translateReg(vm.module, cf, &vm.cfg.OptCost)
 		}
-		if cf.aotBlocks == nil && cf.regCode != nil {
+		if cf.regCode != nil {
 			cf.aotBlocks, cf.aotEntry = translateAOT(vm, cf)
 		}
 		if cf.aotBlocks != nil {

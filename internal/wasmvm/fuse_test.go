@@ -8,9 +8,8 @@ import (
 )
 
 // seedUnpaired installs each function's 1:1 register form (translateSlots,
-// no pair overlays) as its register body before the first call, the same
-// way a pool seeds warm bodies: aotBody then builds superblocks from it
-// instead of translating the paired form.
+// no pair overlays) as its register body before the first call: aotBody
+// then builds superblocks from it instead of translating the paired form.
 func seedUnpaired(vm *VM) {
 	for i := range vm.funcs {
 		cf := &vm.funcs[i]

@@ -42,12 +42,12 @@ type dataSeed struct {
 }
 
 // dataSeeds cover the shapes of data segments that instantiation and
-// Reset must place exactly: a segment at address 0, one straddling a
-// 64 KiB page boundary, one ending exactly at the last initial byte,
-// overlapping segments (the later one wins), and a memory of zero initial
-// pages that grows before it is written. Each main reads the segments
-// back, so a run on a pooled instance whose reset lost them diverges from
-// the cold run.
+// snapshot clones must place exactly: a segment at address 0, one
+// straddling a 64 KiB page boundary, one ending exactly at the last
+// initial byte, overlapping segments (the later one wins), and a memory of
+// zero initial pages that grows before it is written. Each main reads the
+// segments back and returns their sum, so an instance that lost them
+// returns the wrong value.
 func dataSeeds() []dataSeed {
 	pat := func(n int, b byte) []byte {
 		out := make([]byte, n)
@@ -95,9 +95,11 @@ func (d dataSeed) encode() ([]byte, error) {
 	return wasm.Encode(m)
 }
 
-// TestDataSeedsRun: every data seed decodes, runs main to completion and
-// returns the sum of its probes over the declared image, so FuzzWasmDecode
-// compares its pooled runs instead of stopping at a typed error.
+// TestDataSeedsRun: every data seed decodes and runs main to completion,
+// cold and on both checkouts of a one-instance pool (the snapshot capture
+// and a clone), each returning the sum of its probes over the declared
+// image, so FuzzWasmDecode compares its pooled runs instead of stopping at
+// a typed error.
 func TestDataSeedsRun(t *testing.T) {
 	for i, d := range dataSeeds() {
 		bin, err := d.encode()
@@ -116,12 +118,22 @@ func TestDataSeedsRun(t *testing.T) {
 		for _, a := range d.probes {
 			want += int32(binary.LittleEndian.Uint32(img[a:]))
 		}
-		r, err := compiler.RunWasm(&compiler.Artifact{Module: mod, WasmBinary: bin}, wasmvm.DefaultConfig())
-		if err != nil {
-			t.Fatalf("seed %d: %v", i, err)
+		if want == 0 && !d.grow {
+			t.Fatalf("seed %d: its probes sum to 0 over the declared image", i)
 		}
-		if r.Exit != want || want == 0 && !d.grow {
-			t.Errorf("seed %d: exit %d, want the probe sum %d", i, r.Exit, want)
+		art := &compiler.Artifact{Module: mod, WasmBinary: bin}
+		pool := wasmvm.NewInstancePool(mod, len(bin), wasmvm.PoolOptions{MaxInstances: 1})
+		for _, run := range []struct {
+			name string
+			pool *wasmvm.InstancePool
+		}{{"cold", nil}, {"capture", pool}, {"clone", pool}} {
+			r, err := compiler.RunWasmPooled(art, wasmvm.DefaultConfig(), run.pool)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", i, run.name, err)
+			}
+			if r.Exit != want {
+				t.Errorf("seed %d %s: exit %d, want the probe sum %d", i, run.name, r.Exit, want)
+			}
 		}
 	}
 }
@@ -170,10 +182,10 @@ func checkPostInitImage(t *testing.T, mod *wasm.Module, cfg wasmvm.Config) {
 // wasmrun does: Decode → Validate → New → Instantiate with the standard
 // imports bound → main under a step limit and a small page cap. The
 // contract: a result or a typed error, never a panic. When the cold run
-// succeeds, the pooled sequence wasmrun -snapshot drives (Get, run, Put,
-// Get, run on the reset instance) must report the same steps, cycles (as
-// bits), exit code and memory checksum, and an instantiated memory must
-// hold exactly the image the module declares. Seeds: the 41 kernels' Wasm
+// succeeds, both checkouts of a one-instance pool (the snapshot capture,
+// then a clone) must report the same steps, cycles (as bits), exit code
+// and memory checksum, and an instantiated memory must hold exactly the
+// image the module declares. Seeds: the 41 kernels' Wasm
 // builds for both toolchains, the module above, and the data-segment
 // shapes of dataSeeds.
 func FuzzWasmDecode(f *testing.F) {
@@ -222,7 +234,7 @@ func FuzzWasmDecode(f *testing.F) {
 			return
 		}
 		pool := wasmvm.NewInstancePool(mod, len(bin), wasmvm.PoolOptions{MaxInstances: 1})
-		for _, phase := range []string{"capture", "recycle"} {
+		for _, phase := range []string{"capture", "clone"} {
 			got, err := compiler.RunWasmPooled(art, cfg, pool)
 			if err != nil {
 				t.Fatalf("%s run failed where the cold run passed: %v", phase, err)
@@ -235,7 +247,7 @@ func FuzzWasmDecode(f *testing.F) {
 			}
 		}
 		if st := pool.Stats(); st.Misses != 1 || st.Hits != 1 || st.Recycles != 2 {
-			t.Fatalf("pooled sequence did not recycle: %+v", st)
+			t.Fatalf("pooled sequence was not a capture and a clone: %+v", st)
 		}
 	})
 }

@@ -123,12 +123,12 @@ func TestFailedGrowSpecAcrossTiers(t *testing.T) {
 }
 
 // TestSnapshotGrowSpecAcrossTiers extends the grow spec to instances cloned
-// or reset from a snapshot, in every tier: a recycled (Reset) VM and a fresh clone obey the
-// same grow semantics as a cold instance — grows succeed up to the config
-// cap with spec return values, failed grows at the cap leave size and
-// contents untouched, grown pages are reclaimed by Reset (memory never
-// shrinks during a run, but recycling returns it to the snapshot image),
-// and the snapshot's data is intact after the round trip.
+// from a snapshot, in every tier: a clone obeys the same grow semantics as
+// a cold instance — grows succeed up to the config cap with spec return
+// values, and failed grows at the cap leave size and contents untouched —
+// and the pages one clone grew and wrote are not seen by the next (memory
+// never shrinks during a run, but every clone starts from the snapshot
+// image).
 func TestSnapshotGrowSpecAcrossTiers(t *testing.T) {
 	var sentinel uint32 = 0xDEADBEA7
 	const iters = 300
@@ -179,36 +179,36 @@ func TestSnapshotGrowSpecAcrossTiers(t *testing.T) {
 				t.Fatalf("workload shape off: pages %d fails %d", cPages, cFails)
 			}
 
-			// Reset reclaims the grown pages: back to the snapshot size, with
-			// the grow counters rewound and the sentinel store gone.
-			if err := clone.Reset(); err != nil {
+			// The next clone starts from the snapshot image: the snapshot's
+			// page count, no grow counted, the sentinel store absent. Probe
+			// memory directly — a peek call would charge cycles and perturb
+			// its round's clock.
+			next, err := snap.NewVM(cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if p := clone.Memory().Pages(); p != snapPages {
-				t.Errorf("pages after Reset = %d, want snapshot size %d", p, snapPages)
+			if p := next.Memory().Pages(); p != snapPages {
+				t.Errorf("next clone has %d pages, want snapshot size %d", p, snapPages)
 			}
-			if clone.Stats().GrowOps != 0 {
-				t.Errorf("GrowOps after Reset = %d, want 0", clone.Stats().GrowOps)
+			if next.Stats().GrowOps != 0 {
+				t.Errorf("next clone GrowOps = %d, want 0", next.Stats().GrowOps)
 			}
-			// Probe memory directly — a peek call would charge cycles and
-			// perturb the recycled round's clock.
-			b := logical(clone.Memory())
+			b := logical(next.Memory())
 			if got := uint32(b[16]) | uint32(b[17])<<8 | uint32(b[18])<<16 | uint32(b[19])<<24; got != 0 {
-				t.Errorf("sentinel survived Reset: %#x", got)
+				t.Errorf("sentinel leaked into the next clone: %#x", got)
 			}
 
-			// The recycled instance replays the whole round byte-identically —
-			// including the failed grows at the cap and the re-grow from the
-			// snapshot floor.
-			if f, p, pr, cy := growSpecRound(clone); f != cFails || p != cPages || pr != cProbe || cy != cCycles {
-				t.Errorf("recycled round (%d,%d,%#x,%v) != cold (%d,%d,%#x,%v)",
+			// And it replays the whole round byte-identically, including
+			// the failed grows at the cap.
+			if f, p, pr, cy := growSpecRound(next); f != cFails || p != cPages || pr != cProbe || cy != cCycles {
+				t.Errorf("next clone round (%d,%d,%#x,%v) != cold (%d,%d,%#x,%v)",
 					f, p, pr, cy, cFails, cPages, cProbe, cCycles)
 			}
-			if name == "stack-opt" && clone.Stats().OptCycles == 0 {
-				t.Error("optimizing tier never engaged on the recycled instance")
+			if name == "stack-opt" && next.Stats().OptCycles == 0 {
+				t.Error("optimizing tier never engaged on the clone")
 			}
-			if name == "aot" && clone.AOTTranslated() == 0 {
-				t.Error("AOT tier never engaged on the recycled instance")
+			if name == "aot" && next.AOTTranslated() == 0 {
+				t.Error("AOT tier never engaged on the clone")
 			}
 		})
 	}

@@ -15,7 +15,7 @@ const PageSize = 64 * 1024
 //
 // Only a prefix of the memory is backed by host bytes. Every byte from the
 // end of that committed prefix up to Size() reads as zero, and the first
-// access there commits it (commit), so instantiation, reset and grow cost
+// access there commits it (commit), so instantiation and grow cost
 // what a run writes rather than the declared heap. Page counts, and so every
 // virtual metric, are those of the whole memory.
 type Memory struct {
@@ -35,20 +35,7 @@ func NewMemory(minPages, maxPages, granularity uint32) *Memory {
 	if granularity == 0 {
 		granularity = 1
 	}
-	m := &Memory{maxPages: maxPages, granularity: granularity}
-	m.reset(minPages, 0)
-	return m
-}
-
-// reset makes the memory pages zero pages, of which the first committed
-// bytes are backed, and rewinds the grow counters, keeping the page cap
-// and granularity (they belong to the instance's config, which survives
-// recycling).
-func (m *Memory) reset(pages uint32, committed int) {
-	m.data = make([]byte, committed)
-	m.pages = pages
-	m.peakPages = pages
-	m.growCount = 0
+	return &Memory{pages: minPages, peakPages: minPages, maxPages: maxPages, granularity: granularity}
 }
 
 // Pages returns the current size in pages.

@@ -6,20 +6,20 @@ package wasmvm
 // instantiation, not compilation. A Snapshot captures a freshly
 // instantiated VM's validated/lowered function bodies once, and NewVM
 // clones runnable instances from it, skipping wasm.Validate and lowerFunc
-// entirely. Reset returns a finished instance to the post-init state in
-// place, so pools recycle instances instead of discarding them.
+// entirely. An instance is never returned to the post-init state: a pool
+// clones a fresh one for every checkout (pool.go).
 //
 // The post-init image is the module itself: a module has no start
 // function and nothing runs before Snapshot, so post-init linear memory is
 // always Mem.Min zero pages with the data segments written over them, and
 // every global holds its initializer. The snapshot therefore holds no
-// memory image; Instantiate, NewVM and Reset all write the image from the
+// memory image; Instantiate and NewVM both write the image from the
 // module (initImage), which costs a fresh zeroed allocation plus the data
 // segments instead of copying the whole heap.
 //
 // Determinism contract (the same one regalloc.go and aot.go established):
-// snapshot restore is a *host-time* optimization only. Every clone and
-// every Reset re-applies the full virtual instantiation charge —
+// snapshot restore is a *host-time* optimization only. Every clone
+// re-applies the full virtual instantiation charge —
 // InstantiateCost, DecodePerByte×binSize, and the tier policy's compile
 // charge — exactly as Instantiate() computes it, so cycles, steps,
 // tallies, profiles, and traces are byte-identical to a cold New() +
@@ -29,13 +29,9 @@ package wasmvm
 //
 //   - code []lop and heights []int32 are immutable after New() — shared
 //     across all clones, whatever their Config.
-//   - regCode []rop is pure data, never written after translation, but its
-//     costs are precomputed from Config.OptCost — shareable only between
-//     instances of the same config shape (the pool's warm-body store).
-//   - AOT superblock closures capture the owning VM's globals slice and
-//     *Memory at translation time — instance-bound, never shared. Reset
-//     therefore rewrites globals and memory IN PLACE, which keeps a
-//     recycled instance's retained AOT body valid.
+//   - regCode []rop bakes Config.OptCost into its costs, and AOT
+//     superblock closures capture the owning VM's globals slice and
+//     *Memory: both are built per instance on first use and never shared.
 
 import (
 	"errors"
@@ -102,65 +98,4 @@ func (s *Snapshot) NewVM(cfg Config) (*VM, error) {
 	vm.applyInstantiateCharges()
 	vm.inited = true
 	return vm, nil
-}
-
-// Reset returns an instantiated VM to its post-init state in place:
-// linear memory is rebuilt from the module (Mem.Min zero pages with only
-// the data segments' extent committed) inside the same *Memory, globals are rewritten into the same
-// backing slice, and every execution counter returns to the
-// post-Instantiate state, including the re-applied virtual instantiation
-// charge. Translated register and AOT bodies are retained — AOT closures
-// captured this instance's globals slice and *Memory, which is exactly why
-// the rewrite is in-place — but the tried flag clears, so the next run
-// replays translation counters, fault checks, and trace events
-// byte-identically to a cold instance while skipping the translation work.
-func (vm *VM) Reset() error {
-	if !vm.inited {
-		return errors.New("wasmvm: Reset on an uninstantiated VM")
-	}
-	if vm.depth != 0 {
-		return errors.New("wasmvm: Reset during an active call")
-	}
-	if err := vm.initImage(); err != nil {
-		return err
-	}
-	for i := range vm.funcs {
-		cf := &vm.funcs[i]
-		cf.hotness = 0
-		cf.tieredUp = false
-		cf.aotTried = false
-	}
-	vm.stack = vm.stack[:0]
-	vm.locals = vm.locals[:0]
-	vm.cycles = 0
-	vm.stats = Stats{}
-	vm.tally = [256]uint64{}
-	for i := range vm.profs {
-		vm.profs[i] = funcProf{}
-	}
-	vm.lastFlush = Stats{}
-	vm.childCycles = 0
-	vm.aotBuilt = 0
-	vm.aotBlockCount = 0
-	vm.aotErr = nil
-	vm.aotRb = nil
-	vm.applyInstantiateCharges()
-	return nil
-}
-
-// attach swaps the per-run attachments (tracer, profiling, fault plan,
-// instruments) onto a pooled instance at checkout, mirroring what New()
-// wires from a cold config.
-func (vm *VM) attach(cfg Config) {
-	vm.cfg.Tracer = cfg.Tracer
-	vm.cfg.Profile = cfg.Profile
-	vm.cfg.Faults = cfg.Faults
-	vm.cfg.Instruments = cfg.Instruments
-	vm.tracer = cfg.Tracer
-	vm.faults = cfg.Faults
-	vm.inst = cfg.Instruments
-	vm.profiling = cfg.Profile || cfg.Tracer != nil
-	if vm.profiling && vm.profs == nil {
-		vm.profs = make([]funcProf, len(vm.funcs))
-	}
 }

@@ -6,12 +6,12 @@ import (
 	"wasmbench/internal/wasm"
 )
 
-// BenchmarkSnapshotRestore compares the three ways to obtain a runnable
-// instance: a cold decode+instantiate, a clone from a post-init snapshot
-// (shared lowered code, no validation or lowering), and an in-place Reset
-// of a used instance (the data segments' extent recommitted). The -273p
-// variants run the same three on an Emscripten-shaped 273-page module,
-// whose 17 MiB memory none of them commits.
+// BenchmarkSnapshotRestore compares the two ways to obtain a runnable
+// instance: a cold decode+instantiate, and a clone from a post-init
+// snapshot (shared lowered code, no validation or lowering), the way an
+// InstancePool serves every checkout after its first. The -273p variants
+// run both on an Emscripten-shaped 273-page module, whose 17 MiB memory
+// neither commits.
 // This is the host-time win the pool trades on; the virtual instantiation
 // charge is identical on every path.
 func BenchmarkSnapshotRestore(b *testing.B) {
@@ -48,28 +48,6 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := snap.NewVM(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-
-		b.Run("reset"+v.suffix, func(b *testing.B) {
-			vm, err := New(mod, 123, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := vm.Instantiate(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := vm.Snapshot(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := vm.Call("work", I32(50)); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := vm.Reset(); err != nil {
 					b.Fatal(err)
 				}
 			}

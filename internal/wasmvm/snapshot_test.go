@@ -98,11 +98,12 @@ func runWorkload(t *testing.T, vm *VM, tc *obsv.Collector) vmFingerprint {
 	return fp
 }
 
-// TestSnapshotCloneAndResetIdentity is the core determinism claim: a clone
-// from a post-init snapshot and a recycled (Reset) instance produce virtual
-// metrics byte-identical to a cold New+Instantiate — across every
-// dispatch tier, with tracing and profiling armed.
-func TestSnapshotCloneAndResetIdentity(t *testing.T) {
+// TestSnapshotCloneIdentity is the core determinism claim: a clone from a
+// post-init snapshot produces virtual metrics byte-identical to a cold
+// New+Instantiate — across every dispatch tier, with tracing and profiling
+// armed — and so does a clone taken after the capture instance has run,
+// which is how a pool serves every checkout after its first.
+func TestSnapshotCloneIdentity(t *testing.T) {
 	for name, cfg := range growTierConfigs() {
 		t.Run(name, func(t *testing.T) {
 			mkCfg := func(tc *obsv.Collector) Config {
@@ -124,7 +125,8 @@ func TestSnapshotCloneAndResetIdentity(t *testing.T) {
 			want := runWorkload(t, cold, coldTC)
 
 			// Clone from a snapshot captured on a fresh instance.
-			origin, err := New(snapModule(), 123, cfg)
+			originTC := &obsv.Collector{}
+			origin, err := New(snapModule(), 123, mkCfg(originTC))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,29 +147,19 @@ func TestSnapshotCloneAndResetIdentity(t *testing.T) {
 				t.Errorf("clone diverged from cold:\ncold:  %+v\nclone: %+v", want, got)
 			}
 
-			// Recycle the clone (retained translated bodies) and run again.
-			if err := clone.Reset(); err != nil {
+			// The capture instance itself runs like a cold one, and the
+			// translated bodies it and the first clone built leave the
+			// snapshot untouched: a later clone still matches cold.
+			if got := runWorkload(t, origin, originTC); !reflect.DeepEqual(want, got) {
+				t.Errorf("capture instance diverged from cold:\ncold:   %+v\norigin: %+v", want, got)
+			}
+			laterTC := &obsv.Collector{}
+			later, err := snap.NewVM(mkCfg(laterTC))
+			if err != nil {
 				t.Fatal(err)
 			}
-			recycleTC := &obsv.Collector{}
-			clone.attach(mkCfg(recycleTC))
-			got = runWorkload(t, clone, recycleTC)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("recycled instance diverged from cold:\ncold:     %+v\nrecycled: %+v", want, got)
-			}
-
-			// And the origin instance itself is resettable after running.
-			if _, err := origin.Call("work", I32(50)); err != nil {
-				t.Fatal(err)
-			}
-			if err := origin.Reset(); err != nil {
-				t.Fatal(err)
-			}
-			originTC := &obsv.Collector{}
-			origin.attach(mkCfg(originTC))
-			got = runWorkload(t, origin, originTC)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("reset origin diverged from cold:\ncold:   %+v\norigin: %+v", want, got)
+			if got := runWorkload(t, later, laterTC); !reflect.DeepEqual(want, got) {
+				t.Errorf("later clone diverged from cold:\ncold:  %+v\nlater: %+v", want, got)
 			}
 		})
 	}
@@ -234,68 +226,49 @@ func TestSnapshotRequiresFreshVM(t *testing.T) {
 	}
 }
 
-// TestResetAfterTrap: a trapped instance (OOB store) unwinds its call depth
-// and recycles back to a clean post-init state.
-func TestResetAfterTrap(t *testing.T) {
+// TestPoolIdleHoldsNoMemory: Put keeps nothing. An instance handed back,
+// here after a trapped call, leaves the pool with no live instance and
+// is not handed out again; the next checkout is a fresh clone holding the
+// post-init image: the module's page count, the data segment, and none of
+// the last run's stores.
+func TestPoolIdleHoldsNoMemory(t *testing.T) {
 	cfg := DefaultConfig()
 	pool := NewInstancePool(snapModule(), 0, PoolOptions{MaxInstances: 1})
-	vm, _, err := pool.Get(cfg)
+	vm, cloned, err := pool.Get(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cloned {
+		t.Error("the capture checkout reported a clone")
+	}
+	call1(t, vm, "poke", I32(16), I32(0x5EED))
+	call1(t, vm, "grow", I32(2))
 	if _, err := vm.Call("poke", I32(1<<30), I32(1)); err == nil {
 		t.Fatal("OOB poke succeeded; want trap")
 	}
 	pool.Put(vm)
-	st := pool.Stats()
-	if st.Recycles != 1 || st.Discards != 0 {
-		t.Fatalf("trapped instance not recycled: %+v", st)
+	pool.Put(vm) // a second hand-back of the same instance is ignored
+	if st := pool.Stats(); st.Live != 0 || st.Recycles != 1 {
+		t.Fatalf("after Put: %+v, want live 0 and one hand-back", st)
 	}
-	vm2, recycled, err := pool.Get(cfg)
+	vm2, cloned, err := pool.Get(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !recycled || vm2 != vm {
-		t.Fatalf("expected the recycled trapped instance back (recycled=%v)", recycled)
-	}
-	if got := AsI32(call1(t, vm2, "peek", I32(64))); got == 0 {
-		t.Error("post-init data segment missing after trap recycle")
-	}
-	pool.Put(vm2)
-}
-
-// TestPoolIdleHoldsNoMemory: a returned instance parks without its linear
-// memory, and the checkout that reuses it rebuilds the post-init image:
-// the module's page count, the data segment, and none of the last run's
-// stores.
-func TestPoolIdleHoldsNoMemory(t *testing.T) {
-	cfg := DefaultConfig()
-	pool := NewInstancePool(snapModule(), 0, PoolOptions{MaxInstances: 1})
-	vm, _, err := pool.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	call1(t, vm, "poke", I32(16), I32(0x5EED))
-	call1(t, vm, "grow", I32(2))
-	pool.Put(vm)
-	if b := vm.Memory().Bytes(); b != nil {
-		t.Fatalf("idle instance holds %d bytes of linear memory", len(b))
-	}
-	vm2, recycled, err := pool.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !recycled || vm2 != vm {
-		t.Fatalf("expected the parked instance back (recycled=%v)", recycled)
+	if !cloned || vm2 == vm {
+		t.Fatalf("second checkout: cloned=%v, same instance=%v; want a fresh clone", cloned, vm2 == vm)
 	}
 	b := logical(vm2.Memory())
 	if want := int(snapModule().Mem.Min) * PageSize; len(b) != want {
-		t.Errorf("reset memory is %d bytes, want %d", len(b), want)
+		t.Errorf("clone memory is %d bytes, want %d", len(b), want)
 	}
 	if b[16] != 0 || string(b[64:64+len("post-init image")]) != "post-init image" {
-		t.Error("reset memory is not the post-init image")
+		t.Error("clone memory is not the post-init image")
 	}
 	pool.Put(vm2)
+	if st := pool.Stats(); st.Live != 0 || st.Hits != 1 || st.Misses != 1 || st.Recycles != 2 {
+		t.Errorf("final stats: %+v", st)
+	}
 }
 
 // TestPoolExhaustionBlocks: a bounded pool without ColdFallback parks Get
@@ -323,15 +296,15 @@ func TestPoolExhaustionBlocks(t *testing.T) {
 	pool.Put(vm)
 	select {
 	case v2 := <-got:
-		if v2 != vm {
-			t.Error("blocked Get did not receive the recycled instance")
+		if v2 == vm {
+			t.Error("blocked Get received the handed-back instance, not a clone")
 		}
 		pool.Put(v2)
 	case <-time.After(2 * time.Second):
 		t.Fatal("blocked Get never woke after Put")
 	}
 	st := pool.Stats()
-	if st.Live != 1 || st.Idle != 1 || st.Hits != 1 || st.Misses != 1 {
+	if st.Live != 0 || st.Hits != 1 || st.Misses != 1 || st.Recycles != 2 {
 		t.Errorf("stats after block/unblock: %+v", st)
 	}
 }
@@ -345,12 +318,12 @@ func TestPoolColdFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, recycled, err := pool.Get(cfg)
+	v2, cloned, err := pool.Get(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recycled {
-		t.Error("cold fallback reported recycled")
+	if cloned {
+		t.Error("cold fallback reported a clone")
 	}
 	// The fallback must still be a fully instantiated, runnable VM with
 	// cold-identical virtual state.
@@ -362,39 +335,10 @@ func TestPoolColdFallback(t *testing.T) {
 	}
 	pool.Put(v2) // untracked: must be a no-op
 	st := pool.Stats()
-	if st.ColdFallbacks != 1 || st.Live != 1 || st.Idle != 0 || st.Recycles != 0 {
+	if st.ColdFallbacks != 1 || st.Live != 1 || st.Recycles != 0 {
 		t.Errorf("stats after cold fallback: %+v", st)
 	}
 	pool.Put(v1)
-}
-
-// TestPoolEvictsOtherShape: at capacity, an idle instance of a different
-// config shape is evicted rather than blocking the checkout.
-func TestPoolEvictsOtherShape(t *testing.T) {
-	pool := NewInstancePool(snapModule(), 0, PoolOptions{MaxInstances: 1})
-	cfgA := DefaultConfig()
-	cfgB := DefaultConfig()
-	cfgB.TierUpThreshold = 99 // different shape, same snapshot
-	vA, _, err := pool.Get(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(vA)
-	vB, recycled, err := pool.Get(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recycled {
-		t.Error("shape-B checkout claimed recycled")
-	}
-	if vB.cfg.TierUpThreshold != 99 {
-		t.Errorf("evicting checkout got wrong config: %d", vB.cfg.TierUpThreshold)
-	}
-	st := pool.Stats()
-	if st.Evictions != 1 || st.Live != 1 {
-		t.Errorf("stats after eviction: %+v", st)
-	}
-	pool.Put(vB)
 }
 
 // TestPoolConcurrent hammers one pool from many goroutines (run under
@@ -437,10 +381,10 @@ func TestPoolConcurrent(t *testing.T) {
 		}
 	}
 	st := pool.Stats()
-	if st.Hits+st.Misses != workers*iters {
-		t.Errorf("hits %d + misses %d != checkouts %d", st.Hits, st.Misses, workers*iters)
+	if st.Misses != 1 || st.Hits != workers*iters-1 {
+		t.Errorf("hits %d + misses %d, want one capture and %d clones", st.Hits, st.Misses, workers*iters-1)
 	}
-	if st.Live > 3 || st.Idle != st.Live {
+	if st.Live != 0 {
 		t.Errorf("pool did not settle: %+v", st)
 	}
 	if st.Recycles != workers*iters {
@@ -448,12 +392,11 @@ func TestPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestPoolDisabledAOTCheckoutRunsNoSuperblocks: superblocks an instance
-// built under one config shape never run under another. A DisableAOTTier
-// checkout from a pool whose one instance retains superblocks evicts that
-// instance and runs a fresh one on the stack loop, measuring what the AOT
-// run measured bar the AOTCycles sub-split; the next AOT checkout
-// translates again.
+// TestPoolDisabledAOTCheckoutRunsNoSuperblocks: superblocks one checkout
+// translated never run in another. A DisableAOTTier checkout from a pool
+// whose capture instance ran on AOT superblocks runs on the stack loop,
+// measuring what the AOT run measured bar the AOTCycles sub-split; the
+// next AOT checkout translates again.
 func TestPoolDisabledAOTCheckoutRunsNoSuperblocks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TierUpThreshold = 50
@@ -461,20 +404,20 @@ func TestPoolDisabledAOTCheckoutRunsNoSuperblocks(t *testing.T) {
 	off.DisableAOTTier = true
 	pool := NewInstancePool(snapModule(), 0, PoolOptions{MaxInstances: 1})
 	type run struct {
-		recycled   bool
+		cloned     bool
 		translated int
 		stats      Stats
 		cycles     float64
 	}
 	checkout := func(c Config) run {
-		vm, recycled, err := pool.Get(c)
+		vm, cloned, err := pool.Get(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := vm.Call("work", I32(400)); err != nil {
 			t.Fatal(err)
 		}
-		r := run{recycled, vm.AOTTranslated(), vm.Stats(), vm.Cycles()}
+		r := run{cloned, vm.AOTTranslated(), vm.Stats(), vm.Cycles()}
 		pool.Put(vm)
 		return r
 	}
@@ -484,8 +427,8 @@ func TestPoolDisabledAOTCheckoutRunsNoSuperblocks(t *testing.T) {
 		t.Fatal("workload never engaged the AOT tier")
 	}
 	stack := checkout(off)
-	if stack.recycled {
-		t.Error("DisableAOTTier checkout recycled the AOT-shaped instance")
+	if !stack.cloned {
+		t.Error("DisableAOTTier checkout was not a clone")
 	}
 	if stack.translated != 0 || stack.stats.AOTCycles != 0 {
 		t.Error("DisableAOTTier checkout ran AOT superblocks")
@@ -496,11 +439,8 @@ func TestPoolDisabledAOTCheckoutRunsNoSuperblocks(t *testing.T) {
 		t.Errorf("stack-loop checkout measured %v %+v, AOT checkout %v %+v",
 			stack.cycles, ss, aot.cycles, as)
 	}
-	if again := checkout(cfg); again.recycled || again.translated == 0 {
-		t.Errorf("AOT checkout after the stack-loop one: recycled=%v, %d AOT bodies",
-			again.recycled, again.translated)
-	}
-	if st := pool.Stats(); st.Evictions != 2 {
-		t.Errorf("evictions = %d, want 2 (one per shape change)", st.Evictions)
+	if again := checkout(cfg); !again.cloned || again.translated != aot.translated || again.stats != aot.stats {
+		t.Errorf("AOT checkout after the stack-loop one: cloned=%v, %d AOT bodies, stats %+v; want %d bodies, %+v",
+			again.cloned, again.translated, again.stats, aot.translated, aot.stats)
 	}
 }

@@ -398,9 +398,8 @@ func (vm *VM) Instantiate() error {
 // initImage writes the module's post-init state: Mem.Min zero pages with
 // the data segments copied over them (only their extent is committed),
 // and every global at its initial value. A module has no start function,
-// so this is the whole post-init image; Instantiate, snapshot clones and
-// Reset all build it here. An existing *Memory and globals slice are rewritten in place,
-// because retained AOT closures captured them.
+// so this is the whole post-init image; Instantiate and snapshot clones
+// both build it here, into a fresh memory and globals slice.
 func (vm *VM) initImage() error {
 	m := vm.module
 	if m.Mem != nil {
@@ -420,17 +419,13 @@ func (vm *VM) initImage() error {
 			}
 			extent = max(extent, end)
 		}
-		if vm.mem == nil {
-			vm.mem = NewMemory(m.Mem.Min, maxP, vm.cfg.GrowGranularityPages)
-		}
-		vm.mem.reset(m.Mem.Min, int(extent))
+		vm.mem = NewMemory(m.Mem.Min, maxP, vm.cfg.GrowGranularityPages)
+		vm.mem.data = make([]byte, extent)
 		for _, d := range m.Data {
 			copy(vm.mem.data[d.Offset:], d.Bytes)
 		}
 	}
-	if vm.globals == nil {
-		vm.globals = make([]uint64, len(m.Globals))
-	}
+	vm.globals = make([]uint64, len(m.Globals))
 	for i, g := range m.Globals {
 		if g.Type == wasm.I32 {
 			vm.globals[i] = uint64(uint32(int32(g.Init)))
@@ -443,8 +438,8 @@ func (vm *VM) initImage() error {
 
 // applyInstantiateCharges charges the virtual instantiation costs (decode,
 // instance creation, up-front tier compilation) and sets each function's
-// starting tier per the tier policy. Shared by Instantiate, snapshot
-// clones, and Reset so all three produce the identical virtual state.
+// starting tier per the tier policy. Shared by Instantiate and snapshot
+// clones so both produce the identical virtual state.
 func (vm *VM) applyInstantiateCharges() {
 	vm.cycles += vm.cfg.InstantiateCost + vm.cfg.DecodePerByte*float64(vm.binSize)
 	total := 0
