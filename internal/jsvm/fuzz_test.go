@@ -22,26 +22,22 @@ const fuzzStepLimit = 20000
 // result or a typed error (syntax, step limit, call depth, or a thrown
 // value such as a RangeError past an engine maximum), never a panic, and
 // memory bounded by the steps taken — no step allocates past the engine
-// maxima. Seeds: the 41 kernels' emitted JS for both toolchains and every
-// snippet in the engine's unit tests.
+// maxima. Seeds: the 41 kernels' emitted JS for both toolchains, every
+// snippet in the engine's unit tests, and the lexer's edge cases and
+// malformed sources that TestJSFrontEnd pins.
 func FuzzJSRun(f *testing.F) {
 	for _, b := range benchsuite.All() {
 		for _, tc := range []compiler.Toolchain{compiler.Cheerp, compiler.Emscripten} {
-			art, err := compiler.Compile(b.Source, compiler.Options{
-				Opt: ir.O2, Toolchain: tc, Defines: b.Defines(benchsuite.XS),
-				HeapLimit: b.HeapLimitBytes(benchsuite.XS), ModuleName: b.Name,
-				Targets: []compiler.Target{compiler.TargetJS},
-			})
-			if err != nil {
-				f.Fatalf("%s/%s: %v", b.Name, tc, err)
-			}
-			f.Add(art.JS)
+			f.Add(kernelJS(f, b, tc, ir.O2))
 		}
 	}
-	for _, file := range []string{"jsvm_test.go", "tier_boundary_test.go", "stmt_shapes_test.go", "recycle_test.go"} {
+	for _, file := range jsTestFiles {
 		for _, s := range testSnippets(f, file) {
 			f.Add(s)
 		}
+	}
+	for _, s := range append(frontEndSnippets(), frontEndMalformed()...) {
+		f.Add(s.src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		cfg := jsvm.DefaultConfig()
@@ -72,11 +68,11 @@ func typedRunError(err error) bool {
 
 // testSnippets returns the string literals of a test file that hold
 // programs (the engine tests' sources).
-func testSnippets(f *testing.F, file string) []string {
+func testSnippets(tb testing.TB, file string) []string {
 	fset := token.NewFileSet()
 	parsed, err := parser.ParseFile(fset, file, nil, 0)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	var out []string
 	ast.Inspect(parsed, func(n ast.Node) bool {
