@@ -31,13 +31,15 @@ e2ebench-test:
 # (nil-tracer guard on the interpreter hot path), wasmvm optimizing-tier
 # dispatch (AOT superblocks vs the stack loop), instantiation (cold vs
 # snapshot clone, on a small and a 273-page module), the memory
-# checksum, and the parallel harness
+# checksum, the JS front end per stage (lex, parse, compile over the 82 XS
+# -O2 kernel builds), and the parallel harness
 # grid (compile cache on/off, instance pools fresh and steady-state).
 bench:
 	$(GO) test -bench 'Interp|RegistryCounter' -benchtime 5x -run xxx ./internal/obsv/
 	$(GO) test -bench AOTTier -benchtime 30x -run xxx ./internal/wasmvm/
 	$(GO) test -bench SnapshotRestore -benchtime 100x -run xxx ./internal/wasmvm/
 	$(GO) test -bench MemChecksum -benchtime 20x -run xxx ./internal/compiler/
+	$(GO) test -bench JSFrontEnd -benchtime 10x -run xxx ./internal/jsvm/
 	$(GO) test -bench RunCellsMultiProfile -benchtime 5x -run xxx ./internal/harness/
 
 # The end-to-end benchmark on its two workloads: the Table 2 paper

@@ -486,9 +486,10 @@ func (vm *X86VM) callHost(in *X86Instr, regs []uint64, result *uint64) (uint64, 
 		if newLen > uint64(vm.cfg.MemLimit) {
 			return uint64(uint32(0xFFFFFFFF)), nil // -1
 		}
-		grown := make([]byte, newLen)
-		copy(grown, vm.mem)
-		vm.mem = grown
+		// append zeroes the new pages and grows the capacity
+		// geometrically, so a run of grows copies the buffer O(log n)
+		// times, not once per call.
+		vm.mem = append(vm.mem, make([]byte, newLen-uint64(len(vm.mem)))...)
 		if uint32(newLen) > vm.memPeak {
 			vm.memPeak = uint32(newLen)
 		}

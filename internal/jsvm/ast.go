@@ -18,6 +18,7 @@ type sFunc struct {
 	name   string
 	params []string
 	body   []jsStmt
+	facts  *funcFacts // set by analyzeProgram
 }
 
 type sExpr struct{ x jsExpr }
@@ -107,6 +108,7 @@ type eFunc struct {
 	name   string
 	params []string
 	body   []jsStmt
+	facts  *funcFacts // set by analyzeProgram
 }
 
 type eUnary struct {

@@ -135,12 +135,14 @@ func compileProgram(vm *VM, body []jsStmt) (*compiledFunc, error) {
 	cf := &compiledFunc{name: "(program)", slotOf: map[string]int{}, thisSlot: -1, argsSlot: -1}
 	vm.allFuncs = append(vm.allFuncs, cf)
 	sc := &cscope{cf: cf}
-	pf := analyzeProgram(vm, body)
+	pf, top := analyzeProgram(vm, body)
 	c := &jsCompiler{vm: vm, scope: sc, nodes: &cf.nNodes, facts: pf}
-	hoist(body, sc)
+	for _, name := range top.decls {
+		sc.define(name)
+	}
 	// Pre-bind host names referenced anywhere so Run can install them, in
 	// name order so a source gets the same slots on every run.
-	names := identNames(body)
+	names := pf.hostRefs
 	var hostNames []string
 	for name := range vm.hostFuncs {
 		if names[name] {
@@ -182,184 +184,6 @@ func (c *jsCompiler) completionStmt(s *sExpr) (stmtFn, error) {
 		vm.completion = v
 		return v, err
 	}), nil
-}
-
-// hoist declares vars and function declarations into the scope (function
-// scoping; nested functions are not entered).
-func hoist(body []jsStmt, sc *cscope) {
-	for _, s := range body {
-		switch st := s.(type) {
-		case *sVar:
-			for _, n := range st.names {
-				sc.define(n)
-			}
-		case *sFunc:
-			sc.define(st.name)
-		case *sBlock:
-			hoist(st.body, sc)
-		case *sIf:
-			hoist([]jsStmt{st.then}, sc)
-			if st.els != nil {
-				hoist([]jsStmt{st.els}, sc)
-			}
-		case *sFor:
-			if st.init != nil {
-				hoist([]jsStmt{st.init}, sc)
-			}
-			hoist([]jsStmt{st.body}, sc)
-		case *sWhile:
-			hoist([]jsStmt{st.body}, sc)
-		case *sSwitch:
-			for _, cs := range st.cases {
-				hoist(cs.body, sc)
-			}
-		case *sTry:
-			hoist(st.body, sc)
-			if st.param != "" {
-				sc.define(st.param)
-			}
-			hoist(st.catch, sc)
-			hoist(st.finally, sc)
-		case *sLabeled:
-			hoist([]jsStmt{st.body}, sc)
-		}
-	}
-}
-
-// walk calls fs on every statement and fe on every expression of body, in
-// source order, labeled statements included; into says whether it enters
-// nested function bodies.
-func walk(body []jsStmt, into bool, fs func(jsStmt), fe func(jsExpr)) {
-	var ve func(e jsExpr)
-	var vs func(s jsStmt)
-	ves := func(list []jsExpr) {
-		for _, e := range list {
-			ve(e)
-		}
-	}
-	vss := func(list []jsStmt) {
-		for _, s := range list {
-			vs(s)
-		}
-	}
-	ve = func(e jsExpr) {
-		if e == nil {
-			return
-		}
-		if fe != nil {
-			fe(e)
-		}
-		switch x := e.(type) {
-		case *eArray:
-			ves(x.elems)
-		case *eObject:
-			ves(x.vals)
-		case *eFunc:
-			if into {
-				vss(x.body)
-			}
-		case *eUnary:
-			ve(x.x)
-		case *eBinary:
-			ve(x.x)
-			ve(x.y)
-		case *eLogical:
-			ve(x.x)
-			ve(x.y)
-		case *eAssign:
-			ve(x.lhs)
-			ve(x.rhs)
-		case *eCond:
-			ve(x.c)
-			ve(x.t)
-			ve(x.f)
-		case *eCall:
-			ve(x.callee)
-			ves(x.args)
-		case *eNew:
-			ve(x.callee)
-			ves(x.args)
-		case *eMember:
-			ve(x.obj)
-			ve(x.computed)
-		case *eSeq:
-			ve(x.x)
-			ve(x.y)
-		}
-	}
-	vs = func(s jsStmt) {
-		if s == nil {
-			return
-		}
-		if fs != nil {
-			fs(s)
-		}
-		switch st := s.(type) {
-		case *sVar:
-			ves(st.inits)
-		case *sFunc:
-			if into {
-				vss(st.body)
-			}
-		case *sExpr:
-			ve(st.x)
-		case *sIf:
-			ve(st.cond)
-			vs(st.then)
-			vs(st.els)
-		case *sBlock:
-			vss(st.body)
-		case *sFor:
-			vs(st.init)
-			ve(st.cond)
-			ve(st.post)
-			vs(st.body)
-		case *sWhile:
-			ve(st.cond)
-			vs(st.body)
-		case *sSwitch:
-			ve(st.tag)
-			for _, cs := range st.cases {
-				ve(cs.val)
-				vss(cs.body)
-			}
-		case *sReturn:
-			ve(st.x)
-		case *sThrow:
-			ve(st.x)
-		case *sTry:
-			vss(st.body)
-			vss(st.catch)
-			vss(st.finally)
-		case *sLabeled:
-			vs(st.body)
-		}
-	}
-	vss(body)
-}
-
-// identNames collects the identifiers a program mentions, nested functions
-// included (used to bind host globals lazily).
-func identNames(body []jsStmt) map[string]bool {
-	names := map[string]bool{}
-	walk(body, true, nil, func(e jsExpr) {
-		if id, ok := e.(*eIdent); ok {
-			names[id.name] = true
-		}
-	})
-	return names
-}
-
-// referencesThis reports whether a function body (nested functions
-// excluded) uses `this`.
-func referencesThis(body []jsStmt) bool {
-	found := false
-	walk(body, false, nil, func(e jsExpr) {
-		if _, ok := e.(*eThis); ok {
-			found = true
-		}
-	})
-	return found
 }
 
 func (c *jsCompiler) node() { *c.nodes++ }
@@ -445,7 +269,7 @@ func (c *jsCompiler) stmt(s jsStmt) (stmtFn, error) {
 		}, nil
 	case *sFunc:
 		depth, slot := c.scope.resolve(st.name)
-		fn, err := c.function(st.name, st.params, st.body)
+		fn, err := c.function(st.name, st.params, st.body, st.facts)
 		if err != nil {
 			return nil, err
 		}
@@ -960,14 +784,15 @@ func coreStmt(core mixedCore) stmtFn {
 	}
 }
 
-// function compiles a function body into a compiledFunc; the enclosing
-// function then creates a closure.
-func (c *jsCompiler) function(name string, params []string, body []jsStmt) (*compiledFunc, error) {
+// function compiles a function body, with the facts the analysis walk
+// gathered about it, into a compiledFunc; the enclosing function then
+// creates a closure.
+func (c *jsCompiler) function(name string, params []string, body []jsStmt, f *funcFacts) (*compiledFunc, error) {
 	c.scope.cf.makesClosure = true
 	cf := &compiledFunc{
 		name:     name,
 		nParams:  len(params),
-		slotOf:   map[string]int{},
+		slotOf:   make(map[string]int, len(params)+len(f.decls)),
 		thisSlot: -1,
 		argsSlot: -1,
 	}
@@ -979,15 +804,17 @@ func (c *jsCompiler) function(name string, params []string, body []jsStmt) (*com
 	for _, p := range params {
 		sc.define(p)
 	}
-	hoist(body, sc)
-	if referencesThis(body) {
+	for _, name := range f.decls {
+		sc.define(name)
+	}
+	if f.usesThis {
 		cf.thisSlot = sc.define("this")
 	}
-	if identNames(body)["arguments"] {
+	if f.usesArguments {
 		cf.argsSlot = sc.define("arguments")
 	}
 	sub := &jsCompiler{vm: c.vm, scope: sc, nodes: &cf.nNodes, facts: c.facts}
-	sub.inferNumSlots(body)
+	sub.inferNumSlots(f)
 	code, err := sub.stmts(body)
 	if err != nil {
 		return nil, err

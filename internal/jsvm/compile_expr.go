@@ -103,7 +103,7 @@ func (c *jsCompiler) exprBody(e jsExpr) (exprFn, error) {
 			return ObjVal(o), nil
 		}, nil
 	case *eFunc:
-		cf, err := c.function(x.name, x.params, x.body)
+		cf, err := c.function(x.name, x.params, x.body, x.facts)
 		if err != nil {
 			return nil, err
 		}

@@ -59,6 +59,19 @@ func FrontEnd(src string) string {
 		len(toks), th.Sum64(), ah.Sum64(), len(vm.allFuncs), nodes, slots, fh.Sum64())
 }
 
+// jsLex lexes all of src.
+func jsLex(src string) ([]jsTok, error) {
+	lx := jsLexer{src: src, line: 1}
+	var toks []jsTok
+	for {
+		t := lx.next()
+		toks = append(toks, t)
+		if t.kind == jtEOF {
+			return toks, lx.err
+		}
+	}
+}
+
 func tokKindName(k jsTokKind) string {
 	return [...]string{"eof", "ident", "keyword", "number", "string", "punct"}[k]
 }
@@ -257,8 +270,10 @@ func printExpr(h hash.Hash64, e jsExpr) {
 // Lex, Parse and Compile are the front end's three stages, for
 // BenchmarkJSFrontEnd.
 func Lex(src string) error {
-	_, err := jsLex(src)
-	return err
+	lx := jsLexer{src: src, line: 1}
+	for lx.next().kind != jtEOF {
+	}
+	return lx.err
 }
 
 // Parse lexes and parses src.

@@ -131,115 +131,18 @@ type programFacts struct {
 	// local are the names some function declares (parameters, vars,
 	// function declarations, catch parameters).
 	local map[string]bool
-	// writes are the program's assignments, initializers, function
-	// declarations and catch parameters of plain names, in any scope (x is
-	// nil where the value is no expression).
-	writes []nameWrite
+	// funcs are the facts of the program's top level and of every
+	// function, in source order.
+	funcs []*funcFacts
+	// hostRefs are the host bindings (host functions and SetGlobal names)
+	// the program mentions anywhere; Run binds only those.
+	hostRefs map[string]bool
 }
 
 // nameWrite is one write to a variable by name.
 type nameWrite struct {
 	name, op string
 	x        jsExpr
-}
-
-func analyzeProgram(vm *VM, body []jsStmt) *programFacts {
-	pf := &programFacts{local: map[string]bool{}, mathPure: true}
-	bound := map[string]bool{} // written other than by `new C(...)`, or declared by a function or catch
-	newOf := map[string][]string{}
-	var computedTargets []jsExpr
-	declare := func(params []string, fbody []jsStmt) {
-		for _, p := range params {
-			pf.local[p] = true
-		}
-		walk(fbody, false, func(s jsStmt) {
-			switch st := s.(type) {
-			case *sVar:
-				for _, n := range st.names {
-					pf.local[n] = true
-				}
-			case *sFunc:
-				pf.local[st.name] = true
-			case *sTry:
-				pf.local[st.param] = true
-			}
-		}, nil)
-	}
-	memberWrite := func(m *eMember) {
-		if m.computed != nil {
-			computedTargets = append(computedTargets, m.obj)
-		} else if mathIntrinsic(m.name) {
-			pf.mathPure = false
-		}
-	}
-	write := func(name, op string, x jsExpr) {
-		pf.writes = append(pf.writes, nameWrite{name, op, x})
-		if n, ok := x.(*eNew); ok && op == "=" {
-			if ctor, ok := n.callee.(*eIdent); ok && typedArrayCtors[ctor.name] {
-				newOf[name] = append(newOf[name], ctor.name)
-				return
-			}
-		}
-		bound[name] = true
-	}
-	walk(body, true, func(s jsStmt) {
-		switch st := s.(type) {
-		case *sVar:
-			for i, n := range st.names {
-				if st.inits[i] != nil {
-					write(n, "=", st.inits[i])
-				}
-			}
-		case *sFunc:
-			write(st.name, "=", nil)
-			declare(st.params, st.body)
-		case *sTry:
-			write(st.param, "=", nil)
-		}
-	}, func(e jsExpr) {
-		switch x := e.(type) {
-		case *eAssign:
-			switch lhs := x.lhs.(type) {
-			case *eIdent:
-				write(lhs.name, x.op, x.rhs)
-			case *eMember:
-				memberWrite(lhs)
-			}
-		case *eUnary:
-			if x.op == "++" || x.op == "--" {
-				switch lhs := x.x.(type) {
-				case *eIdent:
-					write(lhs.name, x.op, nil)
-				case *eMember:
-					memberWrite(lhs)
-				}
-			}
-		case *eFunc:
-			declare(x.params, x.body)
-		}
-	})
-	for _, hb := range vm.pendingGlobals {
-		bound[hb.name] = true
-	}
-	pf.taGlobals = map[string]bool{}
-	for name, ctors := range newOf {
-		ok := !bound[name] && !pf.local[name] && vm.hostFuncs[name] == nil
-		for _, c := range ctors {
-			ok = ok && !bound[c] && newOf[c] == nil && !pf.local[c]
-		}
-		if ok {
-			pf.taGlobals[name] = true
-		}
-	}
-	if bound["Math"] || newOf["Math"] != nil || pf.local["Math"] {
-		pf.mathPure = false
-	}
-	for _, t := range computedTargets {
-		if id, ok := t.(*eIdent); !ok || !pf.taGlobals[id.name] {
-			pf.mathPure = false
-		}
-	}
-	return pf
 }
 
 // inferGlobalSlots marks the program-level variables that never hold a
@@ -254,21 +157,30 @@ func (c *jsCompiler) inferGlobalSlots(pf *programFacts) {
 	for name, idx := range cf.slotOf {
 		num[idx] = !pf.local[name] && c.vm.hostFuncs[name] == nil
 	}
-	for _, hb := range c.vm.pendingGlobals {
-		if idx, ok := cf.slotOf[hb.name]; ok {
+	unmark := func(name string) {
+		if idx, ok := cf.slotOf[name]; ok {
 			num[idx] = false
 		}
 	}
+	for _, hb := range c.vm.pendingGlobals {
+		unmark(hb.name)
+	}
+	// The top level's function declarations and catch parameters hold no
+	// primitive; a function's are local names, already unmarked.
+	for _, name := range pf.funcs[0].pinned {
+		unmark(name)
+	}
 	var writes []slotWrite
-	for _, w := range pf.writes {
-		idx, ok := cf.slotOf[w.name]
-		switch {
-		case !ok:
-		case w.op == "++" || w.op == "--":
-		case w.op == "=" && pf.taGlobals[w.name]:
-			num[idx] = false
-		default:
-			writes = append(writes, slotWrite{idx, w.op, w.x})
+	for _, f := range pf.funcs {
+		for _, w := range f.writes {
+			idx, ok := cf.slotOf[w.name]
+			switch {
+			case !ok:
+			case w.op == "=" && pf.taGlobals[w.name]:
+				num[idx] = false
+			default:
+				writes = append(writes, slotWrite{idx, w.op, w.x})
+			}
 		}
 	}
 	c.fixSlots(num, writes)
@@ -300,11 +212,11 @@ type slotWrite struct {
 // depend on the slots' own types, so the marking is the greatest fixed
 // point: start from every candidate and drop slots until no write refutes
 // one.
-func (c *jsCompiler) inferNumSlots(body []jsStmt) {
+func (c *jsCompiler) inferNumSlots(f *funcFacts) {
 	cf := c.scope.cf
 	num := make([]bool, cf.nSlots)
-	for _, idx := range cf.slotOf {
-		num[idx] = idx >= cf.nParams
+	for idx := cf.nParams; idx < cf.nSlots; idx++ {
+		num[idx] = true
 	}
 	if cf.thisSlot >= 0 {
 		num[cf.thisSlot] = false
@@ -312,48 +224,17 @@ func (c *jsCompiler) inferNumSlots(body []jsStmt) {
 	if cf.argsSlot >= 0 {
 		num[cf.argsSlot] = false
 	}
-	exclude := func(name string) {
+	for _, name := range f.pinned {
 		if idx, ok := cf.slotOf[name]; ok {
 			num[idx] = false
 		}
 	}
-	excludeIdents := func(e jsExpr) {
-		if id, ok := e.(*eIdent); ok {
-			exclude(id.name)
+	writes := make([]slotWrite, 0, len(f.writes))
+	for _, w := range f.writes {
+		if idx, ok := cf.slotOf[w.name]; ok {
+			writes = append(writes, slotWrite{idx, w.op, w.x})
 		}
 	}
-	var writes []slotWrite
-	write := func(name, op string, x jsExpr) {
-		if idx, ok := cf.slotOf[name]; ok {
-			writes = append(writes, slotWrite{idx, op, x})
-		}
-	}
-	walk(body, false, func(s jsStmt) {
-		switch st := s.(type) {
-		case *sVar:
-			for i, n := range st.names {
-				if st.inits[i] != nil {
-					write(n, "=", st.inits[i])
-				}
-			}
-		case *sFunc:
-			exclude(st.name)
-			walk(st.body, true, nil, excludeIdents)
-		case *sTry:
-			if st.param != "" {
-				exclude(st.param)
-			}
-		}
-	}, func(e jsExpr) {
-		switch x := e.(type) {
-		case *eAssign:
-			if id, ok := x.lhs.(*eIdent); ok {
-				write(id.name, x.op, x.rhs)
-			}
-		case *eFunc:
-			walk(x.body, true, nil, excludeIdents)
-		}
-	})
 	c.fixSlots(num, writes)
 }
 

@@ -5,22 +5,32 @@ import (
 	"fmt"
 )
 
-// jsParse parses a program (list of statements).
+// jsParse parses a program (list of statements). The lexer runs one token
+// ahead of the parser; a lexing error anywhere in src is the error reported,
+// even where the parser fails earlier.
 func jsParse(src string) ([]jsStmt, error) {
-	toks, err := jsLex(src)
+	p := &jsParser{lx: jsLexer{src: src, line: 1}}
+	p.tok = p.lx.next()
+	p.ahead = p.lx.next()
+	base := len(p.stmts)
+	var err error
+	for err == nil && !p.at(jtEOF) {
+		var s jsStmt
+		if s, err = p.stmt(); err == nil {
+			p.stmts = append(p.stmts, s)
+		}
+	}
+	if err != nil {
+		for p.lx.next().kind != jtEOF {
+		}
+	}
+	if p.lx.err != nil {
+		return nil, &syntaxError{p.lx.err}
+	}
 	if err != nil {
 		return nil, &syntaxError{err}
 	}
-	p := &jsParser{toks: toks}
-	var body []jsStmt
-	for !p.at(jtEOF) {
-		s, err := p.stmt()
-		if err != nil {
-			return nil, &syntaxError{err}
-		}
-		body = append(body, s)
-	}
-	return body, nil
+	return p.stmtList(base), nil
 }
 
 // ErrJSSyntax matches (errors.Is) every error that rejects a program before
@@ -35,9 +45,38 @@ func (e *syntaxError) Unwrap() error        { return e.err }
 func (e *syntaxError) Is(target error) bool { return target == ErrJSSyntax }
 
 type jsParser struct {
-	toks  []jsTok
-	pos   int
+	lx    jsLexer
+	tok   jsTok // the current token
+	ahead jsTok // the token after it
 	depth int
+	// stmts, exprs and names are stacks the lists under construction share:
+	// a list is built on top and copied out at its exact length.
+	stmts []jsStmt
+	exprs []jsExpr
+	names []string
+	// The most frequent nodes come from slabs.
+	idents  slab[eIdent]
+	nums    slab[eNum]
+	binarys slab[eBinary]
+	assigns slab[eAssign]
+	members slab[eMember]
+	calls   slab[eCall]
+	exprSts slab[sExpr]
+}
+
+// slab hands out zeroed values of T from shared chunks, one allocation per
+// slabChunk values.
+type slab[T any] struct{ free []T }
+
+const slabChunk = 64
+
+func (s *slab[T]) new() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, slabChunk)
+	}
+	v := &s.free[0]
+	s.free = s.free[1:]
+	return v
 }
 
 // maxNesting bounds the parse tree's depth, so that parsing, compiling and
@@ -48,93 +87,116 @@ const maxNesting = 1000
 func (p *jsParser) nest() error {
 	p.depth++
 	if p.depth > maxNesting {
-		return fmt.Errorf("jsvm: line %d: nesting deeper than %d", p.cur().line, maxNesting)
+		return fmt.Errorf("jsvm: line %d: nesting deeper than %d", p.tok.line, maxNesting)
 	}
 	return nil
 }
 
-func (p *jsParser) cur() jsTok          { return p.toks[p.pos] }
-func (p *jsParser) at(k jsTokKind) bool { return p.cur().kind == k }
-
-func (p *jsParser) atP(s string) bool {
-	return p.cur().kind == jtPunct && p.cur().text == s
+func (p *jsParser) advance() {
+	p.tok = p.ahead
+	p.ahead = p.lx.next()
 }
 
-func (p *jsParser) atKw(s string) bool {
-	return p.cur().kind == jtKeyword && p.cur().text == s
-}
+func (p *jsParser) at(k jsTokKind) bool { return p.tok.kind == k }
 
-func (p *jsParser) eatP(s string) bool {
-	if p.atP(s) {
-		p.pos++
+// is reports whether the current token is the punctuator or keyword c.
+func (p *jsParser) is(c tokCode) bool { return p.tok.code == c }
+
+func (p *jsParser) eat(c tokCode) bool {
+	if p.tok.code == c {
+		p.advance()
 		return true
 	}
 	return false
 }
 
-func (p *jsParser) eatKw(s string) bool {
-	if p.atKw(s) {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *jsParser) expectP(s string) error {
-	if !p.eatP(s) {
-		t := p.cur()
-		return fmt.Errorf("jsvm: line %d: expected %q, got %q", t.line, s, t.text)
+func (p *jsParser) expect(c tokCode) error {
+	if !p.eat(c) {
+		return fmt.Errorf("jsvm: line %d: expected %q, got %q", p.tok.line, codeText[c], p.tok.text)
 	}
 	return nil
 }
 
 func (p *jsParser) ident() (string, error) {
-	t := p.cur()
+	t := &p.tok
 	if t.kind != jtIdent {
 		return "", fmt.Errorf("jsvm: line %d: expected identifier, got %q", t.line, t.text)
 	}
-	p.pos++
-	return t.text, nil
+	name := t.text
+	p.advance()
+	return name, nil
 }
 
 // eatSemi consumes an optional statement terminator.
-func (p *jsParser) eatSemi() { p.eatP(";") }
+func (p *jsParser) eatSemi() { p.eat(pSemi) }
+
+// stmtList pops the statements above base as a list (nil if none).
+func (p *jsParser) stmtList(base int) []jsStmt {
+	return popList(&p.stmts, base)
+}
+
+func popList[T any](stack *[]T, base int) []T {
+	s := *stack
+	if len(s) == base {
+		return nil
+	}
+	out := make([]T, len(s)-base)
+	copy(out, s[base:])
+	clear(s[base:])
+	*stack = s[:base]
+	return out
+}
+
+// stmtsUntil parses statements up to the closing brace and consumes it;
+// eof, if set, is the error for a body the source ends inside.
+func (p *jsParser) stmtsUntil(eof string) ([]jsStmt, error) {
+	base := len(p.stmts)
+	for !p.is(pRBrace) {
+		if eof != "" && p.at(jtEOF) {
+			return nil, errors.New(eof)
+		}
+		s, err := p.stmt()
+		if err != nil {
+			return nil, err
+		}
+		p.stmts = append(p.stmts, s)
+	}
+	p.advance()
+	return p.stmtList(base), nil
+}
 
 func (p *jsParser) stmt() (jsStmt, error) {
-	defer func(d int) { p.depth = d }(p.depth)
+	d := p.depth
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	t := p.cur()
-	switch {
-	case p.atP("{"):
-		p.pos++
-		var body []jsStmt
-		for !p.atP("}") {
-			if p.at(jtEOF) {
-				return nil, fmt.Errorf("jsvm: unexpected EOF in block")
-			}
-			s, err := p.stmt()
-			if err != nil {
-				return nil, err
-			}
-			body = append(body, s)
+	s, err := p.stmtBody()
+	p.depth = d
+	return s, err
+}
+
+func (p *jsParser) stmtBody() (jsStmt, error) {
+	switch p.tok.code {
+	case pLBrace:
+		p.advance()
+		body, err := p.stmtsUntil("jsvm: unexpected EOF in block")
+		if err != nil {
+			return nil, err
 		}
-		p.pos++
 		return &sBlock{body: body}, nil
-	case p.atP(";"):
-		p.pos++
+	case pSemi:
+		p.advance()
 		return &sBlock{}, nil
-	case p.atKw("var"), p.atKw("let"), p.atKw("const"):
-		p.pos++
+	case kVar, kLet, kConst:
+		p.advance()
 		s, err := p.varDecl()
 		if err != nil {
 			return nil, err
 		}
 		p.eatSemi()
 		return s, nil
-	case p.atKw("function"):
-		p.pos++
+	case kFunction:
+		p.advance()
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
@@ -144,16 +206,10 @@ func (p *jsParser) stmt() (jsStmt, error) {
 			return nil, err
 		}
 		return &sFunc{name: name, params: params, body: body}, nil
-	case p.atKw("if"):
-		p.pos++
-		if err := p.expectP("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expr()
+	case kIf:
+		p.advance()
+		cond, err := p.parenExpr()
 		if err != nil {
-			return nil, err
-		}
-		if err := p.expectP(")"); err != nil {
 			return nil, err
 		}
 		then, err := p.stmt()
@@ -161,25 +217,19 @@ func (p *jsParser) stmt() (jsStmt, error) {
 			return nil, err
 		}
 		st := &sIf{cond: cond, then: then}
-		if p.eatKw("else") {
+		if p.eat(kElse) {
 			st.els, err = p.stmt()
 			if err != nil {
 				return nil, err
 			}
 		}
 		return st, nil
-	case p.atKw("for"):
+	case kFor:
 		return p.forStmt()
-	case p.atKw("while"):
-		p.pos++
-		if err := p.expectP("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expr()
+	case kWhile:
+		p.advance()
+		cond, err := p.parenExpr()
 		if err != nil {
-			return nil, err
-		}
-		if err := p.expectP(")"); err != nil {
 			return nil, err
 		}
 		body, err := p.stmt()
@@ -187,50 +237,36 @@ func (p *jsParser) stmt() (jsStmt, error) {
 			return nil, err
 		}
 		return &sWhile{cond: cond, body: body}, nil
-	case p.atKw("do"):
-		p.pos++
+	case kDo:
+		p.advance()
 		body, err := p.stmt()
 		if err != nil {
 			return nil, err
 		}
-		if !p.eatKw("while") {
-			return nil, fmt.Errorf("jsvm: line %d: expected while", p.cur().line)
+		if !p.eat(kWhile) {
+			return nil, fmt.Errorf("jsvm: line %d: expected while", p.tok.line)
 		}
-		if err := p.expectP("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expr()
+		cond, err := p.parenExpr()
 		if err != nil {
-			return nil, err
-		}
-		if err := p.expectP(")"); err != nil {
 			return nil, err
 		}
 		p.eatSemi()
 		return &sWhile{cond: cond, body: body, post: true}, nil
-	case p.atKw("switch"):
+	case kSwitch:
 		return p.switchStmt()
-	case p.atKw("break"):
-		p.pos++
-		lbl := ""
-		if p.at(jtIdent) {
-			lbl = p.cur().text
-			p.pos++
-		}
+	case kBreak:
+		p.advance()
+		s := &sBreak{label: p.label()}
 		p.eatSemi()
-		return &sBreak{label: lbl}, nil
-	case p.atKw("continue"):
-		p.pos++
-		lbl := ""
-		if p.at(jtIdent) {
-			lbl = p.cur().text
-			p.pos++
-		}
+		return s, nil
+	case kContinue:
+		p.advance()
+		s := &sContinue{label: p.label()}
 		p.eatSemi()
-		return &sContinue{label: lbl}, nil
-	case p.atKw("return"):
-		p.pos++
-		if p.atP(";") || p.atP("}") {
+		return s, nil
+	case kReturn:
+		p.advance()
+		if p.is(pSemi) || p.is(pRBrace) {
 			p.eatSemi()
 			return &sReturn{}, nil
 		}
@@ -240,21 +276,22 @@ func (p *jsParser) stmt() (jsStmt, error) {
 		}
 		p.eatSemi()
 		return &sReturn{x: x}, nil
-	case p.atKw("throw"):
-		p.pos++
+	case kThrow:
+		p.advance()
 		x, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
 		p.eatSemi()
 		return &sThrow{x: x}, nil
-	case p.atKw("try"):
+	case kTry:
 		return p.tryStmt()
 	}
 	// Labeled statement: ident ':' stmt.
-	if t.kind == jtIdent && p.toks[p.pos+1].kind == jtPunct && p.toks[p.pos+1].text == ":" {
-		label := t.text
-		p.pos += 2
+	if p.at(jtIdent) && p.ahead.code == pColon {
+		label := p.tok.text
+		p.advance()
+		p.advance()
 		body, err := p.stmt()
 		if err != nil {
 			return nil, err
@@ -266,75 +303,92 @@ func (p *jsParser) stmt() (jsStmt, error) {
 		return nil, err
 	}
 	p.eatSemi()
-	return &sExpr{x: x}, nil
+	st := p.exprSts.new()
+	st.x = x
+	return st, nil
+}
+
+// label consumes the optional label of a break or continue.
+func (p *jsParser) label() string {
+	if !p.at(jtIdent) {
+		return ""
+	}
+	l := p.tok.text
+	p.advance()
+	return l
+}
+
+// parenExpr parses `( expr )`.
+func (p *jsParser) parenExpr() (jsExpr, error) {
+	if err := p.expect(pLParen); err != nil {
+		return nil, err
+	}
+	x, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	return x, p.expect(pRParen)
 }
 
 func (p *jsParser) varDecl() (*sVar, error) {
-	s := &sVar{}
+	nbase, xbase := len(p.names), len(p.exprs)
 	for {
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		s.names = append(s.names, name)
-		if p.eatP("=") {
-			init, err := p.assignExpr()
-			if err != nil {
+		p.names = append(p.names, name)
+		var init jsExpr
+		if p.eat(pAssign) {
+			if init, err = p.assignExpr(); err != nil {
 				return nil, err
 			}
-			s.inits = append(s.inits, init)
-		} else {
-			s.inits = append(s.inits, nil)
 		}
-		if !p.eatP(",") {
-			return s, nil
+		p.exprs = append(p.exprs, init)
+		if !p.eat(pComma) {
+			return &sVar{names: popList(&p.names, nbase), inits: popList(&p.exprs, xbase)}, nil
 		}
 	}
 }
 
 func (p *jsParser) funcRest() (params []string, body []jsStmt, err error) {
-	if err := p.expectP("("); err != nil {
+	if err := p.expect(pLParen); err != nil {
 		return nil, nil, err
 	}
-	for !p.atP(")") {
+	base := len(p.names)
+	for !p.is(pRParen) {
 		name, err := p.ident()
 		if err != nil {
 			return nil, nil, err
 		}
-		params = append(params, name)
-		if !p.eatP(",") {
+		p.names = append(p.names, name)
+		if !p.eat(pComma) {
 			break
 		}
 	}
-	if err := p.expectP(")"); err != nil {
+	params = popList(&p.names, base)
+	if err := p.expect(pRParen); err != nil {
 		return nil, nil, err
 	}
-	if err := p.expectP("{"); err != nil {
+	if err := p.expect(pLBrace); err != nil {
 		return nil, nil, err
 	}
-	for !p.atP("}") {
-		if p.at(jtEOF) {
-			return nil, nil, fmt.Errorf("jsvm: unexpected EOF in function body")
-		}
-		s, err := p.stmt()
-		if err != nil {
-			return nil, nil, err
-		}
-		body = append(body, s)
+	body, err = p.stmtsUntil("jsvm: unexpected EOF in function body")
+	if err != nil {
+		return nil, nil, err
 	}
-	p.pos++
 	return params, body, nil
 }
 
 func (p *jsParser) forStmt() (jsStmt, error) {
-	p.pos++ // for
-	if err := p.expectP("("); err != nil {
+	p.advance() // for
+	if err := p.expect(pLParen); err != nil {
 		return nil, err
 	}
 	fs := &sFor{}
-	if !p.atP(";") {
-		if p.atKw("var") || p.atKw("let") || p.atKw("const") {
-			p.pos++
+	if !p.is(pSemi) {
+		if p.is(kVar) || p.is(kLet) || p.is(kConst) {
+			p.advance()
 			vd, err := p.varDecl()
 			if err != nil {
 				return nil, err
@@ -348,27 +402,27 @@ func (p *jsParser) forStmt() (jsStmt, error) {
 			fs.init = &sExpr{x: x}
 		}
 	}
-	if err := p.expectP(";"); err != nil {
+	if err := p.expect(pSemi); err != nil {
 		return nil, err
 	}
-	if !p.atP(";") {
+	if !p.is(pSemi) {
 		c, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
 		fs.cond = c
 	}
-	if err := p.expectP(";"); err != nil {
+	if err := p.expect(pSemi); err != nil {
 		return nil, err
 	}
-	if !p.atP(")") {
+	if !p.is(pRParen) {
 		post, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
 		fs.post = post
 	}
-	if err := p.expectP(")"); err != nil {
+	if err := p.expect(pRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.stmt()
@@ -380,102 +434,92 @@ func (p *jsParser) forStmt() (jsStmt, error) {
 }
 
 func (p *jsParser) switchStmt() (jsStmt, error) {
-	p.pos++ // switch
-	if err := p.expectP("("); err != nil {
-		return nil, err
-	}
-	tag, err := p.expr()
+	p.advance() // switch
+	tag, err := p.parenExpr()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectP(")"); err != nil {
-		return nil, err
-	}
-	if err := p.expectP("{"); err != nil {
+	if err := p.expect(pLBrace); err != nil {
 		return nil, err
 	}
 	sw := &sSwitch{tag: tag, defaultI: -1}
-	for !p.atP("}") {
+	base := len(p.stmts)
+	// endCase closes the case being read.
+	endCase := func() {
+		if len(sw.cases) > 0 {
+			sw.cases[len(sw.cases)-1].body = p.stmtList(base)
+		}
+	}
+	for !p.is(pRBrace) {
 		switch {
-		case p.eatKw("case"):
+		case p.eat(kCase):
 			v, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectP(":"); err != nil {
+			if err := p.expect(pColon); err != nil {
 				return nil, err
 			}
+			endCase()
 			sw.cases = append(sw.cases, jsSwitchCase{val: v})
-		case p.eatKw("default"):
-			if err := p.expectP(":"); err != nil {
+		case p.eat(kDefault):
+			if err := p.expect(pColon); err != nil {
 				return nil, err
 			}
+			endCase()
 			sw.defaultI = len(sw.cases)
 			sw.cases = append(sw.cases, jsSwitchCase{})
 		default:
 			if len(sw.cases) == 0 {
-				return nil, fmt.Errorf("jsvm: line %d: statement before first case", p.cur().line)
+				return nil, fmt.Errorf("jsvm: line %d: statement before first case", p.tok.line)
 			}
 			s, err := p.stmt()
 			if err != nil {
 				return nil, err
 			}
-			sw.cases[len(sw.cases)-1].body = append(sw.cases[len(sw.cases)-1].body, s)
+			p.stmts = append(p.stmts, s)
 		}
 	}
-	p.pos++
+	endCase()
+	p.advance()
 	return sw, nil
 }
 
 func (p *jsParser) tryStmt() (jsStmt, error) {
-	p.pos++ // try
-	if err := p.expectP("{"); err != nil {
+	p.advance() // try
+	if err := p.expect(pLBrace); err != nil {
 		return nil, err
 	}
 	st := &sTry{}
-	for !p.atP("}") {
-		s, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		st.body = append(st.body, s)
+	var err error
+	if st.body, err = p.stmtsUntil(""); err != nil {
+		return nil, err
 	}
-	p.pos++
-	if p.eatKw("catch") {
-		if p.eatP("(") {
+	if p.eat(kCatch) {
+		if p.eat(pLParen) {
 			name, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
 			st.param = name
-			if err := p.expectP(")"); err != nil {
+			if err := p.expect(pRParen); err != nil {
 				return nil, err
 			}
 		}
-		if err := p.expectP("{"); err != nil {
+		if err := p.expect(pLBrace); err != nil {
 			return nil, err
 		}
-		for !p.atP("}") {
-			s, err := p.stmt()
-			if err != nil {
-				return nil, err
-			}
-			st.catch = append(st.catch, s)
+		if st.catch, err = p.stmtsUntil(""); err != nil {
+			return nil, err
 		}
-		p.pos++
 	}
-	if p.eatKw("finally") {
-		if err := p.expectP("{"); err != nil {
+	if p.eat(kFinally) {
+		if err := p.expect(pLBrace); err != nil {
 			return nil, err
 		}
-		for !p.atP("}") {
-			s, err := p.stmt()
-			if err != nil {
-				return nil, err
-			}
-			st.finally = append(st.finally, s)
+		if st.finally, err = p.stmtsUntil(""); err != nil {
+			return nil, err
 		}
-		p.pos++
 	}
 	return st, nil
 }
@@ -487,8 +531,7 @@ func (p *jsParser) expr() (jsExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.atP(",") {
-		p.pos++
+	for p.eat(pComma) {
 		y, err := p.assignExpr()
 		if err != nil {
 			return nil, err
@@ -498,8 +541,15 @@ func (p *jsParser) expr() (jsExpr, error) {
 	return x, nil
 }
 
+// assignOp marks the assignment operators.
+var assignOp = [numCodes]bool{
+	pAssign: true, pAddAssign: true, pSubAssign: true, pMulAssign: true, pDivAssign: true,
+	pModAssign: true, pAndAssign: true, pOrAssign: true, pXorAssign: true,
+	pShlAssign: true, pShrAssign: true, pUShrAssign: true,
+}
+
 func (p *jsParser) assignExpr() (jsExpr, error) {
-	defer func(d int) { p.depth = d }(p.depth)
+	d := p.depth
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
@@ -507,32 +557,31 @@ func (p *jsParser) assignExpr() (jsExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().kind == jtPunct {
-		op := p.cur().text
-		switch op {
-		case "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=":
-			p.pos++
-			rhs, err := p.assignExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &eAssign{op: op, lhs: lhs, rhs: rhs}, nil
+	if op := p.tok.code; assignOp[op] {
+		p.advance()
+		rhs, err := p.assignExpr()
+		if err != nil {
+			return nil, err
 		}
+		a := p.assigns.new()
+		*a = eAssign{op: codeText[op], lhs: lhs, rhs: rhs}
+		lhs = a
 	}
+	p.depth = d
 	return lhs, nil
 }
 
 func (p *jsParser) condExpr() (jsExpr, error) {
-	c, err := p.binExpr(0)
+	c, err := p.binExpr(1)
 	if err != nil {
 		return nil, err
 	}
-	if p.eatP("?") {
+	if p.eat(pQuest) {
 		t, err := p.assignExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectP(":"); err != nil {
+		if err := p.expect(pColon); err != nil {
 			return nil, err
 		}
 		f, err := p.assignExpr()
@@ -544,31 +593,32 @@ func (p *jsParser) condExpr() (jsExpr, error) {
 	return c, nil
 }
 
-var jsBinPrec = map[string]int{
-	"||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-	"==": 6, "!=": 6, "===": 6, "!==": 6,
-	"<": 7, ">": 7, "<=": 7, ">=": 7,
-	"<<": 8, ">>": 8, ">>>": 8,
-	"+": 9, "-": 9,
-	"*": 10, "/": 10, "%": 10,
+// binPrec is each binary operator's precedence; 0 for other tokens.
+var binPrec = [numCodes]int8{
+	pOrOr: 1, pAndAnd: 2, pOr: 3, pXor: 4, pAnd: 5,
+	pEq: 6, pNe: 6, pSEq: 6, pSNe: 6,
+	pLt: 7, pGt: 7, pLe: 7, pGe: 7,
+	pShl: 8, pShr: 8, pUShr: 8,
+	pPlus: 9, pMinus: 9,
+	pStar: 10, pSlash: 10, pPercent: 10,
 }
 
-func (p *jsParser) binExpr(minPrec int) (jsExpr, error) {
-	defer func(d int) { p.depth = d }(p.depth)
+// binExpr parses a binary expression whose operators bind at least as
+// tightly as minPrec (≥ 1).
+func (p *jsParser) binExpr(minPrec int8) (jsExpr, error) {
+	d := p.depth
 	lhs, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		t := p.cur()
-		if t.kind != jtPunct {
+		op := p.tok.code
+		prec := binPrec[op]
+		if prec == 0 || prec < minPrec {
+			p.depth = d
 			return lhs, nil
 		}
-		prec, ok := jsBinPrec[t.text]
-		if !ok || prec < minPrec {
-			return lhs, nil
-		}
-		p.pos++
+		p.advance()
 		if err := p.nest(); err != nil {
 			return nil, err
 		}
@@ -576,113 +626,99 @@ func (p *jsParser) binExpr(minPrec int) (jsExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if t.text == "&&" || t.text == "||" {
-			lhs = &eLogical{op: t.text, x: lhs, y: rhs}
+		if op == pAndAnd || op == pOrOr {
+			lhs = &eLogical{op: codeText[op], x: lhs, y: rhs}
 		} else {
-			lhs = &eBinary{op: t.text, x: lhs, y: rhs}
+			b := p.binarys.new()
+			*b = eBinary{op: codeText[op], x: lhs, y: rhs}
+			lhs = b
 		}
 	}
 }
 
 func (p *jsParser) unaryExpr() (jsExpr, error) {
-	defer func(d int) { p.depth = d }(p.depth)
+	d := p.depth
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	t := p.cur()
-	if t.kind == jtPunct {
-		switch t.text {
-		case "-", "+", "!", "~":
-			p.pos++
-			x, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &eUnary{op: t.text, x: x}, nil
-		case "++", "--":
-			p.pos++
-			x, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &eUnary{op: t.text, x: x}, nil
-		}
-	}
-	if t.kind == jtKeyword && t.text == "typeof" {
-		p.pos++
-		x, err := p.unaryExpr()
-		if err != nil {
+	var x jsExpr
+	var err error
+	switch op := p.tok.code; op {
+	case pMinus, pPlus, pNot, pTilde, pInc, pDec, kTypeof:
+		p.advance()
+		if x, err = p.unaryExpr(); err != nil {
 			return nil, err
 		}
-		return &eUnary{op: "typeof", x: x}, nil
+		x = &eUnary{op: codeText[op], x: x}
+	default:
+		if x, err = p.callExpr(); err != nil {
+			return nil, err
+		}
+		if op := p.tok.code; op == pInc || op == pDec {
+			p.advance()
+			x = &eUnary{op: codeText[op], x: x, postfix: true}
+		}
 	}
-	return p.postfixExpr()
-}
-
-func (p *jsParser) postfixExpr() (jsExpr, error) {
-	x, err := p.callExpr()
-	if err != nil {
-		return nil, err
-	}
-	t := p.cur()
-	if t.kind == jtPunct && (t.text == "++" || t.text == "--") {
-		p.pos++
-		return &eUnary{op: t.text, x: x, postfix: true}, nil
-	}
+	p.depth = d
 	return x, nil
 }
 
 func (p *jsParser) callExpr() (jsExpr, error) {
-	defer func(d int) { p.depth = d }(p.depth)
+	d := p.depth
 	var x jsExpr
 	var err error
-	if p.atKw("new") {
-		p.pos++
+	if p.eat(kNew) {
 		callee, err := p.memberOnly()
 		if err != nil {
 			return nil, err
 		}
 		var args []jsExpr
-		if p.eatP("(") {
-			args, err = p.argList()
-			if err != nil {
+		if p.eat(pLParen) {
+			if args, err = p.argList(); err != nil {
 				return nil, err
 			}
 		}
 		x = &eNew{callee: callee, args: args}
-	} else {
-		x, err = p.primary()
-		if err != nil {
-			return nil, err
-		}
+	} else if x, err = p.primary(); err != nil {
+		return nil, err
 	}
 	for {
 		if err := p.nest(); err != nil {
 			return nil, err
 		}
-		switch {
-		case p.eatP("."):
+		switch p.tok.code {
+		case pDot:
+			p.advance()
 			name, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			x = &eMember{obj: x, name: name}
-		case p.eatP("["):
+			m := p.members.new()
+			*m = eMember{obj: x, name: name}
+			x = m
+		case pLBrack:
+			p.advance()
 			idx, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectP("]"); err != nil {
+			if err := p.expect(pRBrack); err != nil {
 				return nil, err
 			}
-			x = &eMember{obj: x, computed: idx}
-		case p.eatP("("):
+			m := p.members.new()
+			*m = eMember{obj: x, computed: idx}
+			x = m
+		case pLParen:
+			p.advance()
 			args, err := p.argList()
 			if err != nil {
 				return nil, err
 			}
-			x = &eCall{callee: x, args: args}
+			c := p.calls.new()
+			*c = eCall{callee: x, args: args}
+			x = c
 		default:
+			p.depth = d
 			return x, nil
 		}
 	}
@@ -690,12 +726,12 @@ func (p *jsParser) callExpr() (jsExpr, error) {
 
 // memberOnly parses member chains without call suffixes (for `new X.Y(...)`).
 func (p *jsParser) memberOnly() (jsExpr, error) {
-	defer func(d int) { p.depth = d }(p.depth)
+	d := p.depth
 	x, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
-	for p.eatP(".") {
+	for p.eat(pDot) {
 		if err := p.nest(); err != nil {
 			return nil, err
 		}
@@ -705,133 +741,141 @@ func (p *jsParser) memberOnly() (jsExpr, error) {
 		}
 		x = &eMember{obj: x, name: name}
 	}
+	p.depth = d
 	return x, nil
 }
 
+// argList parses the rest of a call's arguments, the open paren consumed.
 func (p *jsParser) argList() ([]jsExpr, error) {
-	var args []jsExpr
-	for !p.atP(")") {
+	args, err := p.exprList(pRParen)
+	if err != nil {
+		return nil, err
+	}
+	return args, p.expect(pRParen)
+}
+
+// exprList parses comma-separated expressions up to (not including) end.
+func (p *jsParser) exprList(end tokCode) ([]jsExpr, error) {
+	base := len(p.exprs)
+	for !p.is(end) {
 		a, err := p.assignExpr()
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
-		if !p.eatP(",") {
+		p.exprs = append(p.exprs, a)
+		if !p.eat(pComma) {
 			break
 		}
 	}
-	if err := p.expectP(")"); err != nil {
-		return nil, err
-	}
-	return args, nil
+	return popList(&p.exprs, base), nil
 }
 
 func (p *jsParser) primary() (jsExpr, error) {
-	defer func(d int) { p.depth = d }(p.depth)
+	d := p.depth
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	t := p.cur()
+	x, err := p.primaryBody()
+	p.depth = d
+	return x, err
+}
+
+func (p *jsParser) primaryBody() (jsExpr, error) {
+	t := &p.tok
 	switch t.kind {
 	case jtNumber:
-		p.pos++
-		return &eNum{v: t.num}, nil
+		n := p.nums.new()
+		n.v = t.num
+		p.advance()
+		return n, nil
 	case jtString:
-		p.pos++
-		return &eStr{v: t.text}, nil
+		s := t.text
+		p.advance()
+		return &eStr{v: s}, nil
 	case jtIdent:
-		p.pos++
-		return &eIdent{name: t.text}, nil
-	case jtKeyword:
-		switch t.text {
-		case "true":
-			p.pos++
-			return &eBool{v: true}, nil
-		case "false":
-			p.pos++
-			return &eBool{v: false}, nil
-		case "null":
-			p.pos++
-			return &eNull{}, nil
-		case "undefined":
-			p.pos++
-			return &eUndefined{}, nil
-		case "this":
-			p.pos++
-			return &eThis{}, nil
-		case "function":
-			p.pos++
-			name := ""
-			if p.at(jtIdent) {
-				name = p.cur().text
-				p.pos++
-			}
-			params, body, err := p.funcRest()
-			if err != nil {
-				return nil, err
-			}
-			return &eFunc{name: name, params: params, body: body}, nil
+		id := p.idents.new()
+		id.name = t.text
+		p.advance()
+		return id, nil
+	}
+	switch t.code {
+	case kTrue:
+		p.advance()
+		return &eBool{v: true}, nil
+	case kFalse:
+		p.advance()
+		return &eBool{v: false}, nil
+	case kNull:
+		p.advance()
+		return &eNull{}, nil
+	case kUndefined:
+		p.advance()
+		return &eUndefined{}, nil
+	case kThis:
+		p.advance()
+		return &eThis{}, nil
+	case kFunction:
+		p.advance()
+		name := p.label()
+		params, body, err := p.funcRest()
+		if err != nil {
+			return nil, err
 		}
-	case jtPunct:
-		switch t.text {
-		case "(":
-			p.pos++
-			x, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			return x, p.expectP(")")
-		case "[":
-			p.pos++
-			var elems []jsExpr
-			for !p.atP("]") {
-				e, err := p.assignExpr()
-				if err != nil {
-					return nil, err
-				}
-				elems = append(elems, e)
-				if !p.eatP(",") {
-					break
-				}
-			}
-			if err := p.expectP("]"); err != nil {
-				return nil, err
-			}
-			return &eArray{elems: elems}, nil
-		case "{":
-			p.pos++
-			obj := &eObject{}
-			for !p.atP("}") {
-				var key string
-				kt := p.cur()
-				switch kt.kind {
-				case jtIdent, jtKeyword, jtString:
-					key = kt.text
-					p.pos++
-				case jtNumber:
-					key = formatNumber(kt.num)
-					p.pos++
-				default:
-					return nil, fmt.Errorf("jsvm: line %d: bad object key", kt.line)
-				}
-				if err := p.expectP(":"); err != nil {
-					return nil, err
-				}
-				v, err := p.assignExpr()
-				if err != nil {
-					return nil, err
-				}
-				obj.keys = append(obj.keys, key)
-				obj.vals = append(obj.vals, v)
-				if !p.eatP(",") {
-					break
-				}
-			}
-			if err := p.expectP("}"); err != nil {
-				return nil, err
-			}
-			return obj, nil
+		return &eFunc{name: name, params: params, body: body}, nil
+	case pLParen:
+		p.advance()
+		x, err := p.expr()
+		if err != nil {
+			return nil, err
 		}
+		return x, p.expect(pRParen)
+	case pLBrack:
+		p.advance()
+		elems, err := p.exprList(pRBrack)
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expect(pRBrack); err != nil {
+			return nil, err
+		}
+		return &eArray{elems: elems}, nil
+	case pLBrace:
+		p.advance()
+		return p.objectLit()
 	}
 	return nil, fmt.Errorf("jsvm: line %d: unexpected token %q", t.line, t.text)
+}
+
+// objectLit parses an object literal's keys and values, the open brace
+// consumed.
+func (p *jsParser) objectLit() (jsExpr, error) {
+	nbase, xbase := len(p.names), len(p.exprs)
+	for !p.is(pRBrace) {
+		var key string
+		switch kt := &p.tok; kt.kind {
+		case jtIdent, jtKeyword, jtString:
+			key = kt.text
+		case jtNumber:
+			key = formatNumber(kt.num)
+		default:
+			return nil, fmt.Errorf("jsvm: line %d: bad object key", kt.line)
+		}
+		p.advance()
+		if err := p.expect(pColon); err != nil {
+			return nil, err
+		}
+		v, err := p.assignExpr()
+		if err != nil {
+			return nil, err
+		}
+		p.names = append(p.names, key)
+		p.exprs = append(p.exprs, v)
+		if !p.eat(pComma) {
+			break
+		}
+	}
+	if err := p.expect(pRBrace); err != nil {
+		return nil, err
+	}
+	return &eObject{keys: popList(&p.names, nbase), vals: popList(&p.exprs, xbase)}, nil
 }

@@ -8,7 +8,9 @@ import (
 // Lex tokenizes preprocessed source.
 func Lex(src string) ([]Token, error) {
 	lx := &lexer{src: src, line: 1, col: 1}
-	var toks []Token
+	// The kernels' C runs 2.2 to 3.6 bytes per token: one allocation
+	// holds the stream.
+	toks := make([]Token, 0, len(src)/2+1)
 	for {
 		t, err := lx.next()
 		if err != nil {
@@ -91,13 +93,48 @@ func isIdentPart(c byte) bool { return isIdentStart(c) || (c >= '0' && c <= '9')
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// Multi-character punctuators, longest first.
-var puncts = []string{
-	"<<=", ">>=", "...",
-	"->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-	"+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|", "^",
-	"(", ")", "{", "}", "[", "]", ";", ",", ".", "?", ":",
+// punctAt returns the longest punctuator s starts with, or "".
+func punctAt(s string) string {
+	var c1, c2 byte
+	if len(s) > 1 {
+		c1 = s[1]
+	}
+	if len(s) > 2 {
+		c2 = s[2]
+	}
+	switch c := s[0]; c {
+	case '(', ')', '{', '}', '[', ']', ';', ',', '?', ':', '~':
+		return s[:1]
+	case '.':
+		if c1 == '.' && c2 == '.' {
+			return s[:3]
+		}
+		return s[:1]
+	case '<', '>': // << <<= <= and >> >>= >=
+		if c1 == c && c2 == '=' {
+			return s[:3]
+		}
+		if c1 == c || c1 == '=' {
+			return s[:2]
+		}
+		return s[:1]
+	case '-': // -> -- -=
+		if c1 == '>' || c1 == '-' || c1 == '=' {
+			return s[:2]
+		}
+		return s[:1]
+	case '+', '&', '|': // ++ += && &= || |=
+		if c1 == c || c1 == '=' {
+			return s[:2]
+		}
+		return s[:1]
+	case '*', '/', '%', '^', '=', '!': // *= /= %= ^= == !=
+		if c1 == '=' {
+			return s[:2]
+		}
+		return s[:1]
+	}
+	return ""
 }
 
 func (lx *lexer) next() (Token, error) {
@@ -133,13 +170,10 @@ func (lx *lexer) next() (Token, error) {
 		return lx.lexString(line, col)
 	}
 
-	for _, p := range puncts {
-		if strings.HasPrefix(lx.src[lx.pos:], p) {
-			for range p {
-				lx.advance()
-			}
-			return Token{Kind: TokPunct, Text: p, Line: line, Col: col}, nil
-		}
+	if p := punctAt(lx.src[lx.pos:]); p != "" {
+		lx.pos += len(p) // no newline inside
+		lx.col += len(p)
+		return Token{Kind: TokPunct, Text: p, Line: line, Col: col}, nil
 	}
 	return Token{}, errf(line, col, "unexpected character %q", c)
 }

@@ -20,7 +20,10 @@ func Preprocess(src string, defines map[string]string) ([]Token, error) {
 		macros[name] = toks[:len(toks)-1] // strip EOF
 	}
 
-	var kept []string
+	// kept is src with every directive line and every line in an inactive
+	// region emptied, so token positions match the source.
+	var kept strings.Builder
+	kept.Grow(len(src))
 	// condStack: each entry is whether the current region is active.
 	condStack := []bool{true}
 	active := func() bool {
@@ -31,17 +34,19 @@ func Preprocess(src string, defines map[string]string) ([]Token, error) {
 		}
 		return true
 	}
-	for lineNo, line := range strings.Split(src, "\n") {
+	for lineNo, rest, more := 0, src, true; more; lineNo++ {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		if lineNo > 0 {
+			kept.WriteByte('\n')
+		}
 		trimmed := strings.TrimSpace(line)
 		if !strings.HasPrefix(trimmed, "#") {
 			if active() {
-				kept = append(kept, line)
-			} else {
-				kept = append(kept, "")
+				kept.WriteString(line)
 			}
 			continue
 		}
-		kept = append(kept, "") // keep line numbering aligned
 		directive := strings.TrimSpace(trimmed[1:])
 		fields := strings.Fields(directive)
 		if len(fields) == 0 {
@@ -103,11 +108,11 @@ func Preprocess(src string, defines map[string]string) ([]Token, error) {
 		return nil, fmt.Errorf("minic: unterminated #if block")
 	}
 
-	toks, err := Lex(strings.Join(kept, "\n"))
+	toks, err := Lex(kept.String())
 	if err != nil {
 		return nil, err
 	}
-	return expandMacros(toks, macros, 0)
+	return expandMacros(toks, macros)
 }
 
 // maxExpandedTokens caps a translation unit after macro expansion. Each
@@ -116,30 +121,100 @@ func Preprocess(src string, defines map[string]string) ([]Token, error) {
 // largest benchmark kernel expands to about 1.3k tokens.
 const maxExpandedTokens = 1 << 16
 
-func expandMacros(toks []Token, macros map[string][]Token, depth int) ([]Token, error) {
-	if depth > 32 {
-		return nil, fmt.Errorf("minic: macro expansion too deep (recursive #define?)")
+// maxExpansionRounds is how many rounds of macro replacement a stream may
+// need: a replacement list may name macros, whose lists are replaced in
+// the next round, and so on.
+const maxExpansionRounds = 32
+
+// expandMacros replaces every macro name in toks (which ends in EOF) by its
+// replacement list, repeatedly, each replacement token taking the position
+// of the name it replaces. Its limits are those of rewriting the whole
+// stream once per round: rounds that replace something are capped at
+// maxExpansionRounds, and the stream any round produces at
+// maxExpandedTokens past its final EOF. It checks both from token counts
+// before it expands anything, then builds the result in one pass.
+func expandMacros(toks []Token, macros map[string][]Token) ([]Token, error) {
+	macroOf := func(t Token) ([]Token, bool) {
+		if t.Kind != TokIdent {
+			return nil, false
+		}
+		rep, ok := macros[t.Text]
+		return rep, ok
 	}
-	out := make([]Token, 0, len(toks))
-	changed := false
+	// uses counts the stream's macro names; plain the other tokens.
+	uses := map[string]int{}
+	plain := 0
 	for _, t := range toks {
-		if len(out) > maxExpandedTokens {
+		if _, ok := macroOf(t); ok {
+			uses[t.Text]++
+		} else {
+			plain++
+		}
+	}
+	// After r rounds, a macro name has become grown[name] tokens, of which
+	// some are still macro names if live[name].
+	const sat = maxExpandedTokens + 2 // any larger count fails alike
+	grown := make(map[string]int, len(macros))
+	live := make(map[string]bool, len(macros))
+	for name := range macros {
+		grown[name], live[name] = 1, true
+	}
+	next := make(map[string]int, len(macros))
+	nextLive := make(map[string]bool, len(macros))
+	size := plain
+	for round := 0; ; round++ {
+		if round > maxExpansionRounds {
+			return nil, fmt.Errorf("minic: macro expansion too deep (recursive #define?)")
+		}
+		changed := false
+		for name := range uses {
+			changed = changed || live[name]
+		}
+		// One more round: each name becomes its list, each macro name in it
+		// what that name became after this many rounds.
+		for name, rep := range macros {
+			n, l := 0, false
+			for _, r := range rep {
+				if _, ok := macroOf(r); ok {
+					n += grown[r.Text]
+					l = l || live[r.Text]
+				} else {
+					n++
+				}
+			}
+			next[name], nextLive[name] = min(n, sat), l
+		}
+		grown, next = next, grown
+		live, nextLive = nextLive, live
+		size = plain
+		for name, k := range uses {
+			size = min(size+k*grown[name], sat)
+		}
+		if size-1 > maxExpandedTokens {
 			return nil, fmt.Errorf("minic: macro expansion exceeds %d tokens", maxExpandedTokens)
 		}
-		if t.Kind == TokIdent {
-			if rep, ok := macros[t.Text]; ok {
-				changed = true
-				for _, r := range rep {
-					r.Line, r.Col = t.Line, t.Col
-					out = append(out, r)
-				}
-				continue
-			}
+		if !changed {
+			break
 		}
-		out = append(out, t)
 	}
-	if changed {
-		return expandMacros(out, macros, depth+1)
+	if len(uses) == 0 {
+		return toks, nil
+	}
+	out := make([]Token, 0, size)
+	var expand func(t Token, line, col int)
+	expand = func(t Token, line, col int) {
+		rep, ok := macroOf(t)
+		if !ok {
+			t.Line, t.Col = line, col
+			out = append(out, t)
+			return
+		}
+		for _, r := range rep {
+			expand(r, line, col)
+		}
+	}
+	for _, t := range toks {
+		expand(t, t.Line, t.Col)
 	}
 	return out, nil
 }
