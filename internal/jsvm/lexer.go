@@ -134,77 +134,14 @@ var codeText = [numCodes]string{
 	kTry: "try", kCatch: "catch", kFinally: "finally",
 }
 
-// keywordCode returns the keyword s spells, or cNone.
-func keywordCode(s string) tokCode {
-	if len(s) < 2 || len(s) > 10 {
-		return cNone
+// keywordCodes maps each keyword's text to its code.
+var keywordCodes = func() map[string]tokCode {
+	m := make(map[string]tokCode, numCodes-kVar)
+	for c := kVar; c < numCodes; c++ {
+		m[codeText[c]] = c
 	}
-	switch s {
-	case "var":
-		return kVar
-	case "let":
-		return kLet
-	case "const":
-		return kConst
-	case "function":
-		return kFunction
-	case "return":
-		return kReturn
-	case "if":
-		return kIf
-	case "else":
-		return kElse
-	case "for":
-		return kFor
-	case "while":
-		return kWhile
-	case "do":
-		return kDo
-	case "break":
-		return kBreak
-	case "continue":
-		return kContinue
-	case "switch":
-		return kSwitch
-	case "case":
-		return kCase
-	case "default":
-		return kDefault
-	case "new":
-		return kNew
-	case "typeof":
-		return kTypeof
-	case "true":
-		return kTrue
-	case "false":
-		return kFalse
-	case "null":
-		return kNull
-	case "undefined":
-		return kUndefined
-	case "this":
-		return kThis
-	case "in":
-		return kIn
-	case "of":
-		return kOf
-	case "instanceof":
-		return kInstanceof
-	case "delete":
-		return kDelete
-	case "void":
-		return kVoid
-	case "throw":
-		return kThrow
-	case "try":
-		return kTry
-	case "catch":
-		return kCatch
-	case "finally":
-		return kFinally
-	}
-	return cNone
-}
+	return m
+}()
 
 type jsTok struct {
 	kind jsTokKind
@@ -252,12 +189,11 @@ func (lx *jsLexer) next() jsTok {
 			lx.blockComment()
 		case isJSIdentStart(c):
 			start := lx.pos
-			lx.pos++
 			for lx.pos < len(src) && isJSIdentPart(src[lx.pos]) {
 				lx.pos++
 			}
 			text := src[start:lx.pos]
-			if k := keywordCode(text); k != cNone {
+			if k := keywordCodes[text]; k != cNone {
 				return jsTok{kind: jtKeyword, code: k, text: text, line: lx.line}
 			}
 			return jsTok{kind: jtIdent, text: text, line: lx.line}

@@ -1,6 +1,8 @@
 package minic
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -127,6 +129,66 @@ int b;
 func TestPreprocessorRecursionGuard(t *testing.T) {
 	if _, err := Preprocess("#define A A\nint x = A;", nil); err == nil {
 		t.Fatal("expected recursion error")
+	}
+}
+
+// TestPreprocessorExpansionLimits pins the limits of macro expansion at
+// their edges. They are those of rewriting the stream once per round: at
+// most 32 rounds that replace something, and no round's stream longer than
+// 65536 tokens before its EOF, even where a later round shrinks it.
+func TestPreprocessorExpansionLimits(t *testing.T) {
+	chain := func(n int) string { // A0 -> A1 -> ... -> An -> x: n+1 rounds
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "#define A%d A%d\n", i, i+1)
+		}
+		fmt.Fprintf(&b, "#define A%d x\nA0 y", n)
+		return b.String()
+	}
+	list := func(n int, name string) string { return strings.TrimSpace(strings.Repeat(name+" ", n)) }
+	const deep = "minic: macro expansion too deep (recursive #define?)"
+	const long = "minic: macro expansion exceeds 65536 tokens"
+	for _, c := range []struct {
+		name, src string
+		want      string // error, or the expanded tokens' texts
+	}{
+		{"32 rounds", chain(31), "x y"},
+		{"33 rounds", chain(32), deep},
+		{"mutual recursion", "#define A B\n#define B A\nA", deep},
+		{"doubling", "#define A A A\nA", long},
+		{"65536 tokens", "#define B " + list(65536, "x") + "\nB", "65536"},
+		{"65537 tokens", "#define B " + list(65537, "x") + "\nB", long},
+		{"long intermediate round", "#define E\n#define B " + list(70000, "E") + "\nB z", long},
+		{"short rounds", "#define E\n#define B " + list(30000, "E") + "\nB B z", "z"},
+	} {
+		toks, err := Preprocess(c.src, nil)
+		got := ""
+		switch {
+		case err != nil:
+			got = err.Error()
+		case len(toks) > 1000:
+			got = strconv.Itoa(len(toks) - 1)
+		default:
+			var texts []string
+			for _, tk := range toks[:len(toks)-1] {
+				texts = append(texts, tk.Text)
+			}
+			got = strings.Join(texts, " ")
+		}
+		if got != c.want {
+			t.Errorf("%s: got %q, want %q", c.name, got, c.want)
+		}
+	}
+	// Every token a macro produces takes the position of the name in the
+	// source, through nested macros too.
+	toks, err := Preprocess("#define A B 1\n#define B 2\nint\n  A;", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range toks[1:3] {
+		if tk.Line != 4 || tk.Col != 3 {
+			t.Errorf("token %q at %d:%d, want 4:3", tk.Text, tk.Line, tk.Col)
+		}
 	}
 }
 
