@@ -189,13 +189,12 @@ func (c *jsCompiler) completionStmt(s *sExpr) (stmtFn, error) {
 func (c *jsCompiler) node() { *c.nodes++ }
 
 func (c *jsCompiler) stmts(body []jsStmt) ([]stmtFn, error) {
-	var out []stmtFn
-	for _, s := range body {
-		f, err := c.stmt(s)
-		if err != nil {
+	out := make([]stmtFn, len(body))
+	for i, s := range body {
+		var err error
+		if out[i], err = c.stmt(s); err != nil {
 			return nil, err
 		}
-		out = append(out, f)
 	}
 	return out, nil
 }
