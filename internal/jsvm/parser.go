@@ -5,13 +5,12 @@ import (
 	"fmt"
 )
 
-// jsParse parses a program (list of statements). The lexer runs one token
-// ahead of the parser; a lexing error anywhere in src is the error reported,
-// even where the parser fails earlier.
+// jsParse parses a program (list of statements). The parser pulls tokens
+// from the lexer as it goes; a lexing error anywhere in src is the error
+// reported, even where the parser fails earlier.
 func jsParse(src string) ([]jsStmt, error) {
 	p := &jsParser{lx: jsLexer{src: src, line: 1}}
 	p.tok = p.lx.next()
-	p.ahead = p.lx.next()
 	base := len(p.stmts)
 	var err error
 	for err == nil && !p.at(jtEOF) {
@@ -47,7 +46,6 @@ func (e *syntaxError) Is(target error) bool { return target == ErrJSSyntax }
 type jsParser struct {
 	lx    jsLexer
 	tok   jsTok // the current token
-	ahead jsTok // the token after it
 	depth int
 	// stmts, exprs and names are stacks the lists under construction share:
 	// a list is built on top and copied out at its exact length.
@@ -92,9 +90,13 @@ func (p *jsParser) nest() error {
 	return nil
 }
 
-func (p *jsParser) advance() {
-	p.tok = p.ahead
-	p.ahead = p.lx.next()
+func (p *jsParser) advance() { p.tok = p.lx.next() }
+
+// peek returns the code of the token after the current one, lexing it on a
+// copy of the lexer.
+func (p *jsParser) peek() tokCode {
+	lx := p.lx
+	return lx.next().code
 }
 
 func (p *jsParser) at(k jsTokKind) bool { return p.tok.kind == k }
@@ -288,7 +290,7 @@ func (p *jsParser) stmtBody() (jsStmt, error) {
 		return p.tryStmt()
 	}
 	// Labeled statement: ident ':' stmt.
-	if p.at(jtIdent) && p.ahead.code == pColon {
+	if p.at(jtIdent) && p.peek() == pColon {
 		label := p.tok.text
 		p.advance()
 		p.advance()
