@@ -142,10 +142,9 @@ func compileProgram(vm *VM, body []jsStmt) (*compiledFunc, error) {
 	}
 	// Pre-bind host names referenced anywhere so Run can install them, in
 	// name order so a source gets the same slots on every run.
-	names := pf.hostRefs
 	var hostNames []string
-	for name := range vm.hostFuncs {
-		if names[name] {
+	for name := range pf.hostRefs {
+		if _, ok := vm.hostFuncs[name]; ok {
 			hostNames = append(hostNames, name)
 		}
 	}
@@ -154,7 +153,7 @@ func compileProgram(vm *VM, body []jsStmt) (*compiledFunc, error) {
 		sc.define(name)
 	}
 	for _, hb := range vm.pendingGlobals {
-		if names[hb.name] {
+		if pf.hostRefs[hb.name] {
 			sc.define(hb.name)
 		}
 	}
