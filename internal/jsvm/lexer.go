@@ -75,7 +75,6 @@ const (
 	pShrAssign  // >>=
 	pUShr       // >>>
 	pUShrAssign // >>>=
-	numPunctuators
 
 	// Keywords.
 	kVar

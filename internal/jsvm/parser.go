@@ -29,7 +29,7 @@ func jsParse(src string) ([]jsStmt, error) {
 	if err != nil {
 		return nil, &syntaxError{err}
 	}
-	return p.stmtList(base), nil
+	return popList(&p.stmts, base), nil
 }
 
 // ErrJSSyntax matches (errors.Is) every error that rejects a program before
@@ -132,11 +132,8 @@ func (p *jsParser) ident() (string, error) {
 // eatSemi consumes an optional statement terminator.
 func (p *jsParser) eatSemi() { p.eat(pSemi) }
 
-// stmtList pops the statements above base as a list (nil if none).
-func (p *jsParser) stmtList(base int) []jsStmt {
-	return popList(&p.stmts, base)
-}
-
+// popList pops the values above base off a stack as a list of their exact
+// length (nil if none).
 func popList[T any](stack *[]T, base int) []T {
 	s := *stack
 	if len(s) == base {
@@ -164,7 +161,7 @@ func (p *jsParser) stmtsUntil(eof string) ([]jsStmt, error) {
 		p.stmts = append(p.stmts, s)
 	}
 	p.advance()
-	return p.stmtList(base), nil
+	return popList(&p.stmts, base), nil
 }
 
 func (p *jsParser) stmt() (jsStmt, error) {
@@ -449,7 +446,7 @@ func (p *jsParser) switchStmt() (jsStmt, error) {
 	// endCase closes the case being read.
 	endCase := func() {
 		if len(sw.cases) > 0 {
-			sw.cases[len(sw.cases)-1].body = p.stmtList(base)
+			sw.cases[len(sw.cases)-1].body = popList(&p.stmts, base)
 		}
 	}
 	for !p.is(pRBrace) {
